@@ -34,12 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .core import (
     CapExceededError,
     CountingOracle,
     SolveReport,
     elements_of,
+    first_max,
     iter_bits,
     iter_masks_by_card,
     masks_of_card,
@@ -99,14 +101,12 @@ class SamplingParams:
     void the expectation guarantee, so they are echoed in the report.
     ``high_probability`` multiplies the per-round budget by ceil(2*epsilon*n),
     which upgrades the expectation guarantee to probability >= 1 - 1/n.
-    ``fallback_cap`` bounds the exhaustive fallback (see solver docstring).
     """
 
     epsilon: Fraction
     seed: int = 0
     sample_budget_override: int | None = None
     high_probability: bool = False
-    fallback_cap: int = DEFAULT_BRUTE_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
@@ -162,20 +162,18 @@ def _grow_from(
     return cur, cur_val
 
 
-def grow_clique(oracle: CountingOracle, start: int, universe: int, singles=None) -> int:
+def grow_clique(oracle: CountingOracle, start: int, universe: int) -> int:
     """Grow the additive closure of {start} inside ``universe``.
 
     For an XOS oracle the result is the intersection of the cliques of all
     components that attain every accepted singleton, which is what makes the
-    width-2 solver exact. Costs at most |universe| queries beyond the cached
-    singleton values (``singles``); when no cache is supplied, the needed
-    singletons are queried here and counted.
+    width-2 solver exact. Costs |universe| singleton queries plus at most
+    |universe| growth queries.
     """
     oracle.ground.validate_subset(universe)
     if not (universe >> start) & 1:
         raise ValueError(f"start element {start} is not in the universe mask")
-    if singles is None:
-        singles = {v: oracle.evaluate(1 << v) for v in iter_bits(universe)}
+    singles = {v: oracle.evaluate(1 << v) for v in iter_bits(universe)}
     mask, _ = _grow_from(oracle, 1 << start, singles[start], universe, singles)
     return mask
 
@@ -204,6 +202,19 @@ def _translate(sub: int, elems: tuple[int, ...]) -> int:
     return actual
 
 
+def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, int]:
+    """First maximizer over the subsets of ``retained`` of size <= cap.
+
+    Every subset, the empty set included, is evaluated exactly once, in
+    canonical order.
+    """
+    elems = elements_of(retained)
+    masks = iter_masks_by_card(len(elems), cap)
+    if retained != (1 << len(elems)) - 1:  # positions are not the elements
+        masks = map(_translate, masks, repeat(elems))
+    return first_max((m, oracle.evaluate(m)) for m in masks)
+
+
 def _empty_report(algorithm: str, oracle: CountingOracle, start_calls: int, **extra) -> SolveReport:
     return SolveReport(algorithm, 0, 0, oracle.calls - start_calls, **extra)
 
@@ -224,16 +235,7 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
     """
     start_calls = oracle.calls
     retained, _ = _scan_singletons(oracle)
-    elems = elements_of(retained)
-    r = len(elems)
-    cap = min(params.size_cap, r)
-    best_mask = 0
-    best_val = None
-    for sub in iter_masks_by_card(r, cap):
-        actual = _translate(sub, elems)
-        v = oracle.evaluate(actual)
-        if best_val is None or v > best_val:
-            best_mask, best_val = actual, v
+    best_mask, best_val = _exhaustive(oracle, retained, params.size_cap)
     return SolveReport("enum", best_mask, best_val, oracle.calls - start_calls)
 
 
@@ -261,7 +263,7 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     when only one element survives preprocessing) the analysis is void and n
     is bounded by a constant, so the solver enumerates the retained subsets
     exhaustively instead; the exhaustive path is only taken when the retained
-    size is at most ``fallback_cap``, otherwise the sampling loops run anyway
+    size is at most DEFAULT_BRUTE_CAP, otherwise the sampling loops run anyway
     (2^n enumeration at desk scale would not terminate for small epsilon).
 
     Deterministic given ``params.seed``: samples come from a splitmix64
@@ -278,14 +280,8 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     eps = params.epsilon
     p, q = eps.numerator, eps.denominator
     if r == 1 or (p * r) / (q * math.log(r)) < RHO_FALLBACK_THRESHOLD:
-        if r <= params.fallback_cap:
-            best_mask = 0
-            best_val = None
-            for sub in iter_masks_by_card(r):
-                actual = _translate(sub, elems)
-                v = oracle.evaluate(actual)
-                if best_val is None or v > best_val:
-                    best_mask, best_val = actual, v
+        if r <= DEFAULT_BRUTE_CAP:
+            best_mask, best_val = _exhaustive(oracle, retained, r)
             return SolveReport(
                 "sample", best_mask, best_val, oracle.calls - start_calls, **extra
             )
@@ -300,16 +296,16 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
 
     rng = SplitMix64(params.seed)
-    best_mask = 0
-    best_val = None
-    for m in range(1, min(rounds, r) + 1):
-        for _ in range(per_round):
-            actual = 0
-            for pos in sample_positions(r, m, rng):
-                actual |= 1 << elems[pos]
-            v = oracle.evaluate(actual)
-            if best_val is None or v > best_val:
-                best_mask, best_val = actual, v
+
+    def draws():
+        for m in range(1, min(rounds, r) + 1):
+            for _ in range(per_round):
+                actual = 0
+                for pos in sample_positions(r, m, rng):
+                    actual |= 1 << elems[pos]
+                yield actual, oracle.evaluate(actual)
+
+    best_mask, best_val = first_max(draws())
     return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
 
 
@@ -373,30 +369,26 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
         cliques.append((V, val))
         covered |= V
 
-    best_mask = 0
-    best_val = None
+    def candidates():
+        yield from cliques
+        for V, val in cliques:
+            yield _expand_improving(oracle, V, val, retained)
+        for i in range(len(cliques)):
+            for j in range(i + 1, len(cliques)):
+                union = cliques[i][0] | cliques[j][0]
+                # The union is queried once and ranks at its lowest element,
+                # where the scan first reaches it; elsewhere a tie would
+                # pick a different set.
+                low = union & -union
+                for v in iter_bits(retained):
+                    bit = 1 << v
+                    if bit == low:
+                        yield union, oracle.evaluate(union)
+                    elif not union & bit:
+                        z = union | bit
+                        yield z, oracle.evaluate(z)
 
-    def consider(mask: int, val: int) -> None:
-        nonlocal best_mask, best_val
-        if best_val is None or val > best_val:
-            best_mask, best_val = mask, val
-
-    for V, val in cliques:
-        consider(V, val)
-    for V, val in cliques:
-        consider(*_expand_improving(oracle, V, val, retained))
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            union = cliques[i][0] | cliques[j][0]
-            union_val = None
-            for v in iter_bits(retained):
-                if (union >> v) & 1:
-                    if union_val is None:
-                        union_val = oracle.evaluate(union)
-                    consider(union, union_val)
-                else:
-                    z = union | (1 << v)
-                    consider(z, oracle.evaluate(z))
+    best_mask, best_val = first_max(candidates())
     return SolveReport("kminus1", best_mask, best_val, oracle.calls - start_calls)
 
 
@@ -462,11 +454,7 @@ def solve_exact_star(oracle: CountingOracle) -> SolveReport:
     retained, singles = _scan_singletons(oracle)
     if retained == 0:
         return _empty_report("star", oracle, start_calls)
-    best_mask = 0
-    best_val = None
-    for mask, val in _maximal_cliques(oracle, retained, singles):
-        if best_val is None or val > best_val:
-            best_mask, best_val = mask, val
+    best_mask, best_val = first_max(_maximal_cliques(oracle, retained, singles))
     return SolveReport("star", best_mask, best_val, oracle.calls - start_calls)
 
 
@@ -482,10 +470,5 @@ def solve_brute_force(oracle: CountingOracle, cap: int = DEFAULT_BRUTE_CAP) -> S
     if n > cap:
         raise BruteForceCapError(f"brute force over n={n} exceeds cap {cap}")
     start_calls = oracle.calls
-    best_mask = 0
-    best_val = None
-    for mask in iter_masks_by_card(n):
-        v = oracle.evaluate(mask)
-        if best_val is None or v > best_val:
-            best_mask, best_val = mask, v
+    best_mask, best_val = _exhaustive(oracle, oracle.ground.full_mask, n)
     return SolveReport("brute", best_mask, best_val, oracle.calls - start_calls)

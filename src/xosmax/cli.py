@@ -12,7 +12,7 @@ human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
 arguments, 3 instance error, 4 cap exceeded.
 
 Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle;
-the optimum reference is computed once per suite on a separate oracle, so
+the optimum reference is computed once per suite without any oracle, so
 reported call counts are the solver's own. CSV columns are fixed
 (trial,seed,algo,n,k,value,opt,ratio,calls,ms) and replaying a suite with
 the same base_seed is byte-identical because the ms column is 0 unless
@@ -67,9 +67,10 @@ class UsageError(ValueError):
 class TrialRecord:
     """One solver run: what it returned, what it cost, and how it compares.
 
+    ``opt`` is the exact optimum: the planted value (``opt_source``
+    "planted") or the O(kn) identity over a representation ("brute").
     ``ratio`` is opt/value (>= 1 when both are positive), 1.0 when both are
-    zero, infinity when value is nonpositive but opt is positive, and None
-    when opt is unknown. ``opt_source`` is one of planted/brute/unknown.
+    zero, and infinity when value is nonpositive but opt is positive.
     """
 
     trial: int
@@ -78,17 +79,15 @@ class TrialRecord:
     n: int
     k: int | None
     value: int
-    opt: int | None
-    ratio: float | None
+    opt: int
+    ratio: float
     calls: int
     wall_time_ms: float
     opt_source: str
     budget_override: int | None = None
 
 
-def _ratio(opt: int | None, value: int) -> float | None:
-    if opt is None:
-        return None
+def _ratio(opt: int, value: int) -> float:
     if value > 0:
         return opt / value
     if opt == value:
@@ -107,7 +106,7 @@ def run_trial(
     high_probability: bool = False,
     brute_cap: int = DEFAULT_BRUTE_CAP,
     queries: int = 1000,
-    opt_info: tuple[int | None, str] | None = None,
+    opt_info: tuple[int, str] | None = None,
 ) -> TrialRecord:
     """Run one solver on a fresh oracle and assemble the record.
 
@@ -205,40 +204,48 @@ class ExperimentConfig:
         return cls(inst, algo, trials, base_seed, params, fmt)
 
 
+def _run_trials(
+    handle: InstanceHandle,
+    algo: str,
+    trials: int,
+    base_seed: int,
+    params: dict,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
+) -> list[TrialRecord]:
+    """Run ``trials`` trials sequentially; records are ordered by trial index.
+
+    Trials are independent (fresh oracle and seed each); the optimum
+    reference is computed once and shared.
+    """
+    if trials < 0:
+        raise UsageError("trials must be a nonnegative integer")
+    opt_info = handle.exact_optimum(brute_cap)
+    return [
+        run_trial(
+            handle,
+            algo,
+            trial=i,
+            seed=(base_seed + i) % _SEED_MOD,
+            epsilon=params.get("epsilon"),
+            budget_override=params.get("budget_override"),
+            high_probability=bool(params.get("high_probability", False)),
+            brute_cap=brute_cap,
+            queries=params.get("queries", 1000),
+            opt_info=opt_info,
+        )
+        for i in range(trials)
+    ]
+
+
 def run_suite(
     config: ExperimentConfig,
     brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> list[TrialRecord]:
-    """Run the suite sequentially; records are ordered by trial index.
-
-    Trials are independent (fresh oracle and seed each); only the record
-    list is shared, so a future parallel runner only has to sort by trial.
-    """
+    """Run a bench suite; see ``_run_trials``."""
     handle = instance_from_dict(config.instance)
-    params = config.params or {}
-    epsilon = params.get("epsilon")
-    budget_override = params.get("budget_override")
-    high_probability = bool(params.get("high_probability", False))
-    queries = params.get("queries", 1000)
-    opt_info = handle.exact_optimum(brute_cap)
-    records = []
-    for i in range(config.trials):
-        records.append(
-            run_trial(
-                handle,
-                config.algorithm,
-                trial=i,
-                seed=(config.base_seed + i) % _SEED_MOD,
-                epsilon=epsilon,
-                budget_override=budget_override,
-                high_probability=high_probability,
-                brute_cap=brute_cap,
-                queries=queries,
-                opt_info=opt_info,
-            )
-        )
-    records.sort(key=lambda r: r.trial)
-    return records
+    return _run_trials(
+        handle, config.algorithm, config.trials, config.base_seed, config.params or {}, brute_cap
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +253,7 @@ def run_suite(
 
 
 def record_to_json_dict(record: TrialRecord) -> dict:
-    ratio: object
-    if record.ratio is None:
-        ratio = None
-    elif math.isinf(record.ratio):
-        ratio = "inf"
-    else:
-        ratio = record.ratio
+    ratio = "inf" if math.isinf(record.ratio) else record.ratio
     return {
         "trial": record.trial,
         "seed": record.seed,
@@ -302,17 +303,16 @@ def summarize(records: Sequence[TrialRecord]) -> str:
     lines.append(
         f"  calls: min={min(calls)} median={statistics.median(calls)} max={max(calls)}"
     )
-    finite = [r.ratio for r in records if r.ratio is not None and math.isfinite(r.ratio)]
-    infinite = sum(1 for r in records if r.ratio is not None and math.isinf(r.ratio))
+    finite = [r.ratio for r in records if math.isfinite(r.ratio)]
+    infinite = sum(1 for r in records if math.isinf(r.ratio))
     if finite:
         lines.append(
             f"  ratio (opt/value): min={min(finite):.4f} "
             f"mean={statistics.fmean(finite):.4f} max={max(finite):.4f}"
             + (f" (+{infinite} infinite)" if infinite else "")
         )
-    if records[0].opt is not None:
-        hits = sum(1 for r in records if r.value == r.opt)
-        lines.append(f"  optimum hit rate: {hits}/{len(records)}")
+    hits = sum(1 for r in records if r.value == r.opt)
+    lines.append(f"  optimum hit rate: {hits}/{len(records)}")
     mean_ms = statistics.fmean(r.wall_time_ms for r in records)
     lines.append(f"  mean wall time: {mean_ms:.3f} ms")
     return "\n".join(lines)
@@ -381,23 +381,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     handle = load_instance(args.instance)
-    opt_info = handle.exact_optimum(args.brute_cap)
-    records = []
-    for i in range(args.trials):
-        records.append(
-            run_trial(
-                handle,
-                args.algo,
-                trial=i,
-                seed=(args.seed + i) % _SEED_MOD,
-                epsilon=args.epsilon,
-                budget_override=args.budget_override,
-                high_probability=args.high_probability,
-                brute_cap=args.brute_cap,
-                queries=args.queries,
-                opt_info=opt_info,
-            )
-        )
+    params = {
+        "epsilon": args.epsilon,
+        "budget_override": args.budget_override,
+        "high_probability": args.high_probability,
+        "queries": args.queries,
+    }
+    records = _run_trials(handle, args.algo, args.trials, args.seed, params, args.brute_cap)
     _emit_records(records, args.format, args.out, args.record_timing)
     print(summarize(records), file=sys.stderr)
     return 0

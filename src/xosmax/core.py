@@ -106,6 +106,20 @@ def iter_masks_by_card(n: int, max_card: int | None = None) -> Iterator[int]:
         yield from masks_of_card(n, c)
 
 
+def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The first (mask, value) pair with the largest value.
+
+    Later ties never replace the kept pair, which is every solver's
+    tie-break. With no candidates the result is (0, 0), the empty set.
+    """
+    it = iter(candidates)
+    best = next(it, (0, 0))
+    for cand in it:
+        if cand[1] > best[1]:
+            best = cand
+    return best
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Ground set {0, ..., n-1} with 1 <= n <= 63."""

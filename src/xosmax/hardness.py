@@ -39,6 +39,7 @@ from .core import (
     MAX_GROUND_SIZE,
     SolveReport,
     XosRepresentation,
+    first_max,
 )
 from .rng import SplitMix64, sample_mask
 
@@ -368,13 +369,6 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
         raise ValueError("queries must be >= 0")
     start_calls = oracle.calls
     rng = SplitMix64(seed)
-    best_mask = 0
-    best_val = 0
-    first = True
-    for _ in range(queries):
-        mask = sample_mask(n, size, rng)
-        v = oracle.evaluate(mask)
-        if first or v > best_val:
-            best_mask, best_val = mask, v
-            first = False
+    masks = (sample_mask(n, size, rng) for _ in range(queries))
+    best_mask, best_val = first_max((m, oracle.evaluate(m)) for m in masks)
     return SolveReport("probe", best_mask, best_val, oracle.calls - start_calls, seed=seed)

@@ -37,8 +37,8 @@ class InstanceHandle:
     """A loaded instance: either an explicit representation or a hidden family.
 
     ``oracle()`` returns a fresh counting oracle each call (one per trial);
-    ``exact_optimum(cap)`` returns (value, provenance) with provenance in
-    {"planted", "brute", "unknown"}.
+    ``exact_optimum(cap)`` returns (value, provenance) with provenance
+    "planted" or "brute".
     """
 
     kind: str
@@ -68,18 +68,20 @@ class InstanceHandle:
             return None
         return self.hidden.planted_optimum()
 
-    def exact_optimum(self, cap: int) -> tuple[int | None, str]:
-        """Exact OPT if obtainable: planted value, white-box maximum of an
-        explicit representation, or exhaustive evaluation up to ``cap``."""
+    def exact_optimum(self, cap: int) -> tuple[int, str]:
+        """Exact OPT and its provenance, known at every ground size.
+
+        The planted value when the planted set is a maximizer ("planted");
+        otherwise the O(kn) identity max_i sum_v max(w_i(v), 0) over the
+        explicit representation or, for a hard_kxos whose planted set is
+        not optimal, over its materialized representation ("brute").
+        ``cap`` is unused.
+        """
         p = self.planted()
         if p is not None:
             return p[1], "planted"
-        if self.explicit is not None:
-            return self.explicit.exact_maximum(), "brute"
-        if self.n <= cap:
-            fn = self.hidden.evaluate
-            return max(fn(mask) for mask in range(1 << self.n)), "brute"
-        return None, "unknown"
+        rep = self.explicit if self.explicit is not None else self.hidden.representation()
+        return rep.exact_maximum(), "brute"
 
     def to_json_dict(self) -> dict:
         if self.explicit is not None:

@@ -3,12 +3,12 @@ terminal summary, where per-test output capture cannot swallow them."""
 
 from __future__ import annotations
 
-ACCEPTANCE_LINES: list[str] = []
+ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {detail}"
-    ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE_LINES.append((number, line))
     print(line)
     assert passed, line
 
@@ -16,5 +16,5 @@ def record_criterion(number: int, passed: bool, detail: str) -> None:
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
-        for line in sorted(ACCEPTANCE_LINES):
+        for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)

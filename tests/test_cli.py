@@ -94,6 +94,13 @@ def test_solve_missing_epsilon_is_usage_error(inst_path):
     assert "epsilon" in r.stderr
 
 
+def test_solve_rejects_negative_trials(inst_path):
+    r = run_cli("solve", "--algo", "exact2", "--instance", inst_path, "--trials", "-1")
+    assert r.returncode == 2
+    assert "trials" in r.stderr
+    assert r.stdout == ""
+
+
 def test_exit_code_bad_args(inst_path):
     assert run_cli("solve", "--algo", "nonsense", "--instance", inst_path).returncode == 2
     assert run_cli("nonsense-command").returncode == 2

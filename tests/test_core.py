@@ -23,6 +23,7 @@ from xosmax.core import (
     INT64_MAX,
     INT64_MIN,
     check_value,
+    first_max,
     iter_masks_by_card,
     masks_of_card,
 )
@@ -49,6 +50,12 @@ def test_canonical_order():
     assert list(iter_masks_by_card(n)) == canonical_masks(n)
     # truncated at a cardinality cap
     assert list(iter_masks_by_card(3, 1)) == [0, 1, 2, 4]
+
+
+def test_first_max_keeps_first_of_tied_maxima():
+    assert first_max([(1, 3), (2, 5), (4, 5), (8, 5), (16, 4)]) == (2, 5)
+    assert first_max(iter([(6, -2), (5, -2)])) == (6, -2)
+    assert first_max([]) == (0, 0)
 
 
 def test_check_value_rejects_non_integers():

@@ -39,16 +39,27 @@ def test_hidden_handle_provenance():
         {"type": "hard_general", "params": {"n": 8, "tau": 2}, "seed": 1}
     )
     assert hg.exact_optimum(cap=20) == (4, "planted")
-    # out-of-regime planted set: falls back to exhaustive scan of the closed form
+    # out-of-regime planted set: the O(kn) identity over its representation
     kx = instance_from_dict(
         {"type": "hard_kxos", "params": {"k": 3, "n_tilde": 3, "a": 1}, "seed": 1}
     )
     assert kx.planted() is None
     assert kx.exact_optimum(cap=20) == (27, "brute")
-    assert kx.exact_optimum(cap=10) == (None, "unknown")
+    assert kx.exact_optimum(cap=10) == (27, "brute")
 
 
-def test_remark_variant_optimum_is_scanned_not_planted():
+def test_hard_kxos_identity_optimum_matches_scan():
+    # n=12 and (k-1)(n_tilde-a)^2 < n_tilde^2: the planted set is not optimal
+    for seed in range(5):
+        h = instance_from_dict(
+            {"type": "hard_kxos", "params": {"k": 3, "n_tilde": 3, "a": 1}, "seed": seed}
+        )
+        assert h.n == 12 and h.planted() is None
+        want, _ = ref_brute_max(h.hidden.evaluate, h.n)
+        assert h.exact_optimum(cap=0) == (want, "brute")
+
+
+def test_remark_variant_optimum_is_planted():
     h = instance_from_dict(
         {"type": "hard_general_remark", "params": {"n": 8, "tau": 2}, "seed": 5}
     )
