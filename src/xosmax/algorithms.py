@@ -110,8 +110,11 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if self.sample_budget_override is not None and self.sample_budget_override < 1:
-            raise ValueError("sample_budget_override must be >= 1")
+        budget = self.sample_budget_override
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+            raise ValueError(f"sample_budget_override must be an integer >= 1, got {budget!r}")
+        if not isinstance(self.high_probability, bool):
+            raise ValueError(f"high_probability must be true or false, got {self.high_probability!r}")
 
 
 # ---------------------------------------------------------------------------

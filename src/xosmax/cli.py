@@ -11,7 +11,8 @@ Machine output (instance JSON, trial records) goes to stdout or ``--out``;
 human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
 arguments, 3 instance error, 4 cap exceeded.
 
-Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle;
+Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle
+(base_seed itself must lie in [0, 2^64), from ``--seed`` or the config);
 the optimum reference is computed once per suite without any oracle, so
 reported call counts are the solver's own. CSV columns are fixed
 (trial,seed,algo,n,k,value,opt,ratio,calls,ms) and replaying a suite with
@@ -27,7 +28,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -49,7 +50,7 @@ from .core import (
     ValueOverflowError,
     elements_of,
 )
-from .hardness import uniform_size_probe
+from .hardness import FAMILIES, uniform_size_probe
 from .instances import InstanceHandle, dump_instance, instance_from_dict, load_instance
 
 ALGORITHMS = ("enum", "sample", "exact2", "kminus1", "star", "brute", "probe")
@@ -193,8 +194,6 @@ class ExperimentConfig:
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
             raise UsageError("config field 'trials' must be a nonnegative integer")
         base_seed = doc.get("base_seed", 0)
-        if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
-            raise UsageError("config field 'base_seed' must be a nonnegative integer")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise UsageError("config field 'params' must be an object")
@@ -219,6 +218,8 @@ def _run_trials(
     """
     if trials < 0:
         raise UsageError("trials must be a nonnegative integer")
+    if isinstance(base_seed, bool) or not isinstance(base_seed, int) or not 0 <= base_seed < _SEED_MOD:
+        raise UsageError(f"seed must be an integer in [0, 2^64), got {base_seed!r}")
     opt_info = handle.exact_optimum(brute_cap)
     return [
         run_trial(
@@ -228,7 +229,7 @@ def _run_trials(
             seed=(base_seed + i) % _SEED_MOD,
             epsilon=params.get("epsilon"),
             budget_override=params.get("budget_override"),
-            high_probability=bool(params.get("high_probability", False)),
+            high_probability=params.get("high_probability", False),
             brute_cap=brute_cap,
             queries=params.get("queries", 1000),
             opt_info=opt_info,
@@ -347,27 +348,13 @@ def _parse_weights_arg(text: str) -> list[list[int]]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "explicit":
+    if args.type == "explicit":
         rows = _parse_weights_arg(args.weights)
         doc = {"type": "explicit", "n": len(rows[0]), "weights": rows}
-    elif args.family == "needle":
-        doc = {
-            "type": "needle",
-            "params": {"n_hat": args.nhat, "s": args.s, "t": args.t},
-            "seed": args.seed,
-        }
-    elif args.family == "hard-general":
-        doc = {
-            "type": "hard_general_remark" if args.remark else "hard_general",
-            "params": {"n": args.n, "tau": args.tau},
-            "seed": args.seed,
-        }
-    else:  # hard-kxos
-        doc = {
-            "type": "hard_kxos",
-            "params": {"k": args.k, "n_tilde": args.ntilde, "a": args.a},
-            "seed": args.seed,
-        }
+    else:
+        cls, _ = FAMILIES[args.type]
+        params = {key: getattr(args, key) for key in cls.params}
+        doc = {"type": args.type, "params": params, "seed": args.seed}
     handle = instance_from_dict(doc)  # validates parameters
     _emit(dump_instance(handle), args.out)
     width = handle.width if handle.width is not None else "unknown"
@@ -403,9 +390,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
     if args.seed is not None:
-        config = ExperimentConfig(
-            config.instance, config.algorithm, config.trials, args.seed, config.params, config.format
-        )
+        config = replace(config, base_seed=args.seed)
     records = run_suite(config, brute_cap=args.brute_cap)
     fmt = args.format if args.format else config.format
     _emit_records(records, fmt, args.out, args.record_timing)
@@ -422,17 +407,8 @@ def _witness_text(witness) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     handle = load_instance(args.instance)
-    if handle.explicit is not None:
-        dense = materialize(handle.explicit)
-        rep = handle.explicit
-    else:
-        dense = materialize(handle.hidden.evaluate, handle.n)
-        rep = None
-        if hasattr(handle.hidden, "representation"):
-            try:
-                rep = handle.hidden.representation()
-            except InstanceFormatError:
-                rep = None
+    rep = handle.representation()
+    dense = materialize(handle.explicit or handle.hidden.evaluate, handle.n)
     result: dict[str, object] = {}
     for cls in CLASS_NAMES:
         ok, witness = check_class(dense, cls)
@@ -474,21 +450,26 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     g_exp = gen_sub.add_parser("explicit", help="explicit weight matrix")
     g_exp.add_argument("--weights", required=True, help="rows ';'-separated, entries ','")
+    g_exp.set_defaults(type="explicit")
     g_nee = gen_sub.add_parser("needle", help="hidden threshold set")
-    g_nee.add_argument("--nhat", type=int, required=True)
+    g_nee.add_argument("--nhat", dest="n_hat", type=int, required=True)
     g_nee.add_argument("--s", type=int, required=True)
     g_nee.add_argument("--t", type=int, required=True)
     g_nee.add_argument("--seed", type=int, default=0)
+    g_nee.set_defaults(type="needle")
     g_hg = gen_sub.add_parser("hard-general", help="hidden half-size set with floor")
     g_hg.add_argument("--n", type=int, required=True)
     g_hg.add_argument("--tau", type=int, required=True)
     g_hg.add_argument("--seed", type=int, default=0)
-    g_hg.add_argument("--remark", action="store_true", help="max(additive, floor) variant")
+    g_hg.add_argument("--remark", dest="type", action="store_const", const="hard_general_remark",
+                      help="max(additive, floor) variant")
+    g_hg.set_defaults(type="hard_general")
     g_kx = gen_sub.add_parser("hard-kxos", help="width-k blocked construction")
     g_kx.add_argument("--k", type=int, required=True)
-    g_kx.add_argument("--ntilde", type=int, required=True)
+    g_kx.add_argument("--ntilde", dest="n_tilde", type=int, required=True)
     g_kx.add_argument("--a", type=int, required=True)
     g_kx.add_argument("--seed", type=int, default=0)
+    g_kx.set_defaults(type="hard_kxos")
     for p in (g_exp, g_nee, g_hg, g_kx):
         _add_common_output(p)
         p.set_defaults(func=cmd_gen)

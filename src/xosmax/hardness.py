@@ -1,10 +1,13 @@
 """Hidden-instance families with planted optima for query lower-bound studies.
 
 Three families, each evaluated in closed form from bit counts (never by
-materializing a weight table) and each deterministic given its parameters
-and seed; planted sets are drawn by the same exactly-uniform sampler the
-solvers use, so serialized instances store only (params, seed) and never
-leak the planted set.
+materializing per-element weights) and each deterministic given its
+parameters and seed; planted sets are drawn by the same exactly-uniform
+sampler the solvers use, so serialized instances store only (params, seed)
+and never leak the planted set. The families share one base class that
+declares their parameter keys and holds the type check, the oracle factory
+and the document writer; ``FAMILIES`` maps each document type to its class,
+and is the one table ``parse_hidden`` and ``xosmax gen`` read.
 
 * needle(n_hat, s, t): f(X) = 1 iff X is inside a hidden s-element set and
   |X| >= t, else 0. Any querier needs on the order of (n_hat/s)^t queries to
@@ -28,7 +31,7 @@ leak the planted set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 from .core import (
     INT64_MAX,
@@ -46,14 +49,42 @@ from .rng import SplitMix64, sample_mask
 _SEED_LIMIT = 1 << 64
 
 
-def _check_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
-        raise InstanceFormatError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class _HiddenFamily:
+    """What the three families share: typed parameters, oracle, document.
+
+    ``params`` names the document's parameter keys in order; each family's
+    ``__post_init__`` calls ``_check_params`` before its range checks. The
+    planted set is a maximizer unless a family overrides
+    ``planted_is_optimal``.
+    """
+
+    params: ClassVar[tuple[str, ...]] = ()
+    planted_is_optimal = True
+
+    def _check_params(self) -> None:
+        for key in self.params:
+            if not _is_int(getattr(self, key)):
+                raise InstanceFormatError(f"param {key!r} must be an integer")
+        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
+            raise InstanceFormatError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+
+    def oracle(self) -> CountingOracle:
+        return CountingOracle(GroundSet(self.n), self.evaluate)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "type": self.kind,
+            "params": {key: getattr(self, key) for key in self.params},
+            "seed": self.seed,
+        }
 
 
 @dataclass(frozen=True)
-class NeedleInstance:
+class NeedleInstance(_HiddenFamily):
     """Hidden threshold function: 1 inside the planted set at size >= t."""
 
     n_hat: int
@@ -63,16 +94,17 @@ class NeedleInstance:
     planted: int = field(init=False)
 
     kind = "needle"
+    params = ("n_hat", "s", "t")
     width = None
 
     def __post_init__(self) -> None:
+        self._check_params()
         if not 1 <= self.n_hat <= MAX_GROUND_SIZE:
             raise InstanceFormatError(f"n_hat must be in [1, {MAX_GROUND_SIZE}]")
         if not 1 <= self.s <= self.n_hat:
             raise InstanceFormatError("s must satisfy 1 <= s <= n_hat")
         if not 1 <= self.t <= self.s:
             raise InstanceFormatError("t must satisfy 1 <= t <= s")
-        _check_seed(self.seed)
         object.__setattr__(
             self, "planted", sample_mask(self.n_hat, self.s, SplitMix64(self.seed))
         )
@@ -86,22 +118,12 @@ class NeedleInstance:
             return 0
         return 1 if mask.bit_count() >= self.t else 0
 
-    def oracle(self) -> CountingOracle:
-        return CountingOracle(GroundSet(self.n_hat), self.evaluate)
-
     def planted_optimum(self) -> tuple[int, int]:
         return self.planted, 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "needle",
-            "params": {"n_hat": self.n_hat, "s": self.s, "t": self.t},
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class HardGeneralInstance:
+class HardGeneralInstance(_HiddenFamily):
     """Hidden half-size set S; informative values only inside S.
 
     ``remark`` switches to the max(additive, floor) variant, which is not
@@ -114,14 +136,16 @@ class HardGeneralInstance:
     remark: bool = False
     planted: int = field(init=False)
 
+    params = ("n", "tau")
+
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and 2 <= self.n <= MAX_GROUND_SIZE and self.n % 2 == 0):
+        self._check_params()
+        if not (2 <= self.n <= MAX_GROUND_SIZE and self.n % 2 == 0):
             raise InstanceFormatError(f"n must be even and in [2, {MAX_GROUND_SIZE}], got {self.n}")
-        if not (isinstance(self.tau, int) and self.tau >= 1):
+        if self.tau < 1:
             raise InstanceFormatError("tau must be an integer >= 1")
         if 2 * self.tau >= self.n:
             raise InstanceFormatError("need 2*tau < n so the planted set beats the floor")
-        _check_seed(self.seed)
         object.__setattr__(
             self, "planted", sample_mask(self.n, self.n // 2, SplitMix64(self.seed))
         )
@@ -135,32 +159,21 @@ class HardGeneralInstance:
         return None if self.remark else self.n + 1
 
     def evaluate(self, mask: int) -> int:
+        if mask == 0 and not self.remark:
+            return 0
         inside = (mask & self.planted).bit_count()
         outside = mask.bit_count() - inside
-        additive = inside - self.n * outside
-        if self.remark:
-            return max(additive, self.tau)
-        if mask == 0:
-            return 0
-        return max(additive, self.tau)
-
-    def oracle(self) -> CountingOracle:
-        return CountingOracle(GroundSet(self.n), self.evaluate)
+        return max(inside - self.n * outside, self.tau)
 
     def planted_optimum(self) -> tuple[int, int]:
         return self.planted, self.n // 2
-
-    def additive_part(self) -> AdditiveFunction:
-        """The additive g (+1 on S, -n off S); used by the remark variant."""
-        return AdditiveFunction(
-            tuple(1 if (self.planted >> v) & 1 else -self.n for v in range(self.n))
-        )
 
     def representation(self) -> XosRepresentation:
         """Width-(n+1) explicit form of the standard variant.
 
         One component per element paying tau on that element alone (their
-        max supplies tau on every nonempty set), plus the additive g.
+        max supplies tau on every nonempty set), plus the additive g that is
+        +1 on S and -n off S.
         """
         if self.remark:
             raise InstanceFormatError("the remark variant has no max-of-additive form")
@@ -169,20 +182,18 @@ class HardGeneralInstance:
             w = [0] * self.n
             w[i] = self.tau
             comps.append(AdditiveFunction(tuple(w)))
-        comps.append(self.additive_part())
+        g = tuple(1 if (self.planted >> v) & 1 else -self.n for v in range(self.n))
+        comps.append(AdditiveFunction(g))
         return XosRepresentation(GroundSet(self.n), tuple(comps))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.kind,
-            "params": {"n": self.n, "tau": self.tau},
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
-class HardKxosInstance:
-    """Width-k blocked construction with a planted high-value set."""
+class HardKxosInstance(_HiddenFamily):
+    """Width-k blocked construction with a planted high-value set.
+
+    ``terms`` is the weight table both ``evaluate`` and ``representation``
+    read: per component, (element mask, weight) pairs over disjoint masks.
+    """
 
     k: int
     n_tilde: int
@@ -190,16 +201,20 @@ class HardKxosInstance:
     seed: int
     blocks: tuple[int, ...] = field(init=False)
     s_masks: tuple[int, ...] = field(init=False)
+    planted: int = field(init=False)
+    terms: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
 
     kind = "hard_kxos"
+    params = ("k", "n_tilde", "a")
 
     def __post_init__(self) -> None:
+        self._check_params()
         k, nt, a = self.k, self.n_tilde, self.a
-        if not (isinstance(k, int) and k >= 3):
+        if k < 3:
             raise InstanceFormatError("k must be an integer >= 3")
-        if not (isinstance(nt, int) and nt >= 2):
+        if nt < 2:
             raise InstanceFormatError("n_tilde must be an integer >= 2")
-        if not (isinstance(a, int) and 1 <= a < nt):
+        if not 1 <= a < nt:
             raise InstanceFormatError("a must satisfy 1 <= a < n_tilde")
         total = sum(nt**i for i in range(1, k))
         if total > MAX_GROUND_SIZE:
@@ -208,7 +223,6 @@ class HardKxosInstance:
             )
         if nt ** (k + 1) > INT64_MAX:
             raise InstanceFormatError("weights exceed the signed 64-bit range")
-        _check_seed(self.seed)
         blocks = []
         s_masks = []
         rng = SplitMix64(self.seed)
@@ -221,8 +235,17 @@ class HardKxosInstance:
             blocks.append(block)
             s_masks.append(s_local << offset)
             offset += size
+        planted = 0
+        for s in s_masks:
+            planted |= s
+        terms = [((block, nt ** (k - i)),) for i, block in enumerate(blocks, 1)]
+        last = [(s, (nt - a) * nt ** (k - i - 1)) for i, s in enumerate(s_masks, 1)]
+        last.append((((1 << total) - 1) & ~planted, -(nt ** (k + 1))))
+        terms.append(tuple(last))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "s_masks", tuple(s_masks))
+        object.__setattr__(self, "planted", planted)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def n(self) -> int:
@@ -232,28 +255,15 @@ class HardKxosInstance:
     def width(self) -> int:
         return self.k
 
-    @property
-    def planted(self) -> int:
-        m = 0
-        for s in self.s_masks:
-            m |= s
-        return m
-
     def evaluate(self, mask: int) -> int:
-        k, nt = self.k, self.n_tilde
         best = 0
-        for i in range(1, k):
-            v = nt ** (k - i) * (mask & self.blocks[i - 1]).bit_count()
-            if v > best:
-                best = v
-        planted = self.planted
-        last = -(nt ** (k + 1)) * (mask & ~planted).bit_count()
-        for i in range(1, k):
-            last += (nt - self.a) * nt ** (k - i - 1) * (mask & self.s_masks[i - 1]).bit_count()
-        return max(best, last)
-
-    def oracle(self) -> CountingOracle:
-        return CountingOracle(GroundSet(self.n), self.evaluate)
+        for comp in self.terms:
+            value = 0
+            for part, weight in comp:
+                value += weight * (mask & part).bit_count()
+            if value > best:
+                best = value
+        return best
 
     @property
     def planted_is_optimal(self) -> bool:
@@ -273,45 +283,35 @@ class HardKxosInstance:
         return self.planted, self.planted_value()
 
     def representation(self) -> XosRepresentation:
-        """Materialized width-k form; agrees with the closed-form evaluator."""
-        k, nt, n = self.k, self.n_tilde, self.n
+        """Materialized width-k form of ``terms``; agrees with ``evaluate``."""
+        n = self.n
         comps = []
-        for i in range(1, k):
+        for comp in self.terms:
             w = [0] * n
-            for v in range(n):
-                if (self.blocks[i - 1] >> v) & 1:
-                    w[v] = nt ** (k - i)
+            for part, weight in comp:
+                for v in range(n):
+                    if (part >> v) & 1:
+                        w[v] = weight
             comps.append(AdditiveFunction(tuple(w)))
-        last = [-(nt ** (k + 1))] * n
-        for i in range(1, k):
-            coeff = (nt - self.a) * nt ** (k - i - 1)
-            for v in range(n):
-                if (self.s_masks[i - 1] >> v) & 1:
-                    last[v] = coeff
-        comps.append(AdditiveFunction(tuple(last)))
         return XosRepresentation(GroundSet(n), tuple(comps))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "hard_kxos",
-            "params": {"k": self.k, "n_tilde": self.n_tilde, "a": self.a},
-            "seed": self.seed,
-        }
 
 
 HiddenInstance = Union[NeedleInstance, HardGeneralInstance, HardKxosInstance]
 
+# Document type -> (family class, fixed constructor keywords).
+FAMILIES: dict[str, tuple[type, dict]] = {
+    "needle": (NeedleInstance, {}),
+    "hard_general": (HardGeneralInstance, {}),
+    "hard_general_remark": (HardGeneralInstance, {"remark": True}),
+    "hard_kxos": (HardKxosInstance, {}),
+}
 
-def gen_needle(n_hat: int, s: int, t: int, seed: int) -> NeedleInstance:
-    return NeedleInstance(n_hat, s, t, seed)
+gen_needle = NeedleInstance
+gen_hard_kxos = HardKxosInstance
 
 
 def gen_hard_general(n: int, tau: int, seed: int, remark_variant: bool = False) -> HardGeneralInstance:
     return HardGeneralInstance(n, tau, seed, remark=remark_variant)
-
-
-def gen_hard_kxos(k: int, n_tilde: int, a: int, seed: int) -> HardKxosInstance:
-    return HardKxosInstance(k, n_tilde, a, seed)
 
 
 def planted_optimum(instance: HiddenInstance) -> tuple[int, int]:
@@ -324,34 +324,17 @@ def parse_hidden(doc: dict) -> HiddenInstance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be an object")
     kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise InstanceFormatError(f"unknown hidden instance type {kind!r}")
+    cls, fixed = FAMILIES[kind]
     params = doc.get("params")
     if not isinstance(params, dict):
         raise InstanceFormatError("hidden instance needs an object field 'params'")
-    seed = doc.get("seed")
-    _check_seed(seed)
-
-    def take(keys: tuple[str, ...]) -> list[int]:
-        got = set(params)
-        if got != set(keys):
-            raise InstanceFormatError(f"{kind} params must be exactly {sorted(keys)}, got {sorted(got)}")
-        vals = []
-        for key in keys:
-            v = params[key]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InstanceFormatError(f"param {key!r} must be an integer")
-            vals.append(v)
-        return vals
-
-    if kind == "needle":
-        n_hat, s, t = take(("n_hat", "s", "t"))
-        return NeedleInstance(n_hat, s, t, seed)
-    if kind in ("hard_general", "hard_general_remark"):
-        n, tau = take(("n", "tau"))
-        return HardGeneralInstance(n, tau, seed, remark=(kind == "hard_general_remark"))
-    if kind == "hard_kxos":
-        k, n_tilde, a = take(("k", "n_tilde", "a"))
-        return HardKxosInstance(k, n_tilde, a, seed)
-    raise InstanceFormatError(f"unknown hidden instance type {kind!r}")
+    if set(params) != set(cls.params):
+        raise InstanceFormatError(
+            f"{kind} params must be exactly {sorted(cls.params)}, got {sorted(params)}"
+        )
+    return cls(**params, seed=doc.get("seed"), **fixed)
 
 
 def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: int) -> SolveReport:
@@ -363,10 +346,10 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
     queries the report is (empty set, 0) without touching the oracle.
     """
     n = oracle.n
-    if not 1 <= size <= n:
-        raise ValueError(f"probe size must be in [1, {n}], got {size}")
-    if queries < 0:
-        raise ValueError("queries must be >= 0")
+    if not (_is_int(size) and 1 <= size <= n):
+        raise ValueError(f"probe size must be an integer in [1, {n}], got {size!r}")
+    if not (_is_int(queries) and queries >= 0):
+        raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
     start_calls = oracle.calls
     rng = SplitMix64(seed)
     masks = (sample_mask(n, size, rng) for _ in range(queries))

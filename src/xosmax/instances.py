@@ -8,7 +8,8 @@ Two document shapes, both JSON objects:
 
 Hidden documents store parameters and seed only; the planted sets are
 reconstructed from the seed, so instance files can be shared without
-leaking them.
+leaking them. ``hardness.FAMILIES`` maps each hidden type to its family
+class, whose ``params`` lists the document's parameter keys in order.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from .core import (
     XosRepresentation,
     parse_explicit,
 )
-from .hardness import (
-    HardKxosInstance,
-    HiddenInstance,
-    parse_hidden,
-)
+from .hardness import HiddenInstance, parse_hidden
 from .rng import SplitMix64
 
 
@@ -37,6 +34,7 @@ class InstanceHandle:
     """A loaded instance: either an explicit representation or a hidden family.
 
     ``oracle()`` returns a fresh counting oracle each call (one per trial);
+    ``representation()`` returns the explicit max-of-additive form, if any;
     ``exact_optimum(cap)`` returns (value, provenance) with provenance
     "planted" or "brute".
     """
@@ -62,11 +60,21 @@ class InstanceHandle:
 
     def planted(self) -> tuple[int, int] | None:
         """Planted maximizer and value, when one exists and is optimal."""
-        if self.hidden is None:
-            return None
-        if isinstance(self.hidden, HardKxosInstance) and not self.hidden.planted_is_optimal:
+        if self.hidden is None or not self.hidden.planted_is_optimal:
             return None
         return self.hidden.planted_optimum()
+
+    def representation(self) -> XosRepresentation | None:
+        """The explicit representation, or a hidden family's materialized one.
+
+        None for families without one (needle and the hard_general remark
+        variant, both of width None).
+        """
+        if self.explicit is not None:
+            return self.explicit
+        if self.hidden.width is None:
+            return None
+        return self.hidden.representation()
 
     def exact_optimum(self, cap: int) -> tuple[int, str]:
         """Exact OPT and its provenance, known at every ground size.
@@ -80,8 +88,7 @@ class InstanceHandle:
         p = self.planted()
         if p is not None:
             return p[1], "planted"
-        rep = self.explicit if self.explicit is not None else self.hidden.representation()
-        return rep.exact_maximum(), "brute"
+        return self.representation().exact_maximum(), "brute"
 
     def to_json_dict(self) -> dict:
         if self.explicit is not None:

@@ -404,6 +404,7 @@ def test_criterion_9_byte_identical_replay(tmp_path):
              "--out", str(out)],
             capture_output=True,
             text=True,
+            timeout=120,
         )
         assert r.returncode == 0, r.stderr
         outs.append(out.read_bytes())

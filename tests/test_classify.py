@@ -151,6 +151,17 @@ def test_marginal_route_agrees_with_pairwise():
         if not slow:
             x, xu, xv = w_slow
             assert f[xu] + f[xv] < f[xu | xv] + f[x]
+    # budget-additive min(B, sum w) with w >= 0 is submodular, so both
+    # routes must also agree on a pass
+    for _ in range(20):
+        weights = [rng.randint(0, 6) for _ in range(5)]
+        budget = rng.randint(0, 20)
+        f = dense_from(
+            [min(budget, sum(w for v, w in enumerate(weights) if (m >> v) & 1))
+             for m in range(1 << 5)]
+        )
+        assert check_submodular(f) == (True, None)
+        assert check_submodular_marginal(f) == (True, None)
 
 
 def test_huge_values_use_exact_arithmetic():
@@ -164,6 +175,16 @@ def test_huge_values_use_exact_arithmetic():
     g = dense_from([0, big, 5, big - 1])
     assert not check_additive(g)[0]
     assert not check_monotone(g)[0]
+    # scaling by 2^61 keeps every pair inequality, so the pure-Python scans
+    # must return the same witnesses as the vectorized scans of the originals
+    rng = SplitMix64(2024)
+    for _ in range(10):
+        values = [rng.randint(-3, 3) for _ in range(1 << 4)]
+        small = dense_from(values)
+        scaled = dense_from([v << 61 for v in values])
+        assert small._numpy_safe and not scaled._numpy_safe
+        assert check_submodular(scaled) == check_submodular(small)
+        assert check_subadditive(scaled) == check_subadditive(small)
 
 
 def test_additive_hierarchy():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from xosmax.cli import (
+    ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
     TrialRecord,
@@ -19,6 +20,7 @@ from xosmax.cli import (
 from xosmax.instances import instance_from_dict
 
 EXPLICIT_DOC = {"type": "explicit", "n": 3, "weights": [[3, -1, 2], [1, 2, -5]]}
+NEEDLE_DOC = {"type": "needle", "params": {"n_hat": 8, "s": 4, "t": 2}, "seed": 3}
 
 
 def run_cli(*args, **kwargs):
@@ -26,6 +28,7 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "xosmax.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,
         **kwargs,
     )
 
@@ -53,12 +56,15 @@ def test_gen_solve_pipeline(tmp_path):
 
 
 def test_gen_hidden_families(tmp_path):
-    for args, kind in [
-        (["needle", "--nhat", "10", "--s", "5", "--t", "3", "--seed", "4"], "needle"),
-        (["hard-general", "--n", "8", "--tau", "2", "--seed", "4"], "hard_general"),
+    for args, kind, params in [
+        (["needle", "--nhat", "10", "--s", "5", "--t", "3", "--seed", "4"], "needle",
+         {"n_hat": 10, "s": 5, "t": 3}),
+        (["hard-general", "--n", "8", "--tau", "2", "--seed", "4"], "hard_general",
+         {"n": 8, "tau": 2}),
         (["hard-general", "--n", "8", "--tau", "2", "--seed", "4", "--remark"],
-         "hard_general_remark"),
-        (["hard-kxos", "--k", "3", "--ntilde", "4", "--a", "1", "--seed", "4"], "hard_kxos"),
+         "hard_general_remark", {"n": 8, "tau": 2}),
+        (["hard-kxos", "--k", "3", "--ntilde", "4", "--a", "1", "--seed", "4"], "hard_kxos",
+         {"k": 3, "n_tilde": 4, "a": 1}),
     ]:
         out = tmp_path / f"{kind}.json"
         r = run_cli("gen", *args, "--out", str(out))
@@ -66,6 +72,9 @@ def test_gen_hidden_families(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["type"] == kind
         assert "planted" not in out.read_text()
+        # params in document order, byte for byte
+        want = {"type": kind, "params": params, "seed": 4}
+        assert out.read_text() == json.dumps(want, indent=2) + "\n"
 
 
 def test_solve_csv_format(inst_path):
@@ -126,6 +135,41 @@ def test_exit_code_cap_exceeded(tmp_path):
     assert r.returncode == 4
     v = run_cli("verify", "--instance", str(p))
     assert v.returncode == 4
+
+
+def _bench_config(tmp_path, **fields):
+    cfg = {"instance": EXPLICIT_DOC, "algorithm": "exact2", "trials": 2, **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["solve_seed", "bench_seed", "config_base_seed"])
+def test_seed_outside_u64_is_usage_error(tmp_path, inst_path, case):
+    if case == "solve_seed":
+        r = run_cli("solve", "--algo", "exact2", "--instance", inst_path, "--seed", "-1")
+    elif case == "bench_seed":
+        r = run_cli("bench", "--config", _bench_config(tmp_path), "--seed", "-1")
+    else:
+        r = run_cli("bench", "--config", _bench_config(tmp_path, base_seed=(1 << 64) + 4))
+    assert r.returncode == 2, r.stderr
+    assert "seed must be an integer in [0, 2^64)" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "algorithm,key,value",
+    [("sample", "budget_override", "40"), ("sample", "high_probability", "no"),
+     ("probe", "queries", "10")],
+)
+def test_bench_rejects_mistyped_params(tmp_path, algorithm, key, value):
+    instance = NEEDLE_DOC if algorithm == "probe" else EXPLICIT_DOC
+    params = {"epsilon": "1/2", key: value}
+    cfg = _bench_config(tmp_path, instance=instance, algorithm=algorithm, params=params)
+    r = run_cli("bench", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_probe_requires_needle(inst_path):
@@ -196,13 +240,19 @@ def test_verify_output_shape(inst_path):
 
 
 def test_verify_hidden_without_representation(tmp_path):
-    doc = {"type": "needle", "params": {"n_hat": 8, "s": 4, "t": 2}, "seed": 3}
-    p = tmp_path / "n.json"
-    p.write_text(json.dumps(doc))
-    r = run_cli("verify", "--instance", str(p))
-    assert r.returncode == 0
-    out = json.loads(r.stdout)
-    assert out["star_condition"] is None
+    remark = {"type": "hard_general_remark", "params": {"n": 8, "tau": 2}, "seed": 3}
+    outs = {}
+    for doc in (NEEDLE_DOC, remark):
+        p = tmp_path / f"{doc['type']}.json"
+        p.write_text(json.dumps(doc))
+        r = run_cli("verify", "--instance", str(p))
+        assert r.returncode == 0, r.stderr
+        outs[doc["type"]] = out = json.loads(r.stdout)
+        assert out["star_condition"] is None
+        assert "star condition: not applicable" in r.stderr
+    # the remark variant's floor applies at the empty set too
+    assert outs["hard_general_remark"]["normalized"] == {"ok": False, "witness": [0]}
+    out = outs["needle"]
     assert out["normalized"]["ok"] is True
     # the threshold function is not monotone: adding an element outside the
     # planted set drops the value from 1 to 0
@@ -236,14 +286,23 @@ def test_record_timing_changes_only_ms(inst_path):
 
 
 def test_run_trial_record_fields():
-    handle = instance_from_dict(EXPLICIT_DOC)
-    rec = run_trial(handle, "exact2", trial=3, seed=9)
-    assert isinstance(rec, TrialRecord)
-    assert (rec.trial, rec.seed, rec.algo) == (3, 9, "exact2")
-    assert (rec.n, rec.k) == (3, 2)
-    assert (rec.value, rec.opt, rec.ratio) == (5, 5, 1.0)
-    assert rec.opt_source == "brute"
-    assert rec.wall_time_ms >= 0
+    # every solver the CLI dispatches; probe runs on a needle instance
+    explicit = instance_from_dict(EXPLICIT_DOC)
+    needle = instance_from_dict(NEEDLE_DOC)
+    for algo in ALGORITHMS:
+        handle = needle if algo == "probe" else explicit
+        rec = run_trial(handle, algo, trial=3, seed=9, epsilon="1/3", queries=20)
+        assert isinstance(rec, TrialRecord)
+        assert (rec.trial, rec.seed, rec.algo) == (3, 9, algo)
+        assert rec.wall_time_ms >= 0
+        if algo == "probe":
+            assert (rec.n, rec.k) == (8, None)
+            assert (rec.opt, rec.opt_source, rec.calls) == (1, "planted", 20)
+            assert rec.value in (0, 1)
+        else:
+            assert (rec.n, rec.k) == (3, 2)
+            assert (rec.value, rec.opt, rec.ratio) == (5, 5, 1.0)
+            assert rec.opt_source == "brute"
 
 
 def test_run_suite_and_csv_shape():

@@ -154,14 +154,17 @@ def test_kxos_structure_and_planted_numbers():
 
 
 def test_kxos_closed_form_matches_representation_exhaustively():
-    # k=3, n_tilde=3 gives n=12: small enough to compare on every subset
-    inst = gen_hard_kxos(3, 3, 1, seed=9)
-    rep = inst.representation()
-    rows = rep_as_lists(rep)
-    assert rep.width == 3
-    for mask in range(1 << 12):
-        assert inst.evaluate(mask) == ref_rep_value(rows, mask)
-    assert inst.evaluate(0) == 0
+    # k=3, n_tilde=3 gives n=12 and k=4, n_tilde=2 gives n=14: small enough
+    # to compare on every subset; the second has two differently weighted
+    # S-blocks in its last component
+    for k, n_tilde, a in ((3, 3, 1), (4, 2, 1)):
+        inst = gen_hard_kxos(k, n_tilde, a, seed=9)
+        rep = inst.representation()
+        rows = rep_as_lists(rep)
+        assert rep.width == k
+        for mask in range(1 << inst.n):
+            assert inst.evaluate(mask) == ref_rep_value(rows, mask)
+        assert inst.evaluate(0) == 0
 
 
 def test_kxos_regime_flag_and_planted_rejection():
@@ -190,6 +193,23 @@ def test_kxos_param_validation():
         gen_hard_kxos(3, 8, 1, seed=0)  # 8 + 64 = 72 > 63 elements
     with pytest.raises(InstanceFormatError):
         gen_hard_kxos(20, 2, 1, seed=0)  # weights blow past 64 bits
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: gen_needle(bad, 3, 2, seed=0),
+        lambda bad: gen_needle(6, 3, bad, seed=0),
+        lambda bad: gen_hard_general(8, bad, seed=0),
+        lambda bad: gen_hard_general(bad, 2, seed=0, remark_variant=True),
+        lambda bad: gen_hard_kxos(3, bad, 1, seed=0),
+        lambda bad: gen_hard_kxos(3, 4, bad, seed=0),
+    ],
+)
+@pytest.mark.parametrize("bad", [6.0, True, "6", None])
+def test_family_params_must_be_plain_ints(make, bad):
+    with pytest.raises(InstanceFormatError, match="must be an integer"):
+        make(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +251,8 @@ def test_parse_hidden_rejections():
         )
     with pytest.raises(InstanceFormatError):
         parse_hidden({"type": "needle", "params": {"n_hat": 6, "s": 3, "t": 2}, "seed": -1})
+    with pytest.raises(InstanceFormatError):
+        parse_hidden({"type": "hard_kxos", "params": {"k": 3, "n_tilde": 4, "a": True}, "seed": 0})
 
 
 def test_planted_optimum_dispatcher():
