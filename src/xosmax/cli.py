@@ -12,9 +12,9 @@ human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
 arguments, 3 instance error, 4 cap exceeded.
 
 Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle
-(base_seed itself must lie in [0, 2^64), from ``--seed`` or the config);
-the optimum reference is computed once per suite without any oracle, so
-reported call counts are the solver's own. CSV columns are fixed
+(base_seed, from ``--seed`` or the config, must lie in [0, 2^64), as must
+``gen --seed``); the optimum reference is computed once per suite without
+any oracle, so reported call counts are the solver's own. CSV columns are fixed
 (trial,seed,algo,n,k,value,opt,ratio,calls,ms) and replaying a suite with
 the same base_seed is byte-identical because the ms column is 0 unless
 ``--record-timing`` asks for measured wall time.
@@ -23,6 +23,7 @@ the same base_seed is byte-identical because the ms column is 0 unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -58,6 +59,9 @@ ALGORITHMS = ("enum", "sample", "exact2", "kminus1", "star", "brute", "probe")
 CSV_COLUMNS = ("trial", "seed", "algo", "n", "k", "value", "opt", "ratio", "calls", "ms")
 
 _SEED_MOD = 1 << 64
+
+# Keys a bench config's "params" object may hold; _run_trials reads each one.
+_PARAM_KEYS = ("epsilon", "budget_override", "high_probability", "queries")
 
 
 class UsageError(ValueError):
@@ -197,10 +201,21 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise UsageError("config field 'params' must be an object")
+        unknown = [key for key in params if key not in _PARAM_KEYS]
+        if unknown:
+            raise UsageError(
+                f"config field 'params' has unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(_PARAM_KEYS)}"
+            )
         fmt = doc.get("format", "csv")
         if fmt not in ("json", "csv"):
             raise UsageError("config field 'format' must be 'json' or 'csv'")
         return cls(inst, algo, trials, base_seed, params, fmt)
+
+
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_MOD:
+        raise UsageError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _run_trials(
@@ -218,8 +233,7 @@ def _run_trials(
     """
     if trials < 0:
         raise UsageError("trials must be a nonnegative integer")
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int) or not 0 <= base_seed < _SEED_MOD:
-        raise UsageError(f"seed must be an integer in [0, 2^64), got {base_seed!r}")
+    _check_seed(base_seed)
     opt_info = handle.exact_optimum(brute_cap)
     return [
         run_trial(
@@ -352,6 +366,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         rows = _parse_weights_arg(args.weights)
         doc = {"type": "explicit", "n": len(rows[0]), "weights": rows}
     else:
+        _check_seed(args.seed)
         cls, _ = FAMILIES[args.type]
         params = {key: getattr(args, key) for key in cls.params}
         doc = {"type": args.type, "params": params, "seed": args.seed}
@@ -510,10 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing does not mutate it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code or 0)
     try:

@@ -9,6 +9,8 @@ from xosmax import (
     CapExceededError,
     CountingOracle,
     DenseFunction,
+    InstanceFormatError,
+    ValueOverflowError,
     XosRepresentation,
     check_additive,
     check_class,
@@ -19,7 +21,7 @@ from xosmax import (
     check_submodular,
     materialize,
 )
-from xosmax.classify import check_submodular_marginal
+from xosmax.classify import _pair_scan, check_submodular_marginal
 from xosmax.rng import SplitMix64
 
 from helpers import random_rep, random_star_representation, ref_rep_value, rep_as_lists
@@ -212,3 +214,63 @@ def test_dense_function_validation():
         DenseFunction(3, [0] * 7)
     with pytest.raises(CapExceededError):
         DenseFunction(20, [0])
+    # a bad entry anywhere falls back to the per-value check, so the first
+    # one raises that check's exception and message
+    with pytest.raises(InstanceFormatError, match="value must be an integer, got bool"):
+        DenseFunction(2, [0, 1, True, 2])
+    with pytest.raises(InstanceFormatError, match="value must be an integer, got float"):
+        DenseFunction(2, [0, 1.0, 1 << 63, 2])
+    with pytest.raises(ValueOverflowError, match=f"value {1 << 63} outside signed 64-bit range"):
+        DenseFunction(2, [0, 1 << 63, 1.0, 2])
+    with pytest.raises(ValueOverflowError):
+        DenseFunction(1, [0, -(1 << 63) - 1])
+    edge = DenseFunction(1, [-(1 << 63), (1 << 63) - 1])
+    assert edge[0] == -(1 << 63) and edge[1] == (1 << 63) - 1
+
+
+def _cross_validation_tables():
+    """(kind, table) pairs, n = 1..8, for the routes-versus-scan comparison."""
+    rng = SplitMix64(4242)
+    tables = []
+    for i in range(300):
+        n = 1 + i % 8
+        kind = ("xos", "budget", "late", "mixed", "shifted")[i % 5]
+        size = 1 << n
+        if kind == "mixed":
+            values = [rng.randint(-8, 8) for _ in range(size)]
+        elif kind in ("budget", "late"):
+            weights = [rng.randint(0, 6) for _ in range(n)]
+            budget = rng.randint(0, 4 * n)
+            values = [min(budget, sum(w for v, w in enumerate(weights) if (m >> v) & 1))
+                      for m in range(size)]
+            if kind == "late":
+                # every row below V minus its top element is a subset of it,
+                # so lowering that one value can only break rows from it on
+                values[(size >> 1) - 1] = 0
+        else:
+            rep = random_rep(n=n, k=1 + i % 3, seed=i, low=0, high=8)
+            values = [rep.evaluate(m) for m in range(size)]
+            if kind == "shifted":
+                shift = rng.randint(-4, 3)
+                values = [v + (shift if shift < 0 else shift + 1) for v in values]
+        tables.append((kind, dense_from(values)))
+    return tables
+
+
+def test_routes_match_pair_scans():
+    seen = set()
+    for kind, f in _cross_validation_tables():
+        assert f._numpy_safe
+        for check, submodular in ((check_submodular, True), (check_subadditive, False)):
+            got = check(f)
+            assert got == _pair_scan(f, submodular=submodular), (kind, f.n, check.__name__)
+            seen.add((kind, check.__name__, got[0]))
+            if kind == "late" and not got[0]:
+                assert got[1][0] >= (len(f) >> 1) - 1
+            # budget-additive is submodular, nonnegative XOS subadditive
+            if kind == "budget" or (kind == "xos" and not submodular):
+                assert got == (True, None)
+    # both verdicts of both checks occur on the late, mixed and shifted tables
+    for kind in ("late", "mixed", "shifted"):
+        for name in ("check_submodular", "check_subadditive"):
+            assert {(kind, name, True), (kind, name, False)} <= seen, (kind, name)

@@ -8,11 +8,13 @@ import sys
 
 import pytest
 
+from xosmax import cli
 from xosmax.cli import (
     ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
     TrialRecord,
+    main,
     records_to_csv,
     run_suite,
     run_trial,
@@ -144,10 +146,12 @@ def _bench_config(tmp_path, **fields):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["solve_seed", "bench_seed", "config_base_seed"])
+@pytest.mark.parametrize("case", ["solve_seed", "bench_seed", "config_base_seed", "gen_seed"])
 def test_seed_outside_u64_is_usage_error(tmp_path, inst_path, case):
     if case == "solve_seed":
         r = run_cli("solve", "--algo", "exact2", "--instance", inst_path, "--seed", "-1")
+    elif case == "gen_seed":
+        r = run_cli("gen", "needle", "--nhat", "10", "--s", "5", "--t", "3", "--seed", "-1")
     elif case == "bench_seed":
         r = run_cli("bench", "--config", _bench_config(tmp_path), "--seed", "-1")
     else:
@@ -170,6 +174,30 @@ def test_bench_rejects_mistyped_params(tmp_path, algorithm, key, value):
     assert r.returncode == 2, r.stderr
     assert key in r.stderr and "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_bench_rejects_unknown_params(tmp_path):
+    params = {"epsilon": "1/2", "budget-override": 1}
+    cfg = _bench_config(tmp_path, algorithm="sample", params=params)
+    r = run_cli("bench", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert "'budget-override'" in r.stderr
+    assert "accepted: epsilon, budget_override, high_probability, queries" in r.stderr
+    assert r.stdout == ""
+
+
+def test_main_reuses_one_parser(tmp_path, inst_path):
+    # consecutive in-process calls share the parser; no option leaks across
+    out = tmp_path / "out.txt"
+    assert main(["solve", "--algo", "exact2", "--instance", inst_path, "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith(",".join(CSV_COLUMNS))
+    parser = cli._parser()
+    assert main(["solve", "--algo", "exact2", "--instance", inst_path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["value"] == 5
+    assert main(["verify", "--instance", inst_path, "--out", str(out)]) == 0
+    assert cli._parser() is parser
+    assert main(["solve", "--algo", "nope", "--instance", inst_path]) == 2
 
 
 def test_probe_requires_needle(inst_path):
@@ -268,6 +296,18 @@ def test_verify_hidden_with_representation(tmp_path):
     out = json.loads(r.stdout)
     assert out["star_condition"] is not None
     assert out["subadditive"]["ok"] is True
+
+
+def test_verify_width_one_at_cap(tmp_path):
+    # n = 16 is the materialize cap; a nonnegative width-1 table passes every check
+    doc = {"type": "explicit", "n": 16, "weights": [[v % 5 for v in range(16)]]}
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--instance", str(p), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result == {name: {"ok": True, "witness": None} for name in result}
+    assert len(result) == 6
 
 
 def test_record_timing_changes_only_ms(inst_path):
