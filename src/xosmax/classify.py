@@ -10,16 +10,19 @@ violating witness on failure:
 * submodular:  f(X) + f(Y) >= f(X | Y) + f(X & Y) for all pairs
 * subadditive: f(X) + f(Y) >= f(X | Y) for all pairs
 
-On tables whose values are small enough for safe 64-bit sums, fast routes
-decide the two pair classes: submodularity through diminishing marginals in
-O(n^2 2^n), subadditivity through a walk over the rows X in O(3^n) that stops
-at the first failing row. A failure's witness is still the pair scans': the
-submodular route hands a failure to the scan, and the subadditive walk finds
-the scan's first failing row, whose first Y one vectorized row gives. The
-4^n pair scans (vectorized per row, pure Python near the int64 edge) remain
-the reference the routes are tested against. ``check_submodular_marginal`` is
-an intentionally separate pure-Python route through the same marginal
-characterization, kept independent so the two can cross-validate each other.
+The table's dtype carries its exactness: int64 when every |value| < 2^62,
+so any sum or difference of two entries is exact, and otherwise a numpy
+object array of Python ints. Every check has one vectorized implementation,
+exact on either dtype. Fast routes decide the two pair classes:
+submodularity through diminishing marginals in O(n^2 2^n), subadditivity
+through a walk over the rows X in O(3^n) that stops at the first failing
+row. A failure's witness is still the pair scans': the submodular route
+hands a failure to the scan, and the subadditive walk finds the scan's first
+failing row, whose first Y one vectorized row gives. The 4^n pair scans
+(vectorized per row) remain the reference the routes are tested against.
+``check_submodular_marginal`` is an intentionally separate pure-Python route
+through the same marginal characterization, kept independent so the two can
+cross-validate each other.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .core import (
     CapExceededError,
     CountingOracle,
     INT64_MAX,
+    INT64_MIN,
+    ValueOverflowError,
     XosRepresentation,
     check_value,
 )
@@ -69,7 +74,7 @@ class DenseFunction:
                 check_value(v)
             table = np.array(vals, dtype=np.int64)
         self.n = n
-        self.values = table
+        self.values = _exact_table(table)
 
     def __getitem__(self, mask: int) -> int:
         return int(self.values[mask])
@@ -80,12 +85,31 @@ class DenseFunction:
     def max_value(self) -> int:
         return int(self.values.max())
 
-    @property
-    def _numpy_safe(self) -> bool:
-        return (
-            int(self.values.max(initial=0)) < _SAFE_SUM_BOUND
-            and int(self.values.min(initial=0)) > -_SAFE_SUM_BOUND
-        )
+
+def _exact_table(table: np.ndarray) -> np.ndarray:
+    """The dtype rule for a table of int64-range values: int64 when every
+    |value| < 2^62, otherwise an object array of Python ints."""
+    if table.max() >= _SAFE_SUM_BOUND or table.min() <= -_SAFE_SUM_BOUND:
+        return table.astype(object)
+    return table.astype(np.int64, copy=False)
+
+
+def _subset_sums(weights) -> np.ndarray:
+    """sum of weights[v] over v in mask, for every mask, by doubling.
+
+    Exact at any weight size: int64 when sum |w| <= INT64_MAX, so no partial
+    sum can leave the range, otherwise Python ints in an object array.
+    """
+    weights = [int(w) for w in weights]
+    wide = sum(abs(w) for w in weights) > INT64_MAX
+    sums = np.zeros(1 << len(weights), dtype=object if wide else np.int64)
+    for v, w in enumerate(weights):
+        if w == 0:
+            continue
+        step = 1 << v
+        view = sums.reshape(-1, 2 * step)
+        view[:, step:] = view[:, :step] + w
+    return sums
 
 
 def materialize(
@@ -95,48 +119,36 @@ def materialize(
     """Build the dense table for a representation, oracle, or callable.
 
     Representations take a vectorized subset-sum path; oracles are evaluated
-    mask by mask (counted, 2^n calls). A bare callable needs ``n``.
+    mask by mask (counted, 2^n calls). A bare callable needs ``n``. The cap
+    is checked before any evaluation.
     """
+    if isinstance(source, (XosRepresentation, CountingOracle)):
+        n = source.n
+    elif not callable(source):
+        raise TypeError(f"cannot materialize {type(source).__name__}")
+    elif n is None:
+        raise ValueError("materialize(callable) needs the ground size n")
+    if not 1 <= n <= MATERIALIZE_CAP:
+        raise CapExceededError(f"materialize supports 1 <= n <= {MATERIALIZE_CAP}, got {n}")
     if isinstance(source, XosRepresentation):
         return _dense_from_representation(source)
-    if isinstance(source, CountingOracle):
-        size_n = source.n
-        fn = source.evaluate
-    elif callable(source):
-        if n is None:
-            raise ValueError("materialize(callable) needs the ground size n")
-        size_n = n
-        fn = source
-    else:
-        raise TypeError(f"cannot materialize {type(source).__name__}")
-    if not 1 <= size_n <= MATERIALIZE_CAP:
-        raise CapExceededError(f"materialize supports 1 <= n <= {MATERIALIZE_CAP}, got {size_n}")
-    return DenseFunction(size_n, [fn(mask) for mask in range(1 << size_n)])
+    fn = source.evaluate if isinstance(source, CountingOracle) else source
+    return DenseFunction(n, [fn(mask) for mask in range(1 << n)])
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
-    n = rep.n
-    if not 1 <= n <= MATERIALIZE_CAP:
-        raise CapExceededError(f"materialize supports 1 <= n <= {MATERIALIZE_CAP}, got {n}")
-    # The doubling sums stay exact in int64 only if no partial sum can leave
-    # the range; otherwise fall back to checked per-mask evaluation.
-    for comp in rep.components:
-        if sum(abs(w) for w in comp.weights) > INT64_MAX:
-            return DenseFunction(n, [rep.evaluate(m) for m in range(1 << n)])
-    size = 1 << n
+    """Max of the per-component subset sums; a component sum outside int64
+    raises, as ``rep.evaluate`` does on that mask."""
     table = None
     for comp in rep.components:
-        sums = np.zeros(size, dtype=np.int64)
-        for v, w in enumerate(comp.weights):
-            if w == 0:
-                continue
-            step = 1 << v
-            view = sums.reshape(-1, 2 * step)
-            view[:, step:] = view[:, :step] + w
+        sums = _subset_sums(comp.weights)
+        for s in (sums.min(), sums.max()):
+            if not INT64_MIN <= s <= INT64_MAX:
+                raise ValueOverflowError(f"component sum {s} outside signed 64-bit range")
         table = sums if table is None else np.maximum(table, sums)
     out = DenseFunction.__new__(DenseFunction)
-    out.n = n
-    out.values = table
+    out.n = rep.n
+    out.values = _exact_table(table)
     return out
 
 
@@ -165,17 +177,7 @@ def check_monotone(f: DenseFunction) -> tuple[bool, Witness]:
 
 
 def check_additive(f: DenseFunction) -> tuple[bool, Witness]:
-    singles = np.array([f[1 << v] for v in range(f.n)], dtype=np.int64)
-    if not f._numpy_safe or np.abs(singles).sum() >= _SAFE_SUM_BOUND:
-        for mask in range(len(f)):
-            if f[mask] != sum(int(singles[v]) for v in range(f.n) if (mask >> v) & 1):
-                return False, (mask,)
-        return True, None
-    sums = np.zeros(len(f), dtype=np.int64)
-    for v in range(f.n):
-        step = 1 << v
-        view = sums.reshape(-1, 2 * step)
-        view[:, step:] = view[:, :step] + singles[v]
+    sums = _subset_sums(f[1 << v] for v in range(f.n))
     bad = np.nonzero(f.values != sums)[0]
     if bad.size:
         return False, (int(bad[0]),)
@@ -185,20 +187,11 @@ def check_additive(f: DenseFunction) -> tuple[bool, Witness]:
 def _pair_scan(f: DenseFunction, submodular: bool) -> tuple[bool, Witness]:
     """First (X, Y) violating the pair inequality, scanning X then Y ascending."""
     size = len(f)
-    vals = f.values
-    if f._numpy_safe:
-        ys = np.arange(size)
-        for x in range(size):
-            bad = _row_violations(vals, x, ys, submodular)
-            if bad.size:
-                return False, (x, int(bad[0]))
-        return True, None
+    ys = np.arange(size)
     for x in range(size):
-        fx = int(vals[x])
-        for y in range(size):
-            rhs = int(vals[x | y]) + (int(vals[x & y]) if submodular else 0)
-            if fx + int(vals[y]) < rhs:
-                return False, (x, y)
+        bad = _row_violations(f.values, x, ys, submodular)
+        if bad.size:
+            return False, (x, int(bad[0]))
     return True, None
 
 
@@ -261,10 +254,10 @@ def _first_subadditive_row(f: DenseFunction) -> int | None:
 def check_submodular(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) + f(Y) >= f(X | Y) + f(X & Y), all 4^n pairs.
 
-    On numpy-safe tables the diminishing-marginals route decides a pass; a
-    failure is handed to the pair scan for its witness.
+    The diminishing-marginals route decides a pass; a failure is handed to
+    the pair scan for its witness.
     """
-    if f._numpy_safe and _marginals_diminish(f):
+    if _marginals_diminish(f):
         return True, None
     return _pair_scan(f, submodular=True)
 
@@ -272,11 +265,9 @@ def check_submodular(f: DenseFunction) -> tuple[bool, Witness]:
 def check_subadditive(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) + f(Y) >= f(X | Y), all 4^n pairs.
 
-    On numpy-safe tables the O(3^n) row walk finds the pair scan's first
-    failing row, and one vectorized row gives its first Y.
+    The O(3^n) row walk finds the pair scan's first failing row, and one
+    vectorized row gives its first Y.
     """
-    if not f._numpy_safe:
-        return _pair_scan(f, submodular=False)
     x = _first_subadditive_row(f)
     if x is None:
         return True, None

@@ -107,22 +107,22 @@ def instance_from_dict(doc: dict) -> InstanceHandle:
 
 
 def load_instance(source: Union[str, Path, dict]) -> InstanceHandle:
-    """Load an instance from a dict, a JSON string, or a file path."""
+    """Load an instance from a dict, a JSON string, or a file path.
+
+    A ``str`` whose text starts with ``{`` is JSON, however long; any other
+    ``str`` and every ``Path`` name a file.
+    """
     if isinstance(source, dict):
         return instance_from_dict(source)
-    text = None
-    path = Path(source)
-    try:
-        if path.exists():
-            text = path.read_text()
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read instance file {source}: {exc}") from exc
-    if text is None:
-        stripped = str(source).lstrip()
-        if stripped.startswith("{"):
-            text = str(source)
-        else:
-            raise InstanceFormatError(f"instance file not found: {source}")
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    else:
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError:
+            raise InstanceFormatError(f"instance file not found: {source}") from None
+        except OSError as exc:
+            raise InstanceFormatError(f"cannot read instance file {source}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -3,6 +3,14 @@ terminal summary, where per-test output capture cannot swallow them."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); the CLI tests' child
+# processes (python -m xosmax.cli) get it through PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

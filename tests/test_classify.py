@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from xosmax import (
@@ -21,7 +22,8 @@ from xosmax import (
     check_submodular,
     materialize,
 )
-from xosmax.classify import _pair_scan, check_submodular_marginal
+from xosmax.classify import _SAFE_SUM_BOUND, _pair_scan, check_submodular_marginal
+from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
 from helpers import random_rep, random_star_representation, ref_rep_value, rep_as_lists
@@ -60,8 +62,53 @@ def test_materialize_from_oracle_and_callable():
 def test_materialize_cap():
     with pytest.raises(CapExceededError):
         materialize(lambda m: 0, 17)
+    with pytest.raises(CapExceededError):
+        materialize(lambda m: 0, 0)
     with pytest.raises(ValueError):
         materialize(lambda m: 0)  # callable needs an explicit n
+    # the cap bounds every source before any evaluation
+    wide = XosRepresentation.from_weights([[1] * 17])
+    with pytest.raises(CapExceededError):
+        materialize(wide)
+    oracle = CountingOracle.for_representation(wide)
+    with pytest.raises(CapExceededError):
+        materialize(oracle)
+    assert oracle.calls == 0
+
+
+def test_materialize_component_overflow():
+    # a component whose subset sum leaves int64 raises, as rep.evaluate does,
+    # whether or not it is the maximal one there
+    half = 1 << 62
+    for weights, mask in (
+        ([[1, 1], [half, half]], 3),  # 2^63
+        ([[0, 0], [-half, -half - 1]], 3),  # -2^63 - 1, below the max 0
+        ([[0, 0, 0], [-half, 5, -half - 1]], 5),  # only mask 5 leaves
+    ):
+        rep = XosRepresentation.from_weights(weights)
+        with pytest.raises(ValueOverflowError):
+            rep.evaluate(mask)
+        with pytest.raises(ValueOverflowError):
+            materialize(rep)
+    # every component at the edge, both ways, but inside the range
+    rep = XosRepresentation.from_weights([[INT64_MIN + 1, -1], [INT64_MAX - 1, 1]])
+    f = materialize(rep)
+    assert [f[m] for m in range(4)] == [0, INT64_MAX - 1, 1, INT64_MAX]
+
+
+def test_materialize_large_weights_with_small_sums():
+    # sum |w| > INT64_MAX, yet every subset sum fits: the table is exact
+    rep = XosRepresentation.from_weights([[1 << 62, -(1 << 62), (1 << 62) - 1], [1, 1, 1]])
+    f = materialize(rep)
+    assert f.values.dtype == object
+    assert [f[m] for m in range(8)] == [rep.evaluate(m) for m in range(8)]
+    assert f.max_value() == INT64_MAX
+    # the same with a max table below 2^62 in absolute value: int64 again
+    edge = (1 << 62) - 1
+    rep = XosRepresentation.from_weights([[edge, -edge, -edge], [0, 0, 0]])
+    f = materialize(rep)
+    assert f.values.dtype == np.int64
+    assert [f[m] for m in range(8)] == [rep.evaluate(m) for m in range(8)]
 
 
 def test_check_normalized():
@@ -167,24 +214,24 @@ def test_marginal_route_agrees_with_pairwise():
 
 
 def test_huge_values_use_exact_arithmetic():
-    # beyond the vectorized-safe range the checks fall back to plain integers
+    # beyond the int64-safe range the table holds plain integers
     big = 1 << 62
     f = dense_from([0, big, 5, big + 5])
-    assert f._numpy_safe is False
+    assert f.values.dtype == object
     assert check_additive(f)[0]
     assert check_submodular(f)[0]
     assert check_subadditive(f)[0]
     g = dense_from([0, big, 5, big - 1])
     assert not check_additive(g)[0]
     assert not check_monotone(g)[0]
-    # scaling by 2^61 keeps every pair inequality, so the pure-Python scans
-    # must return the same witnesses as the vectorized scans of the originals
+    # scaling by 2^61 keeps every pair inequality, so the checks on the
+    # object tables must return the same witnesses as on the int64 originals
     rng = SplitMix64(2024)
     for _ in range(10):
         values = [rng.randint(-3, 3) for _ in range(1 << 4)]
         small = dense_from(values)
         scaled = dense_from([v << 61 for v in values])
-        assert small._numpy_safe and not scaled._numpy_safe
+        assert small.values.dtype != object and scaled.values.dtype == object
         assert check_submodular(scaled) == check_submodular(small)
         assert check_subadditive(scaled) == check_subadditive(small)
 
@@ -257,20 +304,55 @@ def _cross_validation_tables():
     return tables
 
 
+def test_dense_dtype_rule():
+    # int64 exactly when every |value| < 2^62, on every construction path
+    below = _SAFE_SUM_BOUND - 1
+    for values, dtype in (
+        ([0, below, -below, 0], np.int64),
+        ([0, _SAFE_SUM_BOUND, 0, 0], object),
+        ([0, 0, -_SAFE_SUM_BOUND, 0], object),
+        ([INT64_MIN, 0, 0, INT64_MAX], object),
+    ):
+        f = dense_from(values)
+        assert f.values.dtype == dtype, values
+        assert [f[m] for m in range(4)] == values
+        g = materialize(XosRepresentation.from_weights([values[1:3]]))
+        wide = max(abs(g[m]) for m in range(4)) >= _SAFE_SUM_BOUND
+        assert (g.values.dtype == object) == wide, values
+
+
+def _scale_to_edge(f):
+    """f times the positive factor that puts its max |value| in [2^62, 2^63)."""
+    values = [int(v) for v in f.values]
+    top = max(abs(v) for v in values)
+    factor = -(-_SAFE_SUM_BOUND // top)
+    return dense_from([v * factor for v in values])
+
+
 def test_routes_match_pair_scans():
     seen = set()
     for kind, f in _cross_validation_tables():
-        assert f._numpy_safe
+        assert f.values.dtype != object
+        edge = _scale_to_edge(f) if f.values.any() else None
+        if edge is not None:
+            assert edge.values.dtype == object
+            assert _SAFE_SUM_BOUND <= max(abs(v) for v in edge.values) < 1 << 63
         for check, submodular in ((check_submodular, True), (check_subadditive, False)):
             got = check(f)
             assert got == _pair_scan(f, submodular=submodular), (kind, f.n, check.__name__)
+            # a positive factor keeps every pair inequality and its direction
+            if edge is not None:
+                assert check(edge) == got, (kind, f.n, check.__name__, "scaled")
+                seen.add((kind, check.__name__, got[0], "scaled"))
             seen.add((kind, check.__name__, got[0]))
             if kind == "late" and not got[0]:
                 assert got[1][0] >= (len(f) >> 1) - 1
             # budget-additive is submodular, nonnegative XOS subadditive
             if kind == "budget" or (kind == "xos" and not submodular):
                 assert got == (True, None)
-    # both verdicts of both checks occur on the late, mixed and shifted tables
+    # both verdicts of both checks occur on the late, mixed and shifted
+    # tables, unscaled and scaled
     for kind in ("late", "mixed", "shifted"):
         for name in ("check_submodular", "check_subadditive"):
-            assert {(kind, name, True), (kind, name, False)} <= seen, (kind, name)
+            for ok in (True, False):
+                assert {(kind, name, ok), (kind, name, ok, "scaled")} <= seen, (kind, name, ok)

@@ -299,15 +299,18 @@ def test_verify_hidden_with_representation(tmp_path):
 
 
 def test_verify_width_one_at_cap(tmp_path):
-    # n = 16 is the materialize cap; a nonnegative width-1 table passes every check
-    doc = {"type": "explicit", "n": 16, "weights": [[v % 5 for v in range(16)]]}
-    p = tmp_path / "wide.json"
-    p.write_text(json.dumps(doc))
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--instance", str(p), "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
-    assert result == {name: {"ok": True, "witness": None} for name in result}
-    assert len(result) == 6
+    # n = 16 is the materialize cap; a nonnegative width-1 table passes every
+    # check. At n = 14 with weights shifted by 58 the table's values reach
+    # 26 * 2^58 > 2^62, so it is held as Python ints and the same routes run.
+    for n, shift in ((16, 0), (14, 58)):
+        doc = {"type": "explicit", "n": n, "weights": [[(v % 5) << shift for v in range(n)]]}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--instance", str(p), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result == {name: {"ok": True, "witness": None} for name in result}
+        assert len(result) == 6
 
 
 def test_record_timing_changes_only_ms(inst_path):

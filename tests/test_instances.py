@@ -87,6 +87,17 @@ def test_load_missing_file():
         load_instance("no/such/file.json")
 
 
+def test_load_long_json_text(tmp_path):
+    # JSON text longer than a file name may be is still read as JSON
+    doc = {"type": "explicit", "n": 60, "weights": [[v % 7 for v in range(60)]] * 2}
+    text = "  " + json.dumps(doc)
+    assert len(text) > 255
+    assert load_instance(text).explicit.to_json_dict() == doc
+    # a Path is always a file, whatever its name looks like
+    with pytest.raises(InstanceFormatError, match="not found"):
+        load_instance(tmp_path / "{}")
+
+
 def test_instance_from_dict_rejects_unknown_type():
     with pytest.raises(InstanceFormatError):
         instance_from_dict({"type": "wavelet", "params": {}, "seed": 0})
