@@ -257,6 +257,13 @@ def _ceil_root(n: int, d: int) -> int:
     return t
 
 
+def _sampling_schedule(r: int, p: int, q: int) -> tuple[bool, int]:
+    """(rho < RHO_FALLBACK_THRESHOLD, ceil(2 ln(r)/epsilon)) for r >= 2
+    retained elements, epsilon = p/q and rho = epsilon*r/ln(r)."""
+    log_r = math.log(r)
+    return (p * r) / (q * log_r) < RHO_FALLBACK_THRESHOLD, math.ceil(2 * log_r * q / p)
+
+
 def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> SolveReport:
     """Uniform fixed-size sampling; rho-approximation in expectation.
 
@@ -282,7 +289,8 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
 
     eps = params.epsilon
     p, q = eps.numerator, eps.denominator
-    if r == 1 or (p * r) / (q * math.log(r)) < RHO_FALLBACK_THRESHOLD:
+    fallback, rounds = (True, 0) if r == 1 else _sampling_schedule(r, p, q)
+    if fallback:
         if r <= DEFAULT_BRUTE_CAP:
             best_mask, best_val = _exhaustive(oracle, retained, r)
             return SolveReport(
@@ -290,7 +298,6 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
             )
         # Retained set too large to enumerate; sample anyway (guarantee void).
 
-    rounds = math.ceil(2 * math.log(r) * q / p)
     if params.sample_budget_override is not None:
         per_round = params.sample_budget_override
     else:

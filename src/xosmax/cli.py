@@ -422,8 +422,9 @@ def _witness_text(witness) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     handle = load_instance(args.instance)
-    rep = handle.representation()
+    # The cap check comes before hard_general's O(n^2) representation.
     dense = materialize(handle.explicit or handle.hidden.evaluate, handle.n)
+    rep = handle.representation()
     result: dict[str, object] = {}
     for cls in CLASS_NAMES:
         ok, witness = check_class(dense, cls)

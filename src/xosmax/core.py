@@ -12,9 +12,9 @@ record; white-box accessors (:meth:`XosRepresentation.maximizer_indices`,
 
 Conventions used throughout the package:
 
-* Subsets are plain ``int`` bitmasks over a single machine word. Bit ``v``
-  set means element ``v`` is in the subset. Ground sizes are limited to
-  1 <= n <= 63 so any subset fits a word.
+* Subsets are plain ``int`` bitmasks of any length. Bit ``v`` set means
+  element ``v`` is in the subset. Ground sizes are limited to
+  1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
   Arithmetic is checked: a weight or an evaluated component sum outside
   [-2^63, 2^63 - 1] raises :class:`ValueOverflowError`, never wraps.
@@ -32,7 +32,10 @@ from typing import Callable, Iterable, Iterator
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-MAX_GROUND_SIZE = 63
+# Subsets are Python ints, so nothing ties n to a machine word. The cap bounds
+# the work a document can ask for: the hidden families allocate O(n) per
+# sampled subset and HardGeneralInstance.representation() is O(n^2).
+MAX_GROUND_SIZE = 4096
 
 
 class ValueOverflowError(OverflowError):
@@ -122,7 +125,7 @@ def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Ground set {0, ..., n-1} with 1 <= n <= 63."""
+    """Ground set {0, ..., n-1}; the one check of 1 <= n <= MAX_GROUND_SIZE."""
 
     n: int
 
@@ -329,28 +332,22 @@ class SolveReport:
 def parse_explicit(doc: dict) -> XosRepresentation:
     """Parse {"type": "explicit", "n": ..., "weights": [[...], ...]}.
 
-    Rejects ragged rows, out-of-range n, and non-integer weights.
+    ``GroundSet`` rejects an out-of-range n, ``AdditiveFunction`` a
+    non-integer or out-of-range weight, and ``XosRepresentation`` a row
+    whose length is not n.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be an object")
     if doc.get("type") != "explicit":
         raise InstanceFormatError(f"not an explicit instance: type={doc.get('type')!r}")
-    n = doc.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InstanceFormatError("explicit instance needs integer field 'n'")
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise InstanceFormatError(f"n must be in [1, {MAX_GROUND_SIZE}], got {n}")
+    ground = GroundSet(doc.get("n"))
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         raise InstanceFormatError("explicit instance needs a nonempty 'weights' list")
-    rows = []
     for idx, row in enumerate(weights):
-        if not isinstance(row, list) or len(row) != n:
-            raise InstanceFormatError(f"weights row {idx} must be a list of length {n}")
-        for w in row:
-            check_value(w, f"weights[{idx}] entry")
-        rows.append(tuple(row))
-    return XosRepresentation.from_weights(rows)
+        if not isinstance(row, list):
+            raise InstanceFormatError(f"weights row {idx} must be a list")
+    return XosRepresentation(ground, tuple(AdditiveFunction(row) for row in weights))
 
 
 def load_explicit(path_or_text: str) -> XosRepresentation:

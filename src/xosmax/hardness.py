@@ -39,10 +39,10 @@ from .core import (
     CountingOracle,
     GroundSet,
     InstanceFormatError,
-    MAX_GROUND_SIZE,
     SolveReport,
     XosRepresentation,
     first_max,
+    iter_bits,
 )
 from .rng import SplitMix64, sample_mask
 
@@ -57,8 +57,9 @@ class _HiddenFamily:
     """What the three families share: typed parameters, oracle, document.
 
     ``params`` names the document's parameter keys in order; each family's
-    ``__post_init__`` calls ``_check_params`` before its range checks. The
-    planted set is a maximizer unless a family overrides
+    ``__post_init__`` calls ``_check_params`` before its range checks and
+    builds its ``ground`` before any per-element work, so ``GroundSet``
+    bounds n. The planted set is a maximizer unless a family overrides
     ``planted_is_optimal``.
     """
 
@@ -73,7 +74,7 @@ class _HiddenFamily:
             raise InstanceFormatError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def oracle(self) -> CountingOracle:
-        return CountingOracle(GroundSet(self.n), self.evaluate)
+        return CountingOracle(self.ground, self.evaluate)
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,8 +100,7 @@ class NeedleInstance(_HiddenFamily):
 
     def __post_init__(self) -> None:
         self._check_params()
-        if not 1 <= self.n_hat <= MAX_GROUND_SIZE:
-            raise InstanceFormatError(f"n_hat must be in [1, {MAX_GROUND_SIZE}]")
+        object.__setattr__(self, "ground", GroundSet(self.n_hat))
         if not 1 <= self.s <= self.n_hat:
             raise InstanceFormatError("s must satisfy 1 <= s <= n_hat")
         if not 1 <= self.t <= self.s:
@@ -140,8 +140,9 @@ class HardGeneralInstance(_HiddenFamily):
 
     def __post_init__(self) -> None:
         self._check_params()
-        if not (2 <= self.n <= MAX_GROUND_SIZE and self.n % 2 == 0):
-            raise InstanceFormatError(f"n must be even and in [2, {MAX_GROUND_SIZE}], got {self.n}")
+        object.__setattr__(self, "ground", GroundSet(self.n))
+        if self.n % 2:
+            raise InstanceFormatError(f"n must be even, got {self.n}")
         if self.tau < 1:
             raise InstanceFormatError("tau must be an integer >= 1")
         if 2 * self.tau >= self.n:
@@ -184,7 +185,7 @@ class HardGeneralInstance(_HiddenFamily):
             comps.append(AdditiveFunction(tuple(w)))
         g = tuple(1 if (self.planted >> v) & 1 else -self.n for v in range(self.n))
         comps.append(AdditiveFunction(g))
-        return XosRepresentation(GroundSet(self.n), tuple(comps))
+        return XosRepresentation(self.ground, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -216,13 +217,11 @@ class HardKxosInstance(_HiddenFamily):
             raise InstanceFormatError("n_tilde must be an integer >= 2")
         if not 1 <= a < nt:
             raise InstanceFormatError("a must satisfy 1 <= a < n_tilde")
-        total = sum(nt**i for i in range(1, k))
-        if total > MAX_GROUND_SIZE:
-            raise InstanceFormatError(
-                f"blocks sum to {total} elements; ground size is capped at {MAX_GROUND_SIZE}"
-            )
-        if nt ** (k + 1) > INT64_MAX:
+        # nt^(k+1) >= 2^((k+1)*floor(log2 nt)), so the first test rejects huge
+        # k or nt before any arithmetic grows with them; the second is exact.
+        if (k + 1) * (nt.bit_length() - 1) >= 63 or nt ** (k + 1) > INT64_MAX:
             raise InstanceFormatError("weights exceed the signed 64-bit range")
+        object.__setattr__(self, "ground", GroundSet(sum(nt**i for i in range(1, k))))
         blocks = []
         s_masks = []
         rng = SplitMix64(self.seed)
@@ -240,7 +239,7 @@ class HardKxosInstance(_HiddenFamily):
             planted |= s
         terms = [((block, nt ** (k - i)),) for i, block in enumerate(blocks, 1)]
         last = [(s, (nt - a) * nt ** (k - i - 1)) for i, s in enumerate(s_masks, 1)]
-        last.append((((1 << total) - 1) & ~planted, -(nt ** (k + 1))))
+        last.append((self.ground.full_mask & ~planted, -(nt ** (k + 1))))
         terms.append(tuple(last))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "s_masks", tuple(s_masks))
@@ -249,7 +248,7 @@ class HardKxosInstance(_HiddenFamily):
 
     @property
     def n(self) -> int:
-        return sum(self.n_tilde**i for i in range(1, self.k))
+        return self.ground.n
 
     @property
     def width(self) -> int:
@@ -284,16 +283,14 @@ class HardKxosInstance(_HiddenFamily):
 
     def representation(self) -> XosRepresentation:
         """Materialized width-k form of ``terms``; agrees with ``evaluate``."""
-        n = self.n
         comps = []
         for comp in self.terms:
-            w = [0] * n
+            w = [0] * self.n
             for part, weight in comp:
-                for v in range(n):
-                    if (part >> v) & 1:
-                        w[v] = weight
+                for v in iter_bits(part):
+                    w[v] = weight
             comps.append(AdditiveFunction(tuple(w)))
-        return XosRepresentation(GroundSet(n), tuple(comps))
+        return XosRepresentation(self.ground, tuple(comps))
 
 
 HiddenInstance = Union[NeedleInstance, HardGeneralInstance, HardKxosInstance]

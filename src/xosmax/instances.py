@@ -97,10 +97,7 @@ class InstanceHandle:
 
 
 def instance_from_dict(doc: dict) -> InstanceHandle:
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
-    kind = doc.get("type")
-    if kind == "explicit":
+    if isinstance(doc, dict) and doc.get("type") == "explicit":
         return InstanceHandle("explicit", explicit=parse_explicit(doc))
     hidden = parse_hidden(doc)
     return InstanceHandle(hidden.kind, hidden=hidden)

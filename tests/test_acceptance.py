@@ -269,7 +269,10 @@ def test_criterion_6_needle_query_direction():
     P = 1000 that bound exceeds 1, making the literal inequality vacuous,
     so a non-vacuous per-query direction is asserted too: the per-query hit
     rate is below (1/2)^t + 3*stderr, which the planted structure beats by
-    half an order of magnitude."""
+    half an order of magnitude. Both are also checked two-sided against
+    their exact values: a query hits with p = C(12,6)/C(24,6) = 924/134596,
+    and a seed succeeds with 1 - (1 - p)^1000; each measurement must lie
+    within 4 standard errors of its target."""
     inst = gen_needle(24, 12, 6, seed=424242)
     P = 1000
     successes = 0
@@ -290,14 +293,24 @@ def test_criterion_6_needle_query_direction():
     rate_stderr = math.sqrt(rate * (1 - rate) / draws)
     per_query_ok = rate <= rate_bound + 3 * rate_stderr
 
-    ok = literal_ok and per_query_ok
+    hit = Fraction(math.comb(12, 6), math.comb(24, 6))
+    assert hit == Fraction(924, 134596)
+    success = 1 - (1 - hit) ** P
+    rate_sigma = math.sqrt(float(hit * (1 - hit)) / draws)
+    freq_sigma = math.sqrt(float(success * (1 - success)) / 1000)
+    exact_rate_ok = abs(rate - float(hit)) <= 4 * rate_sigma
+    exact_freq_ok = abs(freq - float(success)) <= 4 * freq_sigma
+
+    ok = literal_ok and per_query_ok and exact_rate_ok and exact_freq_ok
     record_criterion(
         6,
         ok,
-        f"success frequency {freq:.3f} <= {bound:.3f} (vacuously wide); "
-        f"per-query rate {rate:.5f} <= {rate_bound:.5f}"
+        f"success frequency {freq:.3f} <= {bound:.3f} (vacuously wide), "
+        f"exact {float(success):.5f}; "
+        f"per-query rate {rate:.5f} <= {rate_bound:.5f}, exact {float(hit):.5f}"
         if ok
-        else f"literal_ok={literal_ok} per_query_ok={per_query_ok} freq={freq} rate={rate}",
+        else f"literal_ok={literal_ok} per_query_ok={per_query_ok} "
+        f"exact_rate_ok={exact_rate_ok} exact_freq_ok={exact_freq_ok} freq={freq} rate={rate}",
     )
 
 

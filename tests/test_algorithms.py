@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,12 @@ from xosmax import (
     CountingOracle,
     EnumParams,
     SamplingParams,
+    MAX_GROUND_SIZE,
     XosRepresentation,
     enumerate_maximal_cliques,
     grow_clique,
     preprocess,
+    random_explicit,
     solve_brute_force,
     solve_enum_small_sets,
     solve_exact_2xos,
@@ -22,7 +26,7 @@ from xosmax import (
     solve_k_minus_1,
     solve_random_sampling,
 )
-from xosmax.algorithms import RHO_FALLBACK_THRESHOLD, _ceil_root, as_fraction
+from xosmax.algorithms import RHO_FALLBACK_THRESHOLD, _ceil_root, _sampling_schedule, as_fraction
 
 from helpers import (
     clique_of_rep,
@@ -201,6 +205,32 @@ def test_fallback_threshold_value():
     assert 7.56 < RHO_FALLBACK_THRESHOLD < 7.58
 
 
+def test_sampling_schedule_floats_are_exact_up_to_cap():
+    # The fallback test (p/q)*r/ln(r) < 2e/(e-2) and the round count
+    # ceil(2*ln(r)*q/p) are float expressions; against 60-digit decimals they
+    # must decide the same for every ground size the package accepts.
+    pairs = [(p, q) for p in range(1, 13) for q in range(1, 13) if math.gcd(p, q) == 1]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(1).exp()
+        threshold = 2 * e / (e - 2)
+        # ln(r) = ln(d) + ln(r/d) for the least factor d: one ln per prime
+        log = [Decimal(0), Decimal(0)]
+        for r in range(2, MAX_GROUND_SIZE + 1):
+            d = next((d for d in range(2, math.isqrt(r) + 1) if r % d == 0), None)
+            log.append(log[d] + log[r // d] if d else Decimal(r).ln())
+        mismatches = []
+        for r in range(2, MAX_GROUND_SIZE + 1):
+            # fallback iff p*r < q*threshold*ln(r); rounds - 1 < 2q*ln(r)/p < rounds
+            below = [q * threshold * log[r] for q in range(13)]
+            twice = [2 * q * log[r] for q in range(13)]
+            for p, q in pairs:
+                fallback, rounds = _sampling_schedule(r, p, q)
+                if fallback != (p * r < below[q]) or not p * (rounds - 1) < twice[q] < p * rounds:
+                    mismatches.append((r, p, q))
+    assert mismatches == []
+
+
 # ---------------------------------------------------------------------------
 # width-2 exact solver
 
@@ -233,6 +263,17 @@ def test_exact2_matches_brute_on_corpus():
         opt, _ = ref_brute_max(lambda m: ref_rep_value(rep_as_lists(rep), m), 10)
         assert report.value == opt, f"seed {seed}"
         assert report.oracle_calls <= 6 * 10 + 10
+        check_report(rep, report)
+
+
+def test_exact2_past_a_machine_word():
+    n = 1000
+    for seed in range(2):
+        rep = random_explicit(n, 2, -8, 8, seed)
+        report = solve_exact_2xos(oracle_for(rep))
+        identity = max(sum(max(w, 0) for w in row) for row in rep_as_lists(rep))
+        assert report.value == identity, f"seed {seed}"
+        assert report.oracle_calls <= 6 * n + 10
         check_report(rep, report)
 
 

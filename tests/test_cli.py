@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from xosmax.cli import (
     run_suite,
     run_trial,
 )
-from xosmax.instances import instance_from_dict
+from xosmax.instances import InstanceHandle, instance_from_dict
 
 EXPLICIT_DOC = {"type": "explicit", "n": 3, "weights": [[3, -1, 2], [1, 2, -5]]}
 NEEDLE_DOC = {"type": "needle", "params": {"n_hat": 8, "s": 4, "t": 2}, "seed": 3}
@@ -77,6 +78,24 @@ def test_gen_hidden_families(tmp_path):
         # params in document order, byte for byte
         want = {"type": kind, "params": params, "seed": 4}
         assert out.read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def test_gen_solve_kminus1_past_a_machine_word(tmp_path):
+    # hard_kxos(3, 20, 1) has 20 + 400 = 420 elements; the planted optimum
+    # is 2 * 19^2 * 20 = 14440 and kminus1 returns one block's 20^3 = 8000,
+    # past the best ratio 504/343 that n <= 63 allowed.
+    out = tmp_path / "kxos.json"
+    r = run_cli("gen", "hard-kxos", "--k", "3", "--ntilde", "20", "--a", "1", "--seed", "5",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "n=420" in r.stderr
+    s = run_cli("solve", "--algo", "kminus1", "--instance", str(out))
+    assert s.returncode == 0, s.stderr
+    rec = json.loads(s.stdout.splitlines()[0])
+    assert rec["opt_source"] == "planted"
+    assert rec["opt"] == 14440
+    assert 2 * rec["value"] >= rec["opt"]
+    assert Fraction(rec["opt"], rec["value"]) > Fraction(504, 343)
 
 
 def test_solve_csv_format(inst_path):
@@ -137,6 +156,30 @@ def test_exit_code_cap_exceeded(tmp_path):
     assert r.returncode == 4
     v = run_cli("verify", "--instance", str(p))
     assert v.returncode == 4
+
+
+def test_verify_over_cap_builds_no_representation(tmp_path, monkeypatch):
+    # hard_general's representation is O(n^2); the materialize cap must stop
+    # verify before it is built.
+    p = tmp_path / "hg.json"
+    p.write_text(json.dumps({"type": "hard_general", "params": {"n": 2000, "tau": 7}, "seed": 0}))
+    built = []
+    monkeypatch.setattr(InstanceHandle, "representation", lambda self: built.append(self))
+    assert main(["verify", "--instance", str(p)]) == 4
+    assert built == []
+
+
+def test_huge_kxos_exits_3_quickly(tmp_path):
+    p = tmp_path / "kxos.json"
+    p.write_text(json.dumps(
+        {"type": "hard_kxos", "params": {"k": 10**9, "n_tilde": 2, "a": 1}, "seed": 0}
+    ))
+    v = run_cli("verify", "--instance", str(p))
+    assert v.returncode == 3
+    assert "64-bit" in v.stderr
+    g = run_cli("gen", "hard-kxos", "--k", str(10**9), "--ntilde", "2", "--a", "1",
+                "--seed", "0")
+    assert g.returncode == 3
 
 
 def _bench_config(tmp_path, **fields):

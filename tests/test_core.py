@@ -141,9 +141,9 @@ def test_ground_set_bounds():
     with pytest.raises(InstanceFormatError):
         GroundSet(0)
     with pytest.raises(InstanceFormatError):
-        GroundSet(64)
-    g = GroundSet(63)
-    assert g.full_mask == (1 << 63) - 1
+        GroundSet(4097)
+    g = GroundSet(4096)
+    assert g.full_mask == (1 << 4096) - 1
 
 
 def test_parse_explicit_roundtrip():
@@ -158,7 +158,7 @@ def test_parse_explicit_roundtrip():
     "doc",
     [
         {"type": "explicit", "n": 0, "weights": [[]]},
-        {"type": "explicit", "n": 64, "weights": [[0] * 64]},
+        {"type": "explicit", "n": 4097, "weights": [[0] * 4097]},
         {"type": "explicit", "n": 2, "weights": []},
         {"type": "explicit", "n": 2, "weights": [[1]]},
         {"type": "explicit", "n": 2, "weights": [[1, 2], [3]]},

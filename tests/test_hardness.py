@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -51,7 +52,8 @@ def test_needle_param_validation():
     with pytest.raises(InstanceFormatError):
         gen_needle(6, 3, 0, seed=0)
     with pytest.raises(InstanceFormatError):
-        gen_needle(64, 3, 2, seed=0)
+        gen_needle(4097, 3, 2, seed=0)
+    assert gen_needle(4096, 3, 2, seed=0).n == 4096
 
 
 def test_probe_counts_and_zero_queries():
@@ -190,9 +192,45 @@ def test_kxos_param_validation():
     with pytest.raises(InstanceFormatError):
         gen_hard_kxos(3, 4, 4, seed=0)  # a >= n_tilde
     with pytest.raises(InstanceFormatError):
-        gen_hard_kxos(3, 8, 1, seed=0)  # 8 + 64 = 72 > 63 elements
+        gen_hard_kxos(3, 64, 1, seed=0)  # 64 + 4096 = 4160 > 4096 elements
     with pytest.raises(InstanceFormatError):
         gen_hard_kxos(20, 2, 1, seed=0)  # weights blow past 64 bits
+    assert gen_hard_kxos(3, 63, 1, seed=0).n == 63 + 63**2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"k": 10**9, "n_tilde": 2, "a": 1},
+        {"k": 200000, "n_tilde": 2, "a": 1},
+        {"k": 3, "n_tilde": 1 << 100000, "a": 1},
+    ],
+)
+def test_kxos_huge_params_rejected_before_block_arithmetic(params):
+    doc = {"type": "hard_kxos", "params": params, "seed": 0}
+    start = time.perf_counter()
+    with pytest.raises(InstanceFormatError, match="64-bit"):
+        parse_hidden(doc)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_families_share_one_ground_set():
+    for inst in (
+        gen_needle(12, 6, 3, seed=1),
+        gen_hard_general(10, 2, seed=1),
+        gen_hard_kxos(3, 4, 1, seed=1),
+    ):
+        assert inst.oracle().ground is inst.ground
+        assert inst.ground.n == inst.n
+        if inst.width is not None:
+            assert inst.representation().ground is inst.ground
+    assert gen_hard_kxos(4, 3, 1, seed=0).n == 3 + 9 + 27
+    # GroundSet bounds n for every family
+    for bad in (0, -2, 4098):
+        with pytest.raises(InstanceFormatError, match="ground size"):
+            gen_hard_general(bad, 1, seed=0)
+    with pytest.raises(InstanceFormatError, match="ground size"):
+        gen_needle(0, 1, 1, seed=0)
 
 
 @pytest.mark.parametrize(
