@@ -37,16 +37,19 @@ from fractions import Fraction
 from itertools import repeat
 
 from .core import (
+    BLOCK,
     CapExceededError,
     CountingOracle,
     SolveReport,
     elements_of,
+    evaluated,
     first_max,
     iter_bits,
     iter_masks_by_card,
     masks_of_card,
 )
-from .rng import SplitMix64, sample_positions
+# sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
+from .rng import SplitMix64, sample_masks, sample_positions  # noqa: F401
 
 # Below this approximation factor the sampling analysis needs more samples
 # than brute force would cost, so the solver enumerates instead.
@@ -215,7 +218,7 @@ def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, i
     masks = iter_masks_by_card(len(elems), cap)
     if retained != (1 << len(elems)) - 1:  # positions are not the elements
         masks = map(_translate, masks, repeat(elems))
-    return first_max((m, oracle.evaluate(m)) for m in masks)
+    return first_max(evaluated(oracle, masks))
 
 
 def _empty_report(algorithm: str, oracle: CountingOracle, start_calls: int, **extra) -> SolveReport:
@@ -309,13 +312,13 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
 
     def draws():
         for m in range(1, min(rounds, r) + 1):
-            for _ in range(per_round):
-                actual = 0
-                for pos in sample_positions(r, m, rng):
-                    actual |= 1 << elems[pos]
-                yield actual, oracle.evaluate(actual)
+            for start in range(0, per_round, BLOCK):
+                yield from sample_masks(r, m, min(BLOCK, per_round - start), rng)
 
-    best_mask, best_val = first_max(draws())
+    masks = draws()
+    if retained != (1 << r) - 1:  # positions are not the elements
+        masks = map(_translate, masks, repeat(elems))
+    best_mask, best_val = first_max(evaluated(oracle, masks))
     return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
 
 

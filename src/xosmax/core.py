@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -36,6 +40,11 @@ INT64_MAX = (1 << 63) - 1
 # the work a document can ask for: the hidden families allocate O(n) per
 # sampled subset and HardGeneralInstance.representation() is O(n^2).
 MAX_GROUND_SIZE = 4096
+
+# Queries whose masks do not depend on earlier answers go to the oracle in
+# batches of at most BLOCK masks, so a search holds O(BLOCK) masks and values
+# however many queries it makes.
+BLOCK = 1024
 
 
 class ValueOverflowError(OverflowError):
@@ -121,6 +130,18 @@ def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
         if cand[1] > best[1]:
             best = cand
     return best
+
+
+def evaluated(oracle: "CountingOracle", masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(mask, oracle value) pairs in the order of ``masks``.
+
+    For queries that do not depend on earlier answers: masks are taken
+    BLOCK at a time and each block is one ``evaluate_many`` call, so at
+    most one block is held however long ``masks`` is.
+    """
+    it = iter(masks)
+    while block := list(islice(it, BLOCK)):
+        yield from zip(block, oracle.evaluate_many(block))
 
 
 @dataclass(frozen=True)
@@ -239,6 +260,51 @@ class XosRepresentation:
                 best = s
         return best  # type: ignore[return-value]
 
+    @cached_property
+    def _byte_tables(self) -> list[np.ndarray] | None:
+        """Per-byte subset-sum tables for ``evaluate_many``, built once.
+
+        Table b holds, for each value x of mask bits 8b..8b+7, every
+        component's sum over those bits: shape (2^bits, k), int64. None when
+        n > 64 or some component has a subset sum outside int64 (its
+        positive weights sum above INT64_MAX or its negative ones below
+        INT64_MIN); every partial sum of a table lookup is a subset sum, so
+        otherwise nothing can wrap.
+        """
+        if self.n > 64:
+            return None
+        for comp in self.components:
+            w = comp.weights
+            if sum(x for x in w if x > 0) > INT64_MAX or sum(x for x in w if x < 0) < INT64_MIN:
+                return None
+        columns = np.array([comp.weights for comp in self.components], dtype=np.int64).T
+        tables = []
+        for lo in range(0, self.n, 8):
+            rows = columns[lo : lo + 8]
+            table = np.zeros((1 << len(rows), self.width), dtype=np.int64)
+            for bit, row in enumerate(rows):
+                table[1 << bit : 2 << bit] = table[: 1 << bit] + row
+            tables.append(table)
+        return tables
+
+    def evaluate_many(self, masks: list[int]) -> list[int]:
+        """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
+
+        Sums one table row per mask byte, then takes each row's maximum.
+        Representations without byte tables run ``evaluate``, which raises
+        ``ValueOverflowError`` on a sum outside int64.
+        """
+        tables = self._byte_tables
+        if tables is None:
+            return [self.evaluate(m) for m in masks]
+        if not masks:
+            return []
+        mask_bytes = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+        sums = tables[0][mask_bytes[:, 0]]
+        for b in range(1, len(tables)):
+            sums += tables[b][mask_bytes[:, b]]
+        return sums.max(axis=1).tolist()
+
     def maximizer_indices(self, mask: int) -> set[int]:
         """Indices of components attaining f(mask)."""
         sums = [comp.evaluate(mask) for comp in self.components]
@@ -301,6 +367,24 @@ class CountingOracle:
         self.ground.validate_subset(mask)
         self.calls += 1
         return self._func(mask)
+
+    def evaluate_many(self, masks: list[int]) -> list[int]:
+        """``[self.evaluate(m) for m in masks]``: same checks, same count.
+
+        When the value function is the bound ``evaluate`` of an owner that
+        also has an ``evaluate_many``, the batch goes there in one call; any
+        other value function is called mask by mask through ``evaluate``. An
+        invalid mask raises the error ``evaluate`` raises; the masks before
+        it may or may not have been counted.
+        """
+        owner = getattr(self._func, "__self__", None)
+        if self._func != getattr(owner, "evaluate", None) or not hasattr(owner, "evaluate_many"):
+            return [self.evaluate(m) for m in masks]
+        validate = self.ground.validate_subset
+        for m in masks:
+            validate(m)
+        self.calls += len(masks)
+        return owner.evaluate_many(masks)
 
     def peek(self, mask: int) -> int:
         """Uncounted evaluation; verification only."""

@@ -31,9 +31,11 @@ and is the one table ``parse_hidden`` and ``xosmax gen`` read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import ClassVar, Union
 
 from .core import (
+    BLOCK,
     INT64_MAX,
     AdditiveFunction,
     CountingOracle,
@@ -41,10 +43,11 @@ from .core import (
     InstanceFormatError,
     SolveReport,
     XosRepresentation,
+    evaluated,
     first_max,
     iter_bits,
 )
-from .rng import SplitMix64, sample_mask
+from .rng import SplitMix64, sample_mask, sample_masks
 
 _SEED_LIMIT = 1 << 64
 
@@ -349,6 +352,8 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
         raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
     start_calls = oracle.calls
     rng = SplitMix64(seed)
-    masks = (sample_mask(n, size, rng) for _ in range(queries))
-    best_mask, best_val = first_max((m, oracle.evaluate(m)) for m in masks)
+    masks = chain.from_iterable(
+        sample_masks(n, size, min(BLOCK, queries - start), rng) for start in range(0, queries, BLOCK)
+    )
+    best_mask, best_val = first_max(evaluated(oracle, masks))
     return SolveReport("probe", best_mask, best_val, oracle.calls - start_calls, seed=seed)

@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import Union
 
 from .core import (
+    AdditiveFunction,
     CountingOracle,
+    GroundSet,
     InstanceFormatError,
     XosRepresentation,
     parse_explicit,
@@ -152,6 +154,7 @@ def random_explicit(
     the element a positive weight, which keeps preprocessing from dropping
     anything.
     """
+    ground = GroundSet(n)
     if k < 1:
         raise InstanceFormatError("need at least one component")
     if low > high:
@@ -166,5 +169,5 @@ def random_explicit(
             if not positive_singletons or max(col) > 0:
                 break
         cols.append(col)
-    rows = [tuple(cols[v][i] for v in range(n)) for i in range(k)]
-    return XosRepresentation.from_weights(rows)
+    rows = (tuple(cols[v][i] for v in range(n)) for i in range(k))
+    return XosRepresentation(ground, tuple(AdditiveFunction(row) for row in rows))

@@ -8,14 +8,28 @@ regression tests pin known-answer vectors, so the stream will not change
 across versions. Bounded draws use rejection sampling, which keeps them
 exactly uniform, and fixed-size subsets come from a partial Fisher-Yates
 shuffle, which makes every m-element subset exactly equally likely.
+``sample_masks`` draws many subsets at once with numpy and returns exactly
+what the scalar sampler would.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from .core import BLOCK
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# numpy operands of the block form; every one is an explicit uint64 so that
+# no operation is promoted to int64 or float64 on any numpy version.
+_U_GAMMA = np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U_ONE = np.uint64(1)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 class SplitMix64:
@@ -75,4 +89,60 @@ def sample_mask(n: int, m: int, rng: SplitMix64) -> int:
     out = 0
     for p in sample_positions(n, m, rng):
         out |= 1 << p
+    return out
+
+
+def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
+    """``count`` size-m masks over n <= 64 drawn from ``state``, or None.
+
+    Output t of the stream is mix(state + t*gamma), so all count*m draws are
+    one uint64 expression. None when any draw would be rejected by
+    ``randrange``: the caller then redraws the block with the scalar code.
+    """
+    z = np.arange(1, count * m + 1, dtype=np.uint64)
+    z *= _U_GAMMA
+    z += np.uint64(state)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    draws = z.reshape(count, m)
+    bounds = range(n, n - m, -1)  # randrange(n - i) for the i-th swap
+    for top, bound in zip(draws.max(axis=0).tolist(), bounds):
+        if top >= _MASK64 + 1 - (_MASK64 + 1) % bound:  # randrange's threshold
+            return None
+    draws %= np.array(bounds, dtype=np.uint64)
+    idx = np.empty((count, n), dtype=np.uint8)
+    idx[:] = np.arange(n, dtype=np.uint8)
+    rows = np.arange(count)
+    for i in range(m):
+        j = draws[:, i].astype(np.intp) + i
+        picked = idx[rows, j]
+        idx[rows, j] = idx[:, i]
+        idx[:, i] = picked
+    bits = np.left_shift(_U_ONE, idx[:, :m].astype(np.uint64))
+    return np.bitwise_or.reduce(bits, axis=1).tolist()
+
+
+def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> list[int]:
+    """``[sample_mask(n, m, rng) for _ in range(count)]``, final state included.
+
+    For n <= 64 and m >= 1 the masks are drawn BLOCK at a time by
+    ``_mask_block``; a block that meets a rejection is redrawn by the scalar
+    code from the same state. Larger grounds and m = 0 use the scalar code.
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"cannot sample {m} of {n} positions")
+    if n > 64 or m == 0:
+        return [sample_mask(n, m, rng) for _ in range(count)]
+    out: list[int] = []
+    for start in range(0, count, BLOCK):
+        size = min(BLOCK, count - start)
+        block = _mask_block(n, m, size, rng.state)
+        if block is None:
+            out.extend(sample_mask(n, m, rng) for _ in range(size))
+        else:
+            out.extend(block)
+            rng.state = (rng.state + size * m * _GAMMA) & _MASK64
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,13 @@ def test_random_explicit_validation():
         random_explicit(4, 2, 5, 4, seed=0)
     with pytest.raises(InstanceFormatError):
         random_explicit(4, 2, -5, -1, seed=0, positive_singletons=True)
+
+
+def test_random_explicit_rejects_ground_size_before_drawing():
+    t0 = time.perf_counter()
+    with pytest.raises(InstanceFormatError, match="ground size"):
+        random_explicit(300000, 2, 0, 1, 0)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_exact_optimum_agrees_with_reference():
