@@ -20,8 +20,8 @@ All solvers except brute force start by querying the n singleton values and
 retaining only elements with strictly positive value; dropped elements can
 never help a maximizer because removing one never lowers the max-of-sums.
 The retained singleton values are cached, so additivity tests of the form
-f(X + u) = f(X) + f(u) cost one query each. The empty retained set short-
-circuits to (empty set, 0).
+f(X + u) = f(X) + f(u) cost one query each. An empty retained set yields
+(empty set, 0).
 
 Determinism: every tie is broken by keeping the first maximizer in a fixed
 scan order (canonical subset order for enumeration; ascending element index
@@ -34,18 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .core import (
     BLOCK,
     CapExceededError,
     CountingOracle,
     SolveReport,
-    elements_of,
     evaluated,
     first_max,
     iter_bits,
     iter_masks_by_card,
+    lift,
     masks_of_card,
 )
 # sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
@@ -197,28 +196,14 @@ def _expand_improving(
     return out, oracle.evaluate(out)
 
 
-def _translate(sub: int, elems: tuple[int, ...]) -> int:
-    """Map a mask over compressed positions to a mask over actual elements."""
-    actual = 0
-    m = sub
-    while m:
-        low = m & -m
-        actual |= 1 << elems[low.bit_length() - 1]
-        m ^= low
-    return actual
-
-
 def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, int]:
     """First maximizer over the subsets of ``retained`` of size <= cap.
 
     Every subset, the empty set included, is evaluated exactly once, in
     canonical order.
     """
-    elems = elements_of(retained)
-    masks = iter_masks_by_card(len(elems), cap)
-    if retained != (1 << len(elems)) - 1:  # positions are not the elements
-        masks = map(_translate, masks, repeat(elems))
-    return first_max(evaluated(oracle, masks))
+    masks = iter_masks_by_card(retained.bit_count(), cap)
+    return first_max(evaluated(oracle, lift(masks, retained)))
 
 
 def _empty_report(algorithm: str, oracle: CountingOracle, start_calls: int, **extra) -> SolveReport:
@@ -284,8 +269,7 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     """
     start_calls = oracle.calls
     retained, _ = _scan_singletons(oracle)
-    elems = elements_of(retained)
-    r = len(elems)
+    r = retained.bit_count()
     extra = {"seed": params.seed, "budget_override": params.sample_budget_override}
     if r == 0:
         return _empty_report("sample", oracle, start_calls, **extra)
@@ -315,10 +299,7 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
             for start in range(0, per_round, BLOCK):
                 yield from sample_masks(r, m, min(BLOCK, per_round - start), rng)
 
-    masks = draws()
-    if retained != (1 << r) - 1:  # positions are not the elements
-        masks = map(_translate, masks, repeat(elems))
-    best_mask, best_val = first_max(evaluated(oracle, masks))
+    best_mask, best_val = first_max(evaluated(oracle, lift(draws(), retained)))
     return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
 
 
@@ -370,9 +351,6 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
     """
     start_calls = oracle.calls
     retained, singles = _scan_singletons(oracle)
-    if retained == 0:
-        return _empty_report("kminus1", oracle, start_calls)
-
     cliques: list[tuple[int, int]] = []
     covered = 0
     while covered != retained:
@@ -418,13 +396,11 @@ def _maximal_cliques(
     it, and those fingerprint elements form an additive set of size at most
     the family size whose closure would have been found in an earlier round.
     """
-    elems = elements_of(retained)
-    r = len(elems)
+    r = retained.bit_count()
     found: list[tuple[int, int]] = []
     seen: set[int] = set()
     for card in range(1, r + 1):
-        for sub in masks_of_card(r, card):
-            actual = _translate(sub, elems)
+        for actual in lift(masks_of_card(r, card), retained):
             ssum = sum(singles[v] for v in iter_bits(actual))
             if card > 1 and oracle.evaluate(actual) != ssum:
                 continue
@@ -450,8 +426,6 @@ def enumerate_maximal_cliques(oracle: CountingOracle) -> tuple[int, ...]:
     terminating.
     """
     retained, singles = _scan_singletons(oracle)
-    if retained == 0:
-        return ()
     return tuple(mask for mask, _ in _maximal_cliques(oracle, retained, singles))
 
 
@@ -465,8 +439,6 @@ def solve_exact_star(oracle: CountingOracle) -> SolveReport:
     """
     start_calls = oracle.calls
     retained, singles = _scan_singletons(oracle)
-    if retained == 0:
-        return _empty_report("star", oracle, start_calls)
     best_mask, best_val = first_max(_maximal_cliques(oracle, retained, singles))
     return SolveReport("star", best_mask, best_val, oracle.calls - start_calls)
 

@@ -60,7 +60,8 @@ CSV_COLUMNS = ("trial", "seed", "algo", "n", "k", "value", "opt", "ratio", "call
 
 _SEED_MOD = 1 << 64
 
-# Keys a bench config's "params" object may hold; _run_trials reads each one.
+# The solver options: the keys a bench config's "params" object may hold and
+# the ``solve`` flags, each passed to run_trial as the keyword of that name.
 _PARAM_KEYS = ("epsilon", "budget_override", "high_probability", "queries")
 
 
@@ -109,7 +110,6 @@ def run_trial(
     epsilon=None,
     budget_override: int | None = None,
     high_probability: bool = False,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
     queries: int = 1000,
     opt_info: tuple[int, str] | None = None,
 ) -> TrialRecord:
@@ -143,7 +143,7 @@ def run_trial(
     elif algo == "star":
         report = solve_exact_star(oracle)
     elif algo == "brute":
-        report = solve_brute_force(oracle, cap=brute_cap)
+        report = solve_brute_force(oracle)
     elif algo == "probe":
         if handle.kind != "needle":
             raise UsageError("probe runs on needle instances only")
@@ -151,7 +151,7 @@ def run_trial(
     else:
         raise UsageError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
     ms = (time.perf_counter() - t0) * 1000.0
-    opt, source = opt_info if opt_info is not None else handle.exact_optimum(brute_cap)
+    opt, source = opt_info if opt_info is not None else handle.exact_optimum(DEFAULT_BRUTE_CAP)
     return TrialRecord(
         trial=trial,
         seed=seed,
@@ -224,42 +224,30 @@ def _run_trials(
     trials: int,
     base_seed: int,
     params: dict,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> list[TrialRecord]:
     """Run ``trials`` trials sequentially; records are ordered by trial index.
 
     Trials are independent (fresh oracle and seed each); the optimum
-    reference is computed once and shared.
+    reference is computed once and shared. ``params`` holds solver options
+    keyed by ``_PARAM_KEYS``; an absent key takes run_trial's default.
     """
     if trials < 0:
         raise UsageError("trials must be a nonnegative integer")
     _check_seed(base_seed)
-    opt_info = handle.exact_optimum(brute_cap)
+    opt_info = handle.exact_optimum(DEFAULT_BRUTE_CAP)
     return [
         run_trial(
-            handle,
-            algo,
-            trial=i,
-            seed=(base_seed + i) % _SEED_MOD,
-            epsilon=params.get("epsilon"),
-            budget_override=params.get("budget_override"),
-            high_probability=params.get("high_probability", False),
-            brute_cap=brute_cap,
-            queries=params.get("queries", 1000),
-            opt_info=opt_info,
+            handle, algo, trial=i, seed=(base_seed + i) % _SEED_MOD, opt_info=opt_info, **params
         )
         for i in range(trials)
     ]
 
 
-def run_suite(
-    config: ExperimentConfig,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-) -> list[TrialRecord]:
+def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
     """Run a bench suite; see ``_run_trials``."""
     handle = instance_from_dict(config.instance)
     return _run_trials(
-        handle, config.algorithm, config.trials, config.base_seed, config.params or {}, brute_cap
+        handle, config.algorithm, config.trials, config.base_seed, config.params or {}
     )
 
 
@@ -383,13 +371,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     handle = load_instance(args.instance)
-    params = {
-        "epsilon": args.epsilon,
-        "budget_override": args.budget_override,
-        "high_probability": args.high_probability,
-        "queries": args.queries,
-    }
-    records = _run_trials(handle, args.algo, args.trials, args.seed, params, args.brute_cap)
+    params = {key: v for key in _PARAM_KEYS if (v := getattr(args, key)) is not None}
+    records = _run_trials(handle, args.algo, args.trials, args.seed, params)
     _emit_records(records, args.format, args.out, args.record_timing)
     print(summarize(records), file=sys.stderr)
     return 0
@@ -406,7 +389,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    records = run_suite(config, brute_cap=args.brute_cap)
+    records = run_suite(config)
     fmt = args.format if args.format else config.format
     _emit_records(records, fmt, args.out, args.record_timing)
     print(summarize(records), file=sys.stderr)
@@ -499,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget-override", type=int, help="per-round sample budget (sample)")
     solve.add_argument("--high-probability", action="store_true",
                        help="multiply the sample budget by ceil(2*epsilon*n)")
-    solve.add_argument("--queries", type=int, default=1000, help="probe query count")
-    solve.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
+    solve.add_argument("--queries", type=int, help="probe query count")
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--record-timing", action="store_true",
                        help="write measured ms into CSV (breaks byte-identical replay)")
@@ -510,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a config-driven suite")
     bench.add_argument("--config", required=True, help="experiment config JSON file")
     bench.add_argument("--seed", type=int, help="override the config base_seed")
-    bench.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     bench.add_argument("--format", choices=("json", "csv"),
                        help="override the config output format")
     bench.add_argument("--record-timing", action="store_true",

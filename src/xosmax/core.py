@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -89,6 +89,29 @@ def mask_of(elements: Iterable[int]) -> int:
     for v in elements:
         m |= 1 << v
     return m
+
+
+def _translate(sub: int, elems: tuple[int, ...]) -> int:
+    """Map a mask over positions to a mask over ``elems[position]``."""
+    actual = 0
+    m = sub
+    while m:
+        low = m & -m
+        actual |= 1 << elems[low.bit_length() - 1]
+        m ^= low
+    return actual
+
+
+def lift(masks: Iterable[int], universe: int) -> Iterable[int]:
+    """Masks over positions {0..r-1} as masks over the r elements of ``universe``.
+
+    Position i stands for the i-th smallest element of ``universe``, and the
+    order of ``masks`` is kept. When ``universe`` is {0..r-1} the positions
+    are the elements and ``masks`` itself is returned.
+    """
+    if universe & (universe + 1) == 0:  # {0..r-1}
+        return masks
+    return map(_translate, masks, repeat(elements_of(universe)))
 
 
 def masks_of_card(n: int, c: int) -> Iterator[int]:
@@ -168,9 +191,6 @@ class GroundSet:
         if mask < 0 or mask >> self.n:
             raise ValueError(f"mask {mask:#x} is not a subset of a ground set of size {self.n}")
         return mask
-
-    def subsets(self, max_card: int | None = None) -> Iterator[int]:
-        return iter_masks_by_card(self.n, max_card)
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,8 @@ def load_instance(source: Union[str, Path, dict]) -> InstanceHandle:
     return instance_from_dict(doc)
 
 
-def dump_instance(handle_or_doc: Union[InstanceHandle, dict]) -> str:
-    doc = (
-        handle_or_doc.to_json_dict()
-        if isinstance(handle_or_doc, InstanceHandle)
-        else handle_or_doc
-    )
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+def dump_instance(handle: InstanceHandle) -> str:
+    return json.dumps(handle.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
 
 def random_explicit(

@@ -32,6 +32,12 @@ _U_ONE = np.uint64(1)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
+def _reject_from(bound: int) -> int:
+    """Largest multiple of ``bound`` that fits in 64 bits: a draw at or above
+    it is rejected, so the remainder mod ``bound`` is exactly uniform."""
+    return _MASK64 + 1 - (_MASK64 + 1) % bound
+
+
 class SplitMix64:
     """splitmix64 stream; state is a single 64-bit word."""
 
@@ -53,9 +59,7 @@ class SplitMix64:
         """Uniform integer in [0, bound) via rejection; no modulo bias."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        # Largest multiple of bound that fits in 64 bits; draws at or above
-        # it are rejected so the remainder is exactly uniform.
-        threshold = _MASK64 + 1 - ((_MASK64 + 1) % bound)
+        threshold = _reject_from(bound)
         while True:
             r = self.next_u64()
             if r < threshold:
@@ -110,7 +114,7 @@ def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
     draws = z.reshape(count, m)
     bounds = range(n, n - m, -1)  # randrange(n - i) for the i-th swap
     for top, bound in zip(draws.max(axis=0).tolist(), bounds):
-        if top >= _MASK64 + 1 - (_MASK64 + 1) % bound:  # randrange's threshold
+        if top >= _reject_from(bound):
             return None
     draws %= np.array(bounds, dtype=np.uint64)
     idx = np.empty((count, n), dtype=np.uint8)
@@ -128,13 +132,13 @@ def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
 def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> list[int]:
     """``[sample_mask(n, m, rng) for _ in range(count)]``, final state included.
 
-    For n <= 64 and m >= 1 the masks are drawn BLOCK at a time by
-    ``_mask_block``; a block that meets a rejection is redrawn by the scalar
-    code from the same state. Larger grounds and m = 0 use the scalar code.
+    For n <= 64 the masks are drawn BLOCK at a time by ``_mask_block``; a
+    block that meets a rejection is redrawn by the scalar code from the same
+    state. Larger grounds use the scalar code.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cannot sample {m} of {n} positions")
-    if n > 64 or m == 0:
+    if n > 64:
         return [sample_mask(n, m, rng) for _ in range(count)]
     out: list[int] = []
     for start in range(0, count, BLOCK):

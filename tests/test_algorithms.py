@@ -255,6 +255,32 @@ def test_exact2_empty_retained():
     assert report.oracle_calls == 2
 
 
+NONPOSITIVE_SINGLETONS = [
+    XosRepresentation.from_weights([[-1, -2], [-3, -1]]),
+    XosRepresentation.from_weights([[0, 0, 0]]),
+    XosRepresentation.from_weights([[-(v % 3) for v in range(70)], [-(v % 5) for v in range(70)]]),
+]
+
+
+@pytest.mark.parametrize("rep", NONPOSITIVE_SINGLETONS, ids=lambda rep: f"n{rep.n}")
+def test_no_retained_element_gives_empty_set(rep):
+    # nothing survives preprocessing; only enum queries past it (the empty set)
+    solvers = {
+        "enum": lambda o: solve_enum_small_sets(o, EnumParams("1/2")),
+        "sample": lambda o: solve_random_sampling(o, SamplingParams("1/2", seed=3)),
+        "exact2": solve_exact_2xos,
+        "kminus1": solve_k_minus_1,
+        "star": solve_exact_star,
+    }
+    for name, solver in solvers.items():
+        report = solver(oracle_for(rep))
+        assert (report.algorithm, report.output, report.value) == (name, 0, 0)
+        assert report.oracle_calls == rep.n + (name == "enum"), name
+    oracle = oracle_for(rep)
+    assert enumerate_maximal_cliques(oracle) == ()
+    assert oracle.calls == rep.n
+
+
 def test_exact2_matches_brute_on_corpus():
     for seed in range(150):
         rep = random_rep(n=10, k=2, seed=seed)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from xosmax import cli
+from xosmax import SamplingParams, cli, solve_random_sampling
 from xosmax.cli import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -156,6 +157,35 @@ def test_exit_code_cap_exceeded(tmp_path):
     assert r.returncode == 4
     v = run_cli("verify", "--instance", str(p))
     assert v.returncode == 4
+
+
+def test_brute_over_cap_exits_4_at_once(tmp_path):
+    # the cap is a constant: no flag raises it, so an n=21 brute run ends at once
+    p = tmp_path / "n21.json"
+    p.write_text(json.dumps({"type": "explicit", "n": 21, "weights": [[1] * 21]}))
+    t0 = time.perf_counter()
+    assert main(["solve", "--algo", "brute", "--instance", str(p)]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    for command in (["solve", "--algo", "brute", "--instance", str(p)],
+                    ["bench", "--config", str(p)]):
+        assert main([*command, "--brute-cap", "30"]) == 2
+
+
+def test_solve_flags_reach_the_solver(tmp_path, inst_path):
+    needle = tmp_path / "needle.json"
+    needle.write_text(json.dumps(NEEDLE_DOC))
+    r = run_cli("solve", "--algo", "probe", "--instance", str(needle), "--queries", "7")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["calls"] == 7
+
+    r = run_cli("solve", "--algo", "sample", "--instance", inst_path, "--epsilon", "1/2",
+                "--budget-override", "3", "--high-probability", "--seed", "11")
+    assert r.returncode == 0, r.stderr
+    rec = json.loads(r.stdout)
+    params = SamplingParams("1/2", seed=11, sample_budget_override=3, high_probability=True)
+    report = solve_random_sampling(instance_from_dict(EXPLICIT_DOC).oracle(), params)
+    assert (rec["value"], rec["calls"]) == (report.value, report.oracle_calls)
+    assert rec["budget_override"] == 3
 
 
 def test_verify_over_cap_builds_no_representation(tmp_path, monkeypatch):

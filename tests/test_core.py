@@ -25,6 +25,7 @@ from xosmax.core import (
     check_value,
     first_max,
     iter_masks_by_card,
+    lift,
     masks_of_card,
 )
 
@@ -36,6 +37,17 @@ def test_mask_roundtrip():
     assert elements_of(0b100101) == (0, 2, 5)
     assert elements_of(0) == ()
     assert mask_of([]) == 0
+
+
+def test_lift_maps_positions_to_elements():
+    masks = [0b110, 0b001, 0b111, 0, 0b010]
+    assert lift(masks, 0b111) is masks
+    assert list(lift(iter(masks), 0b111)) == masks
+    universe = mask_of([3, 70, 4095])
+    elems = elements_of(universe)
+    want = [mask_of(elems[p] for p in elements_of(m)) for m in masks]
+    assert list(lift(masks, universe)) == want
+    assert want[:2] == [(1 << 70) | (1 << 4095), 1 << 3]
 
 
 def test_masks_of_card_matches_itertools():
