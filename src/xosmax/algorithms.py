@@ -34,12 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
-    BLOCK,
     CapExceededError,
     CountingOracle,
     SolveReport,
+    _is_int,
     evaluated,
     first_max,
     iter_bits,
@@ -65,7 +66,7 @@ def as_fraction(eps: Fraction | int | str) -> Fraction:
     """Coerce an exact rational epsilon; floats are rejected on purpose."""
     if isinstance(eps, Fraction):
         f = eps
-    elif isinstance(eps, int) and not isinstance(eps, bool):
+    elif _is_int(eps):
         f = Fraction(eps)
     elif isinstance(eps, str):
         try:
@@ -112,8 +113,9 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        SplitMix64(self.seed)  # the generator's own seed check, before any query
         budget = self.sample_budget_override
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+        if budget is not None and not (_is_int(budget) and budget >= 1):
             raise ValueError(f"sample_budget_override must be an integer >= 1, got {budget!r}")
         if not isinstance(self.high_probability, bool):
             raise ValueError(f"high_probability must be true or false, got {self.high_probability!r}")
@@ -293,13 +295,10 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
 
     rng = SplitMix64(params.seed)
-
-    def draws():
-        for m in range(1, min(rounds, r) + 1):
-            for start in range(0, per_round, BLOCK):
-                yield from sample_masks(r, m, min(BLOCK, per_round - start), rng)
-
-    best_mask, best_val = first_max(evaluated(oracle, lift(draws(), retained)))
+    draws = chain.from_iterable(
+        sample_masks(r, m, per_round, rng) for m in range(1, min(rounds, r) + 1)
+    )
+    best_mask, best_val = first_max(evaluated(oracle, lift(draws, retained)))
     return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
 
 

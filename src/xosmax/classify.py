@@ -6,13 +6,16 @@ violating witness on failure:
 
 * normalized:  f(empty) = 0
 * monotone:    X subset of Y  =>  f(X) <= f(Y)
-* additive:    f(X) = sum of singleton values over X
+* additive:    f(X) = sum of singleton values over X, checked as
+               f(X) = f(X - u) + f({u}) for u the lowest element of X
 * submodular:  f(X) + f(Y) >= f(X | Y) + f(X & Y) for all pairs
 * subadditive: f(X) + f(Y) >= f(X | Y) for all pairs
 
 The table's dtype carries its exactness: int64 when every |value| < 2^62,
 so any sum or difference of two entries is exact, and otherwise a numpy
-object array of Python ints. Every check has one vectorized implementation,
+object array of Python ints. A representation's table is combined from its
+per-byte subset-sum tables, one component at a time, so it holds O(2^n)
+values whatever the width. Every check has one vectorized implementation,
 exact on either dtype. Fast routes decide the two pair classes:
 submodularity through diminishing marginals in O(n^2 2^n), subadditivity
 through a walk over the rows X in O(3^n) that stops at the first failing
@@ -34,9 +37,6 @@ import numpy as np
 from .core import (
     CapExceededError,
     CountingOracle,
-    INT64_MAX,
-    INT64_MIN,
-    ValueOverflowError,
     XosRepresentation,
     check_value,
 )
@@ -94,31 +94,13 @@ def _exact_table(table: np.ndarray) -> np.ndarray:
     return table.astype(np.int64, copy=False)
 
 
-def _subset_sums(weights) -> np.ndarray:
-    """sum of weights[v] over v in mask, for every mask, by doubling.
-
-    Exact at any weight size: int64 when sum |w| <= INT64_MAX, so no partial
-    sum can leave the range, otherwise Python ints in an object array.
-    """
-    weights = [int(w) for w in weights]
-    wide = sum(abs(w) for w in weights) > INT64_MAX
-    sums = np.zeros(1 << len(weights), dtype=object if wide else np.int64)
-    for v, w in enumerate(weights):
-        if w == 0:
-            continue
-        step = 1 << v
-        view = sums.reshape(-1, 2 * step)
-        view[:, step:] = view[:, :step] + w
-    return sums
-
-
 def materialize(
     source: Union[XosRepresentation, CountingOracle, Callable[[int], int]],
     n: int | None = None,
 ) -> DenseFunction:
     """Build the dense table for a representation, oracle, or callable.
 
-    Representations take a vectorized subset-sum path; oracles are evaluated
+    Representations are read from their byte tables; oracles are evaluated
     mask by mask (counted, 2^n calls). A bare callable needs ``n``. The cap
     is checked before any evaluation.
     """
@@ -137,14 +119,21 @@ def materialize(
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
-    """Max of the per-component subset sums; a component sum outside int64
-    raises, as ``rep.evaluate`` does on that mask."""
+    """Max of the per-component subset sums, read from ``rep._byte_tables``.
+
+    A component whose subset sums leave int64 has no byte tables and raises,
+    as ``rep.evaluate`` does on the mask that reaches that sum.
+    """
+    tables = rep._byte_tables
+    if tables is None:
+        for comp in rep.components:
+            check_value(sum(w for w in comp.weights if w < 0), "component sum")
+            check_value(sum(w for w in comp.weights if w > 0), "component sum")
     table = None
-    for comp in rep.components:
-        sums = _subset_sums(comp.weights)
-        for s in (sums.min(), sums.max()):
-            if not INT64_MIN <= s <= INT64_MAX:
-                raise ValueOverflowError(f"component sum {s} outside signed 64-bit range")
+    for i in range(rep.width):
+        sums = tables[0][:, i]
+        for byte in tables[1:]:  # each byte's bits lie above all bits in sums
+            sums = (byte[:, i, None] + sums).ravel()
         table = sums if table is None else np.maximum(table, sums)
     out = DenseFunction.__new__(DenseFunction)
     out.n = rep.n
@@ -177,8 +166,15 @@ def check_monotone(f: DenseFunction) -> tuple[bool, Witness]:
 
 
 def check_additive(f: DenseFunction) -> tuple[bool, Witness]:
-    sums = _subset_sums(f[1 << v] for v in range(f.n))
-    bad = np.nonzero(f.values != sums)[0]
+    """f(empty) = 0 and f(X) = f(X - u) + f({u}) for u the lowest element of X.
+
+    By induction on X this is f(X) = sum of singleton values over X, and the
+    first X that breaks the recurrence is the first that breaks the sum.
+    """
+    vals = f.values
+    xs = np.arange(len(vals))
+    low = xs & -xs  # 0 at X = empty, where the test reads f(empty) = 2 f(empty)
+    bad = np.nonzero(vals != vals[xs ^ low] + vals[low])[0]
     if bad.size:
         return False, (int(bad[0]),)
     return True, None

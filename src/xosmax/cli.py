@@ -49,6 +49,7 @@ from .core import (
     CapExceededError,
     InstanceFormatError,
     ValueOverflowError,
+    _is_int,
     elements_of,
 )
 from .hardness import FAMILIES, uniform_size_probe
@@ -195,7 +196,7 @@ class ExperimentConfig:
         if algo not in ALGORITHMS:
             raise UsageError(f"config algorithm must be one of {', '.join(ALGORITHMS)}")
         trials = doc.get("trials")
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        if not (_is_int(trials) and trials >= 0):
             raise UsageError("config field 'trials' must be a nonnegative integer")
         base_seed = doc.get("base_seed", 0)
         params = doc.get("params", {})
@@ -214,7 +215,7 @@ class ExperimentConfig:
 
 
 def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_MOD:
+    if not (_is_int(seed) and 0 <= seed < _SEED_MOD):
         raise UsageError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 

@@ -59,9 +59,14 @@ class CapExceededError(RuntimeError):
     """An exhaustive computation was requested beyond its configured cap."""
 
 
+def _is_int(v) -> bool:
+    """True for a plain int; a bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_value(v: int, what: str = "value") -> int:
     """Validate that ``v`` is a plain int inside the signed 64-bit range."""
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise InstanceFormatError(f"{what} must be an integer, got {type(v).__name__}")
     if not INT64_MIN <= v <= INT64_MAX:
         raise ValueOverflowError(f"{what} {v} outside signed 64-bit range")
@@ -174,7 +179,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
+        if not _is_int(self.n):
             raise InstanceFormatError("ground size must be an integer")
         if not 1 <= self.n <= MAX_GROUND_SIZE:
             raise InstanceFormatError(

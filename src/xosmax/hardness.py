@@ -31,11 +31,9 @@ and is the one table ``parse_hidden`` and ``xosmax gen`` read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import ClassVar, Union
 
 from .core import (
-    BLOCK,
     INT64_MAX,
     AdditiveFunction,
     CountingOracle,
@@ -43,6 +41,7 @@ from .core import (
     InstanceFormatError,
     SolveReport,
     XosRepresentation,
+    _is_int,
     evaluated,
     first_max,
     iter_bits,
@@ -50,10 +49,6 @@ from .core import (
 from .rng import SplitMix64, sample_mask, sample_masks
 
 _SEED_LIMIT = 1 << 64
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class _HiddenFamily:
@@ -352,8 +347,5 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
         raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
     start_calls = oracle.calls
     rng = SplitMix64(seed)
-    masks = chain.from_iterable(
-        sample_masks(n, size, min(BLOCK, queries - start), rng) for start in range(0, queries, BLOCK)
-    )
-    best_mask, best_val = first_max(evaluated(oracle, masks))
+    best_mask, best_val = first_max(evaluated(oracle, sample_masks(n, size, queries, rng)))
     return SolveReport("probe", best_mask, best_val, oracle.calls - start_calls, seed=seed)

@@ -8,15 +8,17 @@ regression tests pin known-answer vectors, so the stream will not change
 across versions. Bounded draws use rejection sampling, which keeps them
 exactly uniform, and fixed-size subsets come from a partial Fisher-Yates
 shuffle, which makes every m-element subset exactly equally likely.
-``sample_masks`` draws many subsets at once with numpy and returns exactly
-what the scalar sampler would.
+``sample_masks`` streams many subsets: it draws them BLOCK at a time with
+numpy, holds one block, and yields exactly what the scalar sampler would.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from .core import BLOCK
+from .core import BLOCK, _is_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -44,8 +46,8 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if not (_is_int(seed) and 0 <= seed <= _MASK64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         self.state = seed
 
     def next_u64(self) -> int:
@@ -129,24 +131,28 @@ def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
     return np.bitwise_or.reduce(bits, axis=1).tolist()
 
 
-def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> list[int]:
-    """``[sample_mask(n, m, rng) for _ in range(count)]``, final state included.
+def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
+    """``sample_mask(n, m, rng)`` ``count`` times, as a stream.
 
-    For n <= 64 the masks are drawn BLOCK at a time by ``_mask_block``; a
-    block that meets a rejection is redrawn by the scalar code from the same
-    state. Larger grounds use the scalar code.
+    The arguments are checked at the call. For n <= 64 the masks are drawn
+    BLOCK at a time by ``_mask_block`` as they are taken; a block that meets
+    a rejection is redrawn by the scalar code from the same state, and
+    larger grounds always use it. Once every mask is taken, ``rng`` is where
+    ``count`` scalar calls would leave it.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cannot sample {m} of {n} positions")
-    if n > 64:
-        return [sample_mask(n, m, rng) for _ in range(count)]
-    out: list[int] = []
+    if not (_is_int(count) and count >= 0):
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    return _mask_stream(n, m, count, rng)
+
+
+def _mask_stream(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
-        block = _mask_block(n, m, size, rng.state)
+        block = _mask_block(n, m, size, rng.state) if n <= 64 else None
         if block is None:
-            out.extend(sample_mask(n, m, rng) for _ in range(size))
+            block = [sample_mask(n, m, rng) for _ in range(size)]
         else:
-            out.extend(block)
             rng.state = (rng.state + size * m * _GAMMA) & _MASK64
-    return out
+        yield from block

@@ -143,6 +143,12 @@ def test_as_fraction_rejects_floats_and_nonpositive():
 # sampling solver
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1, 1 << 64, "7"])
+def test_sampling_params_check_the_seed_at_construction(seed):
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        SamplingParams(1, seed=seed)
+
+
 def test_ceil_root_exactness():
     assert _ceil_root(27, 3) == 3
     assert _ceil_root(28, 3) == 4

@@ -26,7 +26,7 @@ from xosmax.classify import _SAFE_SUM_BOUND, _pair_scan, check_submodular_margin
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
-from helpers import random_rep, random_star_representation, ref_rep_value, rep_as_lists
+from helpers import bits_of, random_rep, random_star_representation, ref_rep_value, rep_as_lists
 
 EXAMPLE = XosRepresentation.from_weights([[3, -1, 2], [1, 2, -5]])
 
@@ -48,6 +48,25 @@ def test_materialize_matches_direct_evaluation():
         rows = rep_as_lists(rep)
         for mask in range(1 << 7):
             assert f[mask] == ref_rep_value(rows, mask)
+
+
+@pytest.mark.parametrize("n", [9, 13, 16])
+def test_materialize_reads_every_byte_table(n):
+    # n > 8 spreads each mask over two byte tables; widths 1-4 combine them
+    # per component. The last row set sums to INT64_MAX exactly, so the
+    # table keeps byte tables and ends up object dtype.
+    edge = [[INT64_MAX - (n - 1)] + [1] * (n - 1), [INT64_MIN + (n - 1)] + [-1] * (n - 1)]
+    reps = [random_rep(n, k, seed=n * 10 + k, low=-1000, high=1000) for k in range(1, 5)]
+    reps.append(XosRepresentation.from_weights(edge))
+    for rep in reps:
+        assert rep._byte_tables is not None
+        f = materialize(rep)
+        rows = rep_as_lists(rep)
+        assert [f[mask] for mask in range(1 << n)] == [
+            ref_rep_value(rows, mask) for mask in range(1 << n)
+        ]
+        wide = rep is reps[-1]
+        assert f.values.dtype == (object if wide else np.int64)
 
 
 def test_materialize_from_oracle_and_callable():
@@ -139,6 +158,36 @@ def test_check_additive_exact():
     (mask,) = witness
     singles = sum(EXAMPLE.evaluate(1 << v) for v in range(3) if (mask >> v) & 1)
     assert EXAMPLE.evaluate(mask) != singles
+
+
+def _first_non_additive(f: DenseFunction):
+    """First mask whose value is not the sum of its singleton values."""
+    for mask in range(len(f)):
+        if f[mask] != sum(f[1 << v] for v in bits_of(mask)):
+            return (mask,)
+    return None
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_check_additive_witness_matches_a_scan(n):
+    g = SplitMix64(n)
+    small = [g.randrange(2001) - 1000 for _ in range(n)]
+    # |values| reach 2^62, so this table is object dtype.
+    wide = [1 << 62, -(1 << 62), 1 << 61, -(1 << 61)] + small[4:]
+    full = (1 << n) - 1
+    for weights in (small, wide):
+        additive = [sum(weights[v] for v in bits_of(mask)) for mask in range(1 << n)]
+        shifted = [v + 1 for v in additive]  # f(empty) = 1
+        at_full = additive[:full] + [additive[full] + 1]
+        poked = list(additive)
+        for _ in range(3):
+            poked[g.randrange(1 << n)] -= 1
+        for values in (additive, shifted, at_full, poked):
+            f = DenseFunction(n, values)
+            assert f.values.dtype == (object if weights is wide else np.int64)
+            expected = _first_non_additive(f)
+            assert check_additive(f) == (expected is None, expected)
+        assert _first_non_additive(DenseFunction(n, at_full)) == (full,)
 
 
 def test_check_submodular_on_coverage():

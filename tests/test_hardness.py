@@ -65,6 +65,14 @@ def test_probe_counts_and_zero_queries():
     assert (empty.output, empty.value, empty.oracle_calls) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+def test_probe_rejects_a_bad_seed_before_any_query(seed):
+    oracle = gen_needle(12, 6, 3, seed=2).oracle()
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        uniform_size_probe(oracle, 3, 40, seed=seed)
+    assert oracle.calls == 0
+
+
 def test_probe_finds_needle_when_it_cannot_miss():
     # s = n makes every size-t draw a subset of the planted set
     inst = gen_needle(5, 5, 2, seed=1)

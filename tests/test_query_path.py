@@ -39,7 +39,7 @@ def test_sample_masks_matches_scalar_draws(n):
             seed = (n * 1_000_003 + m * 10_007 + count) & _MASK64
             scalar, batched = SplitMix64(seed), SplitMix64(seed)
             expected = [sample_mask(n, m, scalar) for _ in range(count)]
-            assert sample_masks(n, m, count, batched) == expected, (n, m, count)
+            assert list(sample_masks(n, m, count, batched)) == expected, (n, m, count)
             assert batched.state == scalar.state, (n, m, count)
 
 
@@ -53,7 +53,7 @@ def test_sample_masks_redraws_a_block_with_a_rejection():
     scalar, batched = SplitMix64(seed), SplitMix64(seed)
     expected = [sample_mask(24, 6, scalar) for _ in range(5)]
     assert _draws_between(seed, scalar.state) == 31
-    assert sample_masks(24, 6, 5, batched) == expected
+    assert list(sample_masks(24, 6, 5, batched)) == expected
     assert batched.state == scalar.state
 
 
@@ -62,6 +62,15 @@ def test_sample_masks_rejects_impossible_sizes():
         sample_masks(4, 5, 3, SplitMix64(0))
     with pytest.raises(ValueError):
         sample_masks(4, -1, 3, SplitMix64(0))
+
+
+@pytest.mark.parametrize("count", [-1, True, 1.5, "3"])
+def test_sample_masks_checks_count_at_the_call(count):
+    # The call raises before any mask is taken or any draw is made.
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="count must be an integer >= 0"):
+        sample_masks(24, 6, count, rng)
+    assert rng.state == 5
 
 
 def _edge_rows(n: int) -> list[list[int]]:
@@ -204,3 +213,14 @@ def test_query_path_memory_stays_bounded():
     probe = _peak_bytes(lambda: uniform_size_probe(needle.oracle(), 6, 20000, 3))
     assert brute < 1 << 20, brute
     assert probe < 1 << 20, probe
+
+
+def test_sample_masks_holds_one_block():
+    # 300000 masks as one list would take about 11 MiB; the stream holds one
+    # block of BLOCK masks however many are taken.
+    def take():
+        for _ in sample_masks(24, 6, 300_000, SplitMix64(11)):
+            pass
+
+    peak = _peak_bytes(take)
+    assert peak < 1 << 20, peak

@@ -101,3 +101,9 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         SplitMix64(1 << 64)
     SplitMix64((1 << 64) - 1)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "1", None])
+def test_seed_must_be_a_plain_int(seed):
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        SplitMix64(seed)
