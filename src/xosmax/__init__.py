@@ -8,13 +8,10 @@ a trial harness behind the ``xosmax`` command-line tool.
 """
 
 from .algorithms import (
-    DEFAULT_BRUTE_CAP,
     RHO_FALLBACK_THRESHOLD,
-    BruteForceCapError,
     EnumParams,
     SamplingParams,
     enumerate_maximal_cliques,
-    grow_clique,
     preprocess,
     solve_brute_force,
     solve_enum_small_sets,
@@ -37,6 +34,7 @@ from .classify import (
 )
 from .core import (
     MAX_GROUND_SIZE,
+    MAX_QUERIES,
     AdditiveFunction,
     CapExceededError,
     CountingOracle,
@@ -54,11 +52,7 @@ from .hardness import (
     HardGeneralInstance,
     HardKxosInstance,
     NeedleInstance,
-    gen_hard_general,
-    gen_hard_kxos,
-    gen_needle,
     parse_hidden,
-    planted_optimum,
     uniform_size_probe,
 )
 from .instances import (
@@ -74,11 +68,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveFunction",
-    "BruteForceCapError",
     "CLASS_NAMES",
     "CapExceededError",
     "CountingOracle",
-    "DEFAULT_BRUTE_CAP",
     "DenseFunction",
     "EnumParams",
     "GroundSet",
@@ -87,6 +79,7 @@ __all__ = [
     "InstanceFormatError",
     "InstanceHandle",
     "MAX_GROUND_SIZE",
+    "MAX_QUERIES",
     "NeedleInstance",
     "RHO_FALLBACK_THRESHOLD",
     "SamplingParams",
@@ -104,10 +97,6 @@ __all__ = [
     "dump_instance",
     "elements_of",
     "enumerate_maximal_cliques",
-    "gen_hard_general",
-    "gen_hard_kxos",
-    "gen_needle",
-    "grow_clique",
     "instance_from_dict",
     "load_explicit",
     "load_instance",
@@ -115,7 +104,6 @@ __all__ = [
     "materialize",
     "parse_explicit",
     "parse_hidden",
-    "planted_optimum",
     "preprocess",
     "random_explicit",
     "sample_mask",

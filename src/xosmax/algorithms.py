@@ -1,20 +1,32 @@
 """Query-efficient maximization of XOS functions given by a value oracle.
 
-Solvers (query costs count oracle calls, including their own preprocessing):
+Solvers. Query counts are exact worst cases that include the solver's own
+preprocessing; r <= n is the number of elements the singleton scan keeps.
 
-========================  =======================================  ==============
-solver                    guarantee                                queries
-========================  =======================================  ==============
-solve_enum_small_sets     (eps*n)-approximation                    sum C(n,i), i<=ceil(1/eps)
-solve_random_sampling     rho-approximation in expectation,        n^(1/eps+1) * O(log n / eps)
-                          rho = eps*n/ln(n)
-solve_exact_2xos          exact when the oracle is 2-XOS           <= 6n+10
-solve_k_minus_1           (k-1)-approximation, width k unknown;    O(k^2 n)
-                          exact when the oracle is 2-XOS
-solve_exact_star          exact when singleton weights are         O(n^(k+1))
-                          peaked-or-nonpositive (star condition)
-solve_brute_force         exact, any oracle                        2^n
-========================  =======================================  ==============
+========================  ===================================  ==========================================
+solver                    guarantee                            queries (the phase the limit can refuse)
+========================  ===================================  ==========================================
+solve_enum_small_sets     (eps*n)-approximation                n + sum_{i<=min(cap,r)} C(r,i),
+                                                               cap = ceil(1/eps) (enumeration)
+solve_random_sampling     rho-approximation in expectation,    n + min(rounds,r)*per_round (rounds), or
+                          rho = eps*n/ln(n)                    n + 2^r exhaustively below the threshold
+solve_exact_2xos          exact when the oracle is 2-XOS       <= 6n+10 (never refused)
+solve_k_minus_1           (k-1)-approximation, width k         n + (r-1) per closure (each closure)
+                          unknown; exact when 2-XOS            + sum_V (r-|V|+1) (expansions)
+                                                               + sum_pairs (1+r-|union|) (bridges)
+solve_exact_star          exact when singleton weights are     n + sum_c C(r,c)*(r-c+[c>1]) over the
+                          peaked-or-nonpositive (star cond.)   rounds c it runs (each round)
+solve_brute_force         exact, any oracle                    2^n (the whole search)
+========================  ===================================  ==========================================
+
+A solver run makes fewer than ``core.MAX_QUERIES`` = 2^21 queries. Before a
+phase's first query it checks the queries spent so far plus the phase's
+count above, and raises CapExceededError when they would reach the limit;
+expansions and bridges are one phase. For sampling, rounds =
+ceil(2 ln(r)/eps) and per_round = ceil(r^(1/eps+1)) or the override, times
+ceil(2*eps*r) with high_probability. Exact maximization needs
+exponentially many queries already at width 3, so large grounds meet the
+limit where an unbounded search would not finish.
 
 All solvers except brute force start by querying the n singleton values and
 retaining only elements with strictly positive value; dropped elements can
@@ -37,10 +49,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import (
-    CapExceededError,
+    MAX_QUERIES,
     CountingOracle,
     SolveReport,
     _is_int,
+    check_queries,
     evaluated,
     first_max,
     iter_bits,
@@ -49,17 +62,11 @@ from .core import (
     masks_of_card,
 )
 # sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
-from .rng import SplitMix64, sample_masks, sample_positions  # noqa: F401
+from .rng import SplitMix64, check_seed, sample_masks, sample_positions  # noqa: F401
 
 # Below this approximation factor the sampling analysis needs more samples
 # than brute force would cost, so the solver enumerates instead.
 RHO_FALLBACK_THRESHOLD = 2 * math.e / (math.e - 2)
-
-DEFAULT_BRUTE_CAP = 20
-
-
-class BruteForceCapError(CapExceededError):
-    """Exhaustive enumeration was requested beyond the configured cap."""
 
 
 def as_fraction(eps: Fraction | int | str) -> Fraction:
@@ -113,7 +120,7 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        SplitMix64(self.seed)  # the generator's own seed check, before any query
+        check_seed(self.seed)  # before any query
         budget = self.sample_budget_override
         if budget is not None and not (_is_int(budget) and budget >= 1):
             raise ValueError(f"sample_budget_override must be an integer >= 1, got {budget!r}")
@@ -159,7 +166,10 @@ def _grow_from(
     """Greedy additive closure: add u when f(X + u) = f(X) + f(u).
 
     Scans ascending element index; one query per scanned element. The
-    running value needs no extra queries because a passed test pins it.
+    running value needs no extra queries because a passed test pins it. For
+    an XOS oracle the closure of a singleton is the intersection of the
+    cliques of all components that attain every accepted singleton, which is
+    what makes the width-2 solver exact.
     """
     for u in iter_bits(universe & ~cur):
         t = oracle.evaluate(cur | (1 << u))
@@ -167,22 +177,6 @@ def _grow_from(
             cur |= 1 << u
             cur_val = t
     return cur, cur_val
-
-
-def grow_clique(oracle: CountingOracle, start: int, universe: int) -> int:
-    """Grow the additive closure of {start} inside ``universe``.
-
-    For an XOS oracle the result is the intersection of the cliques of all
-    components that attain every accepted singleton, which is what makes the
-    width-2 solver exact. Costs |universe| singleton queries plus at most
-    |universe| growth queries.
-    """
-    oracle.ground.validate_subset(universe)
-    if not (universe >> start) & 1:
-        raise ValueError(f"start element {start} is not in the universe mask")
-    singles = {v: oracle.evaluate(1 << v) for v in iter_bits(universe)}
-    mask, _ = _grow_from(oracle, 1 << start, singles[start], universe, singles)
-    return mask
 
 
 def _expand_improving(
@@ -228,7 +222,14 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
     """
     start_calls = oracle.calls
     retained, _ = _scan_singletons(oracle)
-    best_mask, best_val = _exhaustive(oracle, retained, params.size_cap)
+    r = retained.bit_count()
+    top = min(params.size_cap, r)
+    count = term = 1
+    for i in range(top):  # count = sum_{i<=top} C(r, i), term = C(r, i+1)
+        term = term * (r - i) // (i + 1)
+        count += term
+    check_queries(oracle.calls - start_calls, count, f"enum subsets of size <= {top}")
+    best_mask, best_val = _exhaustive(oracle, retained, top)
     return SolveReport("enum", best_mask, best_val, oracle.calls - start_calls)
 
 
@@ -261,10 +262,11 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     uniform subsets of each size m = 1..ceil(2 ln(n)/epsilon) and keeping the
     best hits, in expectation, a value >= OPT/rho. Below that threshold (or
     when only one element survives preprocessing) the analysis is void and n
-    is bounded by a constant, so the solver enumerates the retained subsets
-    exhaustively instead; the exhaustive path is only taken when the retained
-    size is at most DEFAULT_BRUTE_CAP, otherwise the sampling loops run anyway
-    (2^n enumeration at desk scale would not terminate for small epsilon).
+    is bounded by a constant, so the solver enumerates the 2^r retained
+    subsets instead, provided n + 2^r stays below MAX_QUERIES (r <= 20 for
+    every ground size); otherwise the sampling rounds run anyway with the
+    guarantee void. The rounds cost min(rounds, r) * per_round queries and
+    are refused when that would reach the limit.
 
     Deterministic given ``params.seed``: samples come from a splitmix64
     stream via partial Fisher-Yates, so replays are bit-identical.
@@ -279,13 +281,10 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     eps = params.epsilon
     p, q = eps.numerator, eps.denominator
     fallback, rounds = (True, 0) if r == 1 else _sampling_schedule(r, p, q)
-    if fallback:
-        if r <= DEFAULT_BRUTE_CAP:
-            best_mask, best_val = _exhaustive(oracle, retained, r)
-            return SolveReport(
-                "sample", best_mask, best_val, oracle.calls - start_calls, **extra
-            )
-        # Retained set too large to enumerate; sample anyway (guarantee void).
+    if fallback and oracle.calls - start_calls + (1 << r) < MAX_QUERIES:
+        best_mask, best_val = _exhaustive(oracle, retained, r)
+        return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
+    # Past here a fallback set is too large to enumerate; sample anyway (guarantee void).
 
     if params.sample_budget_override is not None:
         per_round = params.sample_budget_override
@@ -293,11 +292,11 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
         per_round = _ceil_root(r ** (p + q), p)  # ceil(r^(1/eps + 1)), exact
     if params.high_probability:
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
+    rounds = min(rounds, r)
+    check_queries(oracle.calls - start_calls, rounds * per_round, "sample rounds")
 
     rng = SplitMix64(params.seed)
-    draws = chain.from_iterable(
-        sample_masks(r, m, per_round, rng) for m in range(1, min(rounds, r) + 1)
-    )
+    draws = chain.from_iterable(sample_masks(r, m, per_round, rng) for m in range(1, rounds + 1))
     best_mask, best_val = first_max(evaluated(oracle, lift(draws, retained)))
     return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
 
@@ -341,8 +340,11 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
     union with one extra element; the best candidate is within a factor
     (k-1): a maximizer splits across component cliques, and either one
     clique carries a (k-1) share or two cliques plus a bridge element do.
-    Query cost is O(k^2 n); exact for 2-XOS oracles (the pair family then
-    contains the same candidates as the width-2 solver).
+    Exact for 2-XOS oracles (the pair family then contains the same
+    candidates as the width-2 solver). Each closure costs at most r - 1
+    queries, each expansion of V at most r - |V| + 1 and each closure pair
+    1 + r - |union|; the limit is checked before each closure and once
+    before the expansions and bridges.
 
     Candidate order is fixed (closures, then expansions, then pairs in
     lexicographic order with the extra element ascending); the first
@@ -350,14 +352,23 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
     """
     start_calls = oracle.calls
     retained, singles = _scan_singletons(oracle)
+    r = retained.bit_count()
     cliques: list[tuple[int, int]] = []
     covered = 0
     while covered != retained:
+        check_queries(oracle.calls - start_calls, r - 1, f"kminus1 closure {len(cliques) + 1}")
         rest = retained & ~covered
         v = (rest & -rest).bit_length() - 1
         V, val = _grow_from(oracle, 1 << v, singles[v], retained, singles)
         cliques.append((V, val))
         covered |= V
+    masks = [V for V, _ in cliques]
+    count = sum(r - V.bit_count() + 1 for V in masks) + sum(
+        1 + r - (masks[i] | masks[j]).bit_count()
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+    )
+    check_queries(oracle.calls - start_calls, count, "kminus1 expansions and bridges")
 
     def candidates():
         yield from cliques
@@ -382,23 +393,27 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
     return SolveReport("kminus1", best_mask, best_val, oracle.calls - start_calls)
 
 
-def _maximal_cliques(
-    oracle: CountingOracle, retained: int, singles
-) -> tuple[tuple[int, int], ...]:
+def _maximal_cliques(oracle: CountingOracle, algorithm: str) -> tuple[tuple[int, int], ...]:
     """Shared core of enumerate_maximal_cliques / solve_exact_star.
 
-    Round c tests every retained c-subset X for additivity
-    (f(X) = sum of singleton values; free for c = 1) and grows the additive
-    closure of each additive X. Every closure is a maximal clique, and once
+    Scans the singletons, then round c tests every retained c-subset X for
+    additivity (f(X) = sum of singleton values; free for c = 1) and grows
+    the additive closure of each additive X. Every closure is a maximal clique, and once
     the family size equals the round number the family is complete: a
     missing clique would contain, for each found clique, an element outside
     it, and those fingerprint elements form an additive set of size at most
     the family size whose closure would have been found in an earlier round.
+    Round c costs at most C(r, c) * (r - c + [c > 1]) queries and is refused
+    before it starts when that would reach the limit.
     """
+    start_calls = oracle.calls
+    retained, singles = _scan_singletons(oracle)
     r = retained.bit_count()
     found: list[tuple[int, int]] = []
     seen: set[int] = set()
     for card in range(1, r + 1):
+        count = math.comb(r, card) * (r - card + (card > 1))
+        check_queries(oracle.calls - start_calls, count, f"{algorithm} round {card}")
         for actual in lift(masks_of_card(r, card), retained):
             ssum = sum(singles[v] for v in iter_bits(actual))
             if card > 1 and oracle.evaluate(actual) != ssum:
@@ -419,13 +434,12 @@ def enumerate_maximal_cliques(oracle: CountingOracle) -> tuple[int, ...]:
 
     A clique is a set on which f is additive (a subset of one component's
     singleton-maximizer set); maximal cliques are the inclusion-maximal
-    additive closures. Query cost is O(n^(k+1)) for width k: the family-size
-    stop condition fires after at most k rounds. Includes its own
-    preprocessing (n queries); behavior for non-XOS oracles is undefined but
-    terminating.
+    additive closures. The family-size stop condition fires after at most k
+    rounds for width k, so the cost is n + sum_{c<=k} C(r,c)*(r-c+[c>1]).
+    Includes its own preprocessing (n queries); behavior for non-XOS oracles
+    is undefined but terminating.
     """
-    retained, singles = _scan_singletons(oracle)
-    return tuple(mask for mask, _ in _maximal_cliques(oracle, retained, singles))
+    return tuple(mask for mask, _ in _maximal_cliques(oracle, "cliques"))
 
 
 def solve_exact_star(oracle: CountingOracle) -> SolveReport:
@@ -437,22 +451,20 @@ def solve_exact_star(oracle: CountingOracle) -> SolveReport:
     the best maximal clique is an exact maximizer.
     """
     start_calls = oracle.calls
-    retained, singles = _scan_singletons(oracle)
-    best_mask, best_val = first_max(_maximal_cliques(oracle, retained, singles))
+    best_mask, best_val = first_max(_maximal_cliques(oracle, "star"))
     return SolveReport("star", best_mask, best_val, oracle.calls - start_calls)
 
 
-def solve_brute_force(oracle: CountingOracle, cap: int = DEFAULT_BRUTE_CAP) -> SolveReport:
+def solve_brute_force(oracle: CountingOracle) -> SolveReport:
     """Exact maximizer by evaluating all 2^n subsets in canonical order.
 
-    Refuses to run for n > cap (default 20) with BruteForceCapError; raise
-    the cap explicitly for bigger grounds. No preprocessing: the all-negative
-    instance returns the empty set at value 0 because the empty set comes
-    first in canonical order.
+    2^n queries, refused with CapExceededError before the first one when
+    2^n reaches MAX_QUERIES, that is for n > 20. No preprocessing: the
+    all-negative instance returns the empty set at value 0 because the empty
+    set comes first in canonical order.
     """
     n = oracle.n
-    if n > cap:
-        raise BruteForceCapError(f"brute force over n={n} exceeds cap {cap}")
+    check_queries(0, 1 << n, "brute exhaustive search")
     start_calls = oracle.calls
     best_mask, best_val = _exhaustive(oracle, oracle.ground.full_mask, n)
     return SolveReport("brute", best_mask, best_val, oracle.calls - start_calls)

@@ -9,12 +9,16 @@ Subcommands:
 
 Machine output (instance JSON, trial records) goes to stdout or ``--out``;
 human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
-arguments, 3 instance error, 4 cap exceeded.
+arguments, 3 instance error, 4 a work bound refused the run: a solver
+phase whose worst case would take the run to ``core.MAX_QUERIES`` = 2^21
+queries (the message names the solver and the phase), or a ``verify``
+table above ``classify.MATERIALIZE_CAP`` elements. Either is refused before
+its first query or table entry.
 
 Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle
-(base_seed, from ``--seed`` or the config, must lie in [0, 2^64), as must
-``gen --seed``); the optimum reference is computed once per suite without
-any oracle, so reported call counts are the solver's own. CSV columns are fixed
+(base_seed, from ``--seed`` or the config, must pass ``rng.check_seed``,
+as must ``gen --seed``); the optimum reference is computed once per suite
+without any oracle, so reported call counts are the solver's own. CSV columns are fixed
 (trial,seed,algo,n,k,value,opt,ratio,calls,ms) and replaying a suite with
 the same base_seed is byte-identical because the ms column is 0 unless
 ``--record-timing`` asks for measured wall time.
@@ -34,7 +38,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .algorithms import (
-    DEFAULT_BRUTE_CAP,
     EnumParams,
     SamplingParams,
     solve_brute_force,
@@ -54,12 +57,16 @@ from .core import (
 )
 from .hardness import FAMILIES, uniform_size_probe
 from .instances import InstanceHandle, dump_instance, instance_from_dict, load_instance
+from .rng import SEED_LIMIT, check_seed
 
 ALGORITHMS = ("enum", "sample", "exact2", "kminus1", "star", "brute", "probe")
 
 CSV_COLUMNS = ("trial", "seed", "algo", "n", "k", "value", "opt", "ratio", "calls", "ms")
 
-_SEED_MOD = 1 << 64
+# Only passed to InstanceHandle.exact_optimum, which ignores it; the
+# benchmark harness passes it too, so it goes with that argument (ROADMAP
+# direction 7).
+DEFAULT_BRUTE_CAP = 20
 
 # The solver options: the keys a bench config's "params" object may hold and
 # the ``solve`` flags, each passed to run_trial as the keyword of that name.
@@ -214,11 +221,6 @@ class ExperimentConfig:
         return cls(inst, algo, trials, base_seed, params, fmt)
 
 
-def _check_seed(seed) -> None:
-    if not (_is_int(seed) and 0 <= seed < _SEED_MOD):
-        raise UsageError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-
-
 def _run_trials(
     handle: InstanceHandle,
     algo: str,
@@ -234,11 +236,11 @@ def _run_trials(
     """
     if trials < 0:
         raise UsageError("trials must be a nonnegative integer")
-    _check_seed(base_seed)
+    check_seed(base_seed, UsageError)
     opt_info = handle.exact_optimum(DEFAULT_BRUTE_CAP)
     return [
         run_trial(
-            handle, algo, trial=i, seed=(base_seed + i) % _SEED_MOD, opt_info=opt_info, **params
+            handle, algo, trial=i, seed=(base_seed + i) % SEED_LIMIT, opt_info=opt_info, **params
         )
         for i in range(trials)
     ]
@@ -355,7 +357,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         rows = _parse_weights_arg(args.weights)
         doc = {"type": "explicit", "n": len(rows[0]), "weights": rows}
     else:
-        _check_seed(args.seed)
+        check_seed(args.seed, UsageError)
         cls, _ = FAMILIES[args.type]
         params = {key: getattr(args, key) for key in cls.params}
         doc = {"type": args.type, "params": params, "seed": args.seed}

@@ -15,6 +15,8 @@ Conventions used throughout the package:
 * Subsets are plain ``int`` bitmasks of any length. Bit ``v`` set means
   element ``v`` is in the subset. Ground sizes are limited to
   1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound.
+* A solver run makes fewer than MAX_QUERIES oracle queries, and
+  :func:`check_queries` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
   Arithmetic is checked: a weight or an evaluated component sum outside
   [-2^63, 2^63 - 1] raises :class:`ValueOverflowError`, never wraps.
@@ -46,6 +48,11 @@ MAX_GROUND_SIZE = 4096
 # however many queries it makes.
 BLOCK = 1024
 
+# Fewer than MAX_QUERIES oracle queries per solver run. Exact maximization
+# needs exponentially many queries already at width 3, so a run that would
+# reach the limit is refused before it starts the phase that would cross it.
+MAX_QUERIES = 1 << 21
+
 
 class ValueOverflowError(OverflowError):
     """A value or component sum left the signed 64-bit range."""
@@ -56,7 +63,7 @@ class InstanceFormatError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive computation was requested beyond its configured cap."""
+    """A run would exceed a fixed work bound: MAX_QUERIES or a table cap."""
 
 
 def _is_int(v) -> bool:
@@ -71,6 +78,21 @@ def check_value(v: int, what: str = "value") -> int:
     if not INT64_MIN <= v <= INT64_MAX:
         raise ValueOverflowError(f"{what} {v} outside signed 64-bit range")
     return v
+
+
+def check_queries(spent: int, count: int, what: str) -> None:
+    """Raise CapExceededError unless ``spent + count < MAX_QUERIES``.
+
+    ``spent`` is what the run has queried so far and ``count`` the exact
+    worst case of its next phase. Solvers call this before the phase's first
+    query, so a refused run stops at once; ``what`` names solver and phase.
+    """
+    if spent + count >= MAX_QUERIES:
+        shown = count if count < 1 << 64 else f"~2^{count.bit_length() - 1}"
+        raise CapExceededError(
+            f"{what}: up to {shown} more queries after {spent} "
+            f"would reach the limit of {MAX_QUERIES} per run"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,12 @@ from .core import (
     SolveReport,
     XosRepresentation,
     _is_int,
+    check_queries,
     evaluated,
     first_max,
     iter_bits,
 )
-from .rng import SplitMix64, sample_mask, sample_masks
-
-_SEED_LIMIT = 1 << 64
+from .rng import SplitMix64, check_seed, sample_mask, sample_masks
 
 
 class _HiddenFamily:
@@ -68,8 +67,7 @@ class _HiddenFamily:
         for key in self.params:
             if not _is_int(getattr(self, key)):
                 raise InstanceFormatError(f"param {key!r} must be an integer")
-        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
-            raise InstanceFormatError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        check_seed(self.seed, InstanceFormatError)
 
     def oracle(self) -> CountingOracle:
         return CountingOracle(self.ground, self.evaluate)
@@ -301,18 +299,6 @@ FAMILIES: dict[str, tuple[type, dict]] = {
     "hard_kxos": (HardKxosInstance, {}),
 }
 
-gen_needle = NeedleInstance
-gen_hard_kxos = HardKxosInstance
-
-
-def gen_hard_general(n: int, tau: int, seed: int, remark_variant: bool = False) -> HardGeneralInstance:
-    return HardGeneralInstance(n, tau, seed, remark=remark_variant)
-
-
-def planted_optimum(instance: HiddenInstance) -> tuple[int, int]:
-    """(planted set, its value); raises when the planted set is not a maximizer."""
-    return instance.planted_optimum()
-
 
 def parse_hidden(doc: dict) -> HiddenInstance:
     """Parse a hidden-instance document {"type", "params", "seed"}."""
@@ -338,13 +324,15 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
     This is the natural probing strategy against a needle instance (only
     sizes >= t can score, and size t maximizes hits per query); each query
     hits a hidden s-subset with probability C(s, size)/C(n, size). With zero
-    queries the report is (empty set, 0) without touching the oracle.
+    queries the report is (empty set, 0) without touching the oracle; a
+    ``queries`` that reaches MAX_QUERIES is refused before the first query.
     """
     n = oracle.n
     if not (_is_int(size) and 1 <= size <= n):
         raise ValueError(f"probe size must be an integer in [1, {n}], got {size!r}")
     if not (_is_int(queries) and queries >= 0):
         raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
+    check_queries(0, queries, "probe queries")
     start_calls = oracle.calls
     rng = SplitMix64(seed)
     best_mask, best_val = first_max(evaluated(oracle, sample_masks(n, size, queries, rng)))

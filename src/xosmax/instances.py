@@ -85,7 +85,8 @@ class InstanceHandle:
         otherwise the O(kn) identity max_i sum_v max(w_i(v), 0) over the
         explicit representation or, for a hard_kxos whose planted set is
         not optimal, over its materialized representation ("brute").
-        ``cap`` is unused.
+        ``cap`` is unused; the benchmark harness still passes it, so it goes
+        with that call (ROADMAP direction 7).
         """
         p = self.planted()
         if p is not None:

@@ -20,7 +20,9 @@ import numpy as np
 
 from .core import BLOCK, _is_int
 
-_MASK64 = (1 << 64) - 1
+# A seed is the generator's whole state: a plain int in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -40,15 +42,23 @@ def _reject_from(bound: int) -> int:
     return _MASK64 + 1 - (_MASK64 + 1) % bound
 
 
+def check_seed(seed, error: type[ValueError] = ValueError) -> int:
+    """``seed`` if it is a valid seed, else raise ``error`` with the one text.
+
+    Every entry point checks seeds here and picks only the exception type.
+    """
+    if not (_is_int(seed) and 0 <= seed < SEED_LIMIT):
+        raise error(f"seed must be an unsigned 64-bit integer in [0, 2^64), got {seed!r}")
+    return seed
+
+
 class SplitMix64:
     """splitmix64 stream; state is a single 64-bit word."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not (_is_int(seed) and 0 <= seed <= _MASK64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        self.state = seed
+        self.state = check_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

@@ -23,12 +23,12 @@ import numpy as np
 from xosmax import (
     CountingOracle,
     EnumParams,
+    HardGeneralInstance,
+    HardKxosInstance,
+    NeedleInstance,
     SamplingParams,
     check_class,
     enumerate_maximal_cliques,
-    gen_hard_general,
-    gen_hard_kxos,
-    gen_needle,
     materialize,
     random_explicit,
     solve_enum_small_sets,
@@ -222,7 +222,7 @@ def test_criterion_5_hardness_instance_fidelity():
     representation (which covers all subsets) pinned to 72."""
     general_bad = 0
     for seed in range(50):
-        inst = gen_hard_general(8, 2, seed=seed)
+        inst = HardGeneralInstance(8, 2, seed=seed)
         table = materialize(inst.evaluate, 8)
         if table.max_value() != 4 or inst.planted_optimum() != (inst.planted, 4):
             general_bad += 1
@@ -230,7 +230,7 @@ def test_criterion_5_hardness_instance_fidelity():
     kxos_bad = 0
     diffs = 0
     for seed in range(20):
-        inst = gen_hard_kxos(3, 4, 1, seed=seed)
+        inst = HardKxosInstance(3, 4, 1, seed=seed)
         rep = inst.representation()
         comps = rep.components
         block_maxima = [c.positive_part_sum() for c in comps[:-1]]
@@ -273,7 +273,7 @@ def test_criterion_6_needle_query_direction():
     their exact values: a query hits with p = C(12,6)/C(24,6) = 924/134596,
     and a seed succeeds with 1 - (1 - p)^1000; each measurement must lie
     within 4 standard errors of its target."""
-    inst = gen_needle(24, 12, 6, seed=424242)
+    inst = NeedleInstance(24, 12, 6, seed=424242)
     P = 1000
     successes = 0
     for seed in range(1000):

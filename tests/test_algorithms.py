@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from xosmax import (
-    BruteForceCapError,
+    CapExceededError,
     CountingOracle,
     EnumParams,
     SamplingParams,
     MAX_GROUND_SIZE,
+    MAX_QUERIES,
     XosRepresentation,
     enumerate_maximal_cliques,
-    grow_clique,
     preprocess,
     random_explicit,
     solve_brute_force,
@@ -26,7 +26,15 @@ from xosmax import (
     solve_k_minus_1,
     solve_random_sampling,
 )
-from xosmax.algorithms import RHO_FALLBACK_THRESHOLD, _ceil_root, _sampling_schedule, as_fraction
+from xosmax import algorithms
+from xosmax.algorithms import (
+    RHO_FALLBACK_THRESHOLD,
+    _ceil_root,
+    _grow_from,
+    _sampling_schedule,
+    _scan_singletons,
+    as_fraction,
+)
 
 from helpers import (
     clique_of_rep,
@@ -50,8 +58,14 @@ def check_report(rep, report):
     assert report.value == ref_rep_value(rep_as_lists(rep), report.output)
 
 
+def grow_clique(oracle: CountingOracle, start: int, universe: int) -> int:
+    """The solvers' additive closure of {start} inside ``universe``."""
+    _, singles = _scan_singletons(oracle)
+    return _grow_from(oracle, 1 << start, singles[start], universe, singles)[0]
+
+
 # ---------------------------------------------------------------------------
-# preprocess / grow_clique
+# preprocess / additive closures
 
 
 def test_preprocess_keeps_strictly_positive_singletons():
@@ -71,11 +85,6 @@ def test_grow_clique_examples():
     assert grow_clique(oracle_for(EXAMPLE), 1, 0b111) == 0b010
     width1 = XosRepresentation.from_weights([[4, 7, 1]])
     assert grow_clique(oracle_for(width1), 2, 0b111) == 0b111
-
-
-def test_grow_clique_validates_start():
-    with pytest.raises(ValueError):
-        grow_clique(oracle_for(EXAMPLE), 1, 0b101)
 
 
 def test_grown_sets_are_additive():
@@ -401,9 +410,11 @@ def test_brute_all_negative_returns_empty():
 
 
 def test_brute_cap():
-    rep = random_rep(n=12, k=2, seed=0)
-    with pytest.raises(BruteForceCapError):
-        solve_brute_force(oracle_for(rep), cap=10)
+    # 2^21 subsets reach MAX_QUERIES: refused before the first query
+    oracle = oracle_for(random_rep(n=21, k=2, seed=0))
+    with pytest.raises(CapExceededError, match="brute exhaustive search"):
+        solve_brute_force(oracle)
+    assert oracle.calls == 0
 
 
 def test_reports_are_deterministic():
@@ -412,3 +423,83 @@ def test_reports_are_deterministic():
         assert solver(oracle_for(rep)) == solver(oracle_for(rep))
     p = SamplingParams(Fraction(1, 2), seed=5)
     assert solve_random_sampling(oracle_for(rep), p) == solve_random_sampling(oracle_for(rep), p)
+
+
+# ---------------------------------------------------------------------------
+# the query limit: each phase's count bounds what the phase queries
+
+
+@pytest.fixture()
+def phases(monkeypatch):
+    """(spent, count, what) of every limit check the solvers make."""
+    seen = []
+    check = algorithms.check_queries
+
+    def record(spent, count, what):
+        seen.append((spent, count, what))
+        check(spent, count, what)
+
+    monkeypatch.setattr(algorithms, "check_queries", record)
+    return seen
+
+
+def bound_corpus():
+    """The corpora above, dropped singletons included, and a sampled path at n=26."""
+    yield from (random_rep(n=9, k=3, seed=seed) for seed in range(20))
+    yield from (random_rep(n=10, k=2, seed=seed) for seed in range(20))
+    yield from (random_rep(n=9, k=4, seed=4000 + seed) for seed in range(10))
+    yield from (random_star_representation(n=9, k=3, seed=seed) for seed in range(10))
+    yield random_rep(n=26, k=3, seed=5, positive_singletons=True)
+    yield EXAMPLE
+    yield from NONPOSITIVE_SINGLETONS
+
+
+def assert_phases_bound(phases, calls):
+    """Every phase ends within its count: the next one starts (and the run
+    ends) at most ``count`` queries after the phase's own start."""
+    ends = [spent for spent, _, _ in phases[1:]] + [calls]
+    for (spent, count, what), end in zip(phases, ends):
+        assert spent <= end <= spent + count, what
+    assert calls < MAX_QUERIES
+
+
+def test_phase_counts_bound_every_run(phases):
+    for rep in bound_corpus():
+        n = rep.n
+        r = sum(max(row[v] for row in rep_as_lists(rep)) > 0 for v in range(n))
+
+        phases.clear()
+        calls = solve_enum_small_sets(oracle_for(rep), EnumParams(Fraction(1, 3))).oracle_calls
+        count = sum(math.comb(r, i) for i in range(min(3, r) + 1))
+        assert [p[:2] for p in phases] == [(n, count)]
+        assert calls == n + count
+
+        phases.clear()
+        calls = solve_random_sampling(oracle_for(rep), SamplingParams(1, seed=3)).oracle_calls
+        if phases:  # the sampled path: n=26 clears the fallback threshold
+            assert [p[0] for p in phases] == [n] and n == 26
+            assert calls == n + phases[0][1]
+        else:
+            assert calls == n + (1 << r) * (r > 0)
+
+        phases.clear()
+        if n <= 20:
+            calls = solve_brute_force(oracle_for(rep)).oracle_calls
+            assert phases == [(0, 1 << n, "brute exhaustive search")]
+            assert calls == 1 << n
+        else:
+            oracle = oracle_for(rep)
+            with pytest.raises(CapExceededError):
+                solve_brute_force(oracle)
+            assert oracle.calls == 0
+
+        phases.clear()
+        assert solve_exact_2xos(oracle_for(rep)).oracle_calls <= 6 * n + 10
+        assert phases == []
+
+        for solver in (solve_k_minus_1, solve_exact_star):
+            phases.clear()
+            calls = solver(oracle_for(rep)).oracle_calls
+            assert phases == [] or phases[0][0] == n
+            assert calls <= n + sum(count for _, count, _ in phases)
+            assert_phases_bound(phases, calls)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from xosmax import SamplingParams, cli, solve_random_sampling
+from xosmax import SamplingParams, SplitMix64, cli, solve_random_sampling
 from xosmax.cli import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -230,8 +230,50 @@ def test_seed_outside_u64_is_usage_error(tmp_path, inst_path, case):
     else:
         r = run_cli("bench", "--config", _bench_config(tmp_path, base_seed=(1 << 64) + 4))
     assert r.returncode == 2, r.stderr
-    assert "seed must be an integer in [0, 2^64)" in r.stderr
+    assert "seed must be an unsigned 64-bit integer in [0, 2^64)" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("entry", ["cli_flag", "document", "library"])
+def test_one_seed_message_at_every_entry(tmp_path, inst_path, capsys, entry):
+    # rng.check_seed owns the text; each entry point keeps its exit code or type
+    text = "seed must be an unsigned 64-bit integer in [0, 2^64), got -1"
+    if entry == "library":
+        with pytest.raises(ValueError) as info:
+            SamplingParams(1, seed=-1)
+        assert str(info.value) == text
+        return
+    if entry == "cli_flag":
+        argv, code = ["solve", "--algo", "exact2", "--instance", inst_path, "--seed", "-1"], 2
+    else:
+        p = tmp_path / "needle.json"
+        p.write_text(json.dumps(dict(NEEDLE_DOC, seed=-1)))
+        argv, code = ["solve", "--algo", "exact2", "--instance", str(p)], 3
+    assert main(argv) == code
+    assert capsys.readouterr().err.rstrip("\n").endswith(text)
+
+
+@pytest.mark.parametrize(
+    "doc,algo,extra,phase",
+    [
+        ({"type": "hard_general", "params": {"n": 64, "tau": 4}, "seed": 1}, "star", [],
+         "star round 3"),
+        ({"type": "hard_general", "params": {"n": 1000, "tau": 7}, "seed": 1}, "enum",
+         ["--epsilon", "1/3"], "enum subsets of size <= 3"),
+        ({"type": "hard_general", "params": {"n": 200, "tau": 5}, "seed": 1}, "kminus1", [],
+         "kminus1 expansions and bridges"),
+    ],
+    ids=["star-n64", "enum-n1000", "kminus1-n200"],
+)
+def test_runs_past_the_query_limit_exit_4_at_once(tmp_path, capsys, doc, algo, extra, phase):
+    # each phase's worst case would cross MAX_QUERIES: refused at once, phase named
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["solve", "--algo", algo, "--instance", str(p), *extra]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"cap exceeded: {phase}:" in err and "limit of 2097152" in err
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,9 @@ from xosmax.classify import materialize
 from xosmax.core import (
     INT64_MAX,
     INT64_MIN,
+    MAX_QUERIES,
+    CapExceededError,
+    check_queries,
     check_value,
     first_max,
     iter_masks_by_card,
@@ -192,3 +195,18 @@ def test_evaluate_first_maximizer_tie():
     # on {0} components 0,1 give 1, component 2 gives 2
     assert rep.maximizer_indices(0b01) == {2}
     assert rep.maximizer_indices(0b10) == {0, 1}
+
+
+def test_check_queries_boundary():
+    # a run may total 2^21 - 1 queries; a phase that would make it 2^21 is refused
+    assert MAX_QUERIES == 1 << 21
+    check_queries(0, MAX_QUERIES - 1, "one phase")
+    check_queries(MAX_QUERIES - 11, 10, "last phase")
+    with pytest.raises(CapExceededError) as info:
+        check_queries(MAX_QUERIES - 10, 10, "kminus1 bridges")
+    assert str(info.value) == (
+        f"kminus1 bridges: up to 10 more queries after {MAX_QUERIES - 10} "
+        f"would reach the limit of {MAX_QUERIES} per run"
+    )
+    with pytest.raises(CapExceededError, match=r"brute exhaustive search: up to ~2\^4096 more"):
+        check_queries(0, 1 << 4096, "brute exhaustive search")

@@ -8,12 +8,14 @@ import time
 import pytest
 
 from xosmax import (
+    MAX_QUERIES,
+    CapExceededError,
+    HardGeneralInstance,
+    HardKxosInstance,
     InstanceFormatError,
-    gen_hard_general,
-    gen_hard_kxos,
-    gen_needle,
+    NeedleInstance,
+    instance_from_dict,
     parse_hidden,
-    planted_optimum,
     uniform_size_probe,
 )
 
@@ -25,7 +27,7 @@ from helpers import ref_brute_max, ref_rep_value, rep_as_lists
 
 
 def test_needle_value_counts():
-    inst = gen_needle(6, 3, 2, seed=11)
+    inst = NeedleInstance(6, 3, 2, seed=11)
     # exactly the subsets of the planted 3-set with at least 2 elements pay:
     # C(3,2) + C(3,3) = 4 of the 64 subsets
     hits = [m for m in range(1 << 6) if inst.evaluate(m) == 1]
@@ -39,25 +41,25 @@ def test_needle_value_counts():
 
 def test_needle_brute_equals_planted():
     for seed in range(10):
-        inst = gen_needle(10, 5, 3, seed=seed)
+        inst = NeedleInstance(10, 5, 3, seed=seed)
         opt, _ = ref_brute_max(inst.evaluate, 10)
         assert opt == inst.planted_optimum()[1] == 1
 
 
 def test_needle_param_validation():
     with pytest.raises(InstanceFormatError):
-        gen_needle(6, 7, 2, seed=0)  # s > n
+        NeedleInstance(6, 7, 2, seed=0)  # s > n
     with pytest.raises(InstanceFormatError):
-        gen_needle(6, 3, 4, seed=0)  # t > s
+        NeedleInstance(6, 3, 4, seed=0)  # t > s
     with pytest.raises(InstanceFormatError):
-        gen_needle(6, 3, 0, seed=0)
+        NeedleInstance(6, 3, 0, seed=0)
     with pytest.raises(InstanceFormatError):
-        gen_needle(4097, 3, 2, seed=0)
-    assert gen_needle(4096, 3, 2, seed=0).n == 4096
+        NeedleInstance(4097, 3, 2, seed=0)
+    assert NeedleInstance(4096, 3, 2, seed=0).n == 4096
 
 
 def test_probe_counts_and_zero_queries():
-    inst = gen_needle(12, 6, 3, seed=2)
+    inst = NeedleInstance(12, 6, 3, seed=2)
     report = uniform_size_probe(inst.oracle(), 3, 40, seed=5)
     assert report.oracle_calls == 40
     assert report.algorithm == "probe"
@@ -65,9 +67,16 @@ def test_probe_counts_and_zero_queries():
     assert (empty.output, empty.value, empty.oracle_calls) == (0, 0, 0)
 
 
+def test_probe_refuses_the_query_limit_before_any_query():
+    oracle = NeedleInstance(12, 6, 3, seed=2).oracle()
+    with pytest.raises(CapExceededError, match="probe queries"):
+        uniform_size_probe(oracle, 3, MAX_QUERIES, seed=5)
+    assert oracle.calls == 0
+
+
 @pytest.mark.parametrize("seed", [True, 1.5, -1])
 def test_probe_rejects_a_bad_seed_before_any_query(seed):
-    oracle = gen_needle(12, 6, 3, seed=2).oracle()
+    oracle = NeedleInstance(12, 6, 3, seed=2).oracle()
     with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
         uniform_size_probe(oracle, 3, 40, seed=seed)
     assert oracle.calls == 0
@@ -75,7 +84,7 @@ def test_probe_rejects_a_bad_seed_before_any_query(seed):
 
 def test_probe_finds_needle_when_it_cannot_miss():
     # s = n makes every size-t draw a subset of the planted set
-    inst = gen_needle(5, 5, 2, seed=1)
+    inst = NeedleInstance(5, 5, 2, seed=1)
     report = uniform_size_probe(inst.oracle(), 2, 1, seed=0)
     assert report.value == 1
 
@@ -85,7 +94,7 @@ def test_probe_finds_needle_when_it_cannot_miss():
 
 
 def test_hard_general_closed_form_values():
-    inst = gen_hard_general(8, 2, seed=7)
+    inst = HardGeneralInstance(8, 2, seed=7)
     S = inst.planted
     assert S.bit_count() == 4
     assert inst.evaluate(0) == 0
@@ -101,7 +110,7 @@ def test_hard_general_closed_form_values():
 
 def test_hard_general_brute_equals_planted():
     for seed in range(12):
-        inst = gen_hard_general(8, 2, seed=seed)
+        inst = HardGeneralInstance(8, 2, seed=seed)
         opt, arg = ref_brute_max(inst.evaluate, 8)
         assert opt == 4
         assert arg == inst.planted
@@ -109,7 +118,7 @@ def test_hard_general_brute_equals_planted():
 
 def test_hard_general_matches_representation():
     for n, tau, seed in ((6, 2, 0), (8, 3, 1), (10, 4, 5)):
-        inst = gen_hard_general(n, tau, seed=seed)
+        inst = HardGeneralInstance(n, tau, seed=seed)
         rep = inst.representation()
         assert rep.width == n + 1
         rows = rep_as_lists(rep)
@@ -122,25 +131,25 @@ def test_hard_general_matches_representation():
 
 
 def test_hard_general_remark_variant():
-    inst = gen_hard_general(8, 2, seed=3, remark_variant=True)
+    inst = HardGeneralInstance(8, 2, seed=3, remark=True)
     assert inst.evaluate(0) == 2  # not normalized: the floor applies everywhere
     assert inst.kind == "hard_general_remark"
     assert inst.width is None
     with pytest.raises(InstanceFormatError):
         inst.representation()
     # away from the empty set the two variants agree
-    std = gen_hard_general(8, 2, seed=3)
+    std = HardGeneralInstance(8, 2, seed=3)
     for mask in range(1, 1 << 8):
         assert inst.evaluate(mask) == std.evaluate(mask)
 
 
 def test_hard_general_param_validation():
     with pytest.raises(InstanceFormatError):
-        gen_hard_general(7, 2, seed=0)  # odd n
+        HardGeneralInstance(7, 2, seed=0)  # odd n
     with pytest.raises(InstanceFormatError):
-        gen_hard_general(8, 0, seed=0)  # tau < 1
+        HardGeneralInstance(8, 0, seed=0)  # tau < 1
     with pytest.raises(InstanceFormatError):
-        gen_hard_general(8, 4, seed=0)  # 2*tau >= n
+        HardGeneralInstance(8, 4, seed=0)  # 2*tau >= n
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +157,7 @@ def test_hard_general_param_validation():
 
 
 def test_kxos_structure_and_planted_numbers():
-    inst = gen_hard_kxos(3, 4, 1, seed=1)
+    inst = HardKxosInstance(3, 4, 1, seed=1)
     assert inst.n == 4 + 16
     assert inst.width == 3
     assert [b.bit_count() for b in inst.blocks] == [4, 16]
@@ -168,7 +177,7 @@ def test_kxos_closed_form_matches_representation_exhaustively():
     # to compare on every subset; the second has two differently weighted
     # S-blocks in its last component
     for k, n_tilde, a in ((3, 3, 1), (4, 2, 1)):
-        inst = gen_hard_kxos(k, n_tilde, a, seed=9)
+        inst = HardKxosInstance(k, n_tilde, a, seed=9)
         rep = inst.representation()
         rows = rep_as_lists(rep)
         assert rep.width == k
@@ -178,17 +187,17 @@ def test_kxos_closed_form_matches_representation_exhaustively():
 
 
 def test_kxos_regime_flag_and_planted_rejection():
-    bad = gen_hard_kxos(3, 3, 1, seed=0)  # (k-1)(nt-a)^2 = 8 < 9
+    bad = HardKxosInstance(3, 3, 1, seed=0)  # (k-1)(nt-a)^2 = 8 < 9
     assert not bad.planted_is_optimal
     with pytest.raises(ValueError):
         bad.planted_optimum()
-    boundary = gen_hard_kxos(5, 2, 1, seed=0)  # 4*1 = 4 = nt^2: tie allowed
+    boundary = HardKxosInstance(5, 2, 1, seed=0)  # 4*1 = 4 = nt^2: tie allowed
     assert boundary.planted_is_optimal
     assert boundary.planted_optimum()[1] == 32 == 2**5
 
 
 def test_kxos_out_of_regime_brute_maximum_is_component_max():
-    inst = gen_hard_kxos(3, 3, 1, seed=4)
+    inst = HardKxosInstance(3, 3, 1, seed=4)
     opt, _ = ref_brute_max(inst.evaluate, 12)
     assert opt == 27  # n_tilde^k beats the planted 2*4*3 = 24
     assert inst.planted_value() == 24
@@ -196,14 +205,14 @@ def test_kxos_out_of_regime_brute_maximum_is_component_max():
 
 def test_kxos_param_validation():
     with pytest.raises(InstanceFormatError):
-        gen_hard_kxos(2, 4, 1, seed=0)  # k < 3
+        HardKxosInstance(2, 4, 1, seed=0)  # k < 3
     with pytest.raises(InstanceFormatError):
-        gen_hard_kxos(3, 4, 4, seed=0)  # a >= n_tilde
+        HardKxosInstance(3, 4, 4, seed=0)  # a >= n_tilde
     with pytest.raises(InstanceFormatError):
-        gen_hard_kxos(3, 64, 1, seed=0)  # 64 + 4096 = 4160 > 4096 elements
+        HardKxosInstance(3, 64, 1, seed=0)  # 64 + 4096 = 4160 > 4096 elements
     with pytest.raises(InstanceFormatError):
-        gen_hard_kxos(20, 2, 1, seed=0)  # weights blow past 64 bits
-    assert gen_hard_kxos(3, 63, 1, seed=0).n == 63 + 63**2
+        HardKxosInstance(20, 2, 1, seed=0)  # weights blow past 64 bits
+    assert HardKxosInstance(3, 63, 1, seed=0).n == 63 + 63**2
 
 
 @pytest.mark.parametrize(
@@ -224,32 +233,32 @@ def test_kxos_huge_params_rejected_before_block_arithmetic(params):
 
 def test_families_share_one_ground_set():
     for inst in (
-        gen_needle(12, 6, 3, seed=1),
-        gen_hard_general(10, 2, seed=1),
-        gen_hard_kxos(3, 4, 1, seed=1),
+        NeedleInstance(12, 6, 3, seed=1),
+        HardGeneralInstance(10, 2, seed=1),
+        HardKxosInstance(3, 4, 1, seed=1),
     ):
         assert inst.oracle().ground is inst.ground
         assert inst.ground.n == inst.n
         if inst.width is not None:
             assert inst.representation().ground is inst.ground
-    assert gen_hard_kxos(4, 3, 1, seed=0).n == 3 + 9 + 27
+    assert HardKxosInstance(4, 3, 1, seed=0).n == 3 + 9 + 27
     # GroundSet bounds n for every family
     for bad in (0, -2, 4098):
         with pytest.raises(InstanceFormatError, match="ground size"):
-            gen_hard_general(bad, 1, seed=0)
+            HardGeneralInstance(bad, 1, seed=0)
     with pytest.raises(InstanceFormatError, match="ground size"):
-        gen_needle(0, 1, 1, seed=0)
+        NeedleInstance(0, 1, 1, seed=0)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda bad: gen_needle(bad, 3, 2, seed=0),
-        lambda bad: gen_needle(6, 3, bad, seed=0),
-        lambda bad: gen_hard_general(8, bad, seed=0),
-        lambda bad: gen_hard_general(bad, 2, seed=0, remark_variant=True),
-        lambda bad: gen_hard_kxos(3, bad, 1, seed=0),
-        lambda bad: gen_hard_kxos(3, 4, bad, seed=0),
+        lambda bad: NeedleInstance(bad, 3, 2, seed=0),
+        lambda bad: NeedleInstance(6, 3, bad, seed=0),
+        lambda bad: HardGeneralInstance(8, bad, seed=0),
+        lambda bad: HardGeneralInstance(bad, 2, seed=0, remark=True),
+        lambda bad: HardKxosInstance(3, bad, 1, seed=0),
+        lambda bad: HardKxosInstance(3, 4, bad, seed=0),
     ],
 )
 @pytest.mark.parametrize("bad", [6.0, True, "6", None])
@@ -265,10 +274,10 @@ def test_family_params_must_be_plain_ints(make, bad):
 @pytest.mark.parametrize(
     "inst",
     [
-        gen_needle(10, 5, 3, seed=77),
-        gen_hard_general(8, 2, seed=77),
-        gen_hard_general(8, 2, seed=77, remark_variant=True),
-        gen_hard_kxos(3, 4, 1, seed=77),
+        NeedleInstance(10, 5, 3, seed=77),
+        HardGeneralInstance(8, 2, seed=77),
+        HardGeneralInstance(8, 2, seed=77, remark=True),
+        HardKxosInstance(3, 4, 1, seed=77),
     ],
 )
 def test_hidden_roundtrip_preserves_values(inst):
@@ -280,7 +289,7 @@ def test_hidden_roundtrip_preserves_values(inst):
 
 
 def test_hidden_documents_do_not_leak_planted_sets():
-    inst = gen_needle(24, 12, 6, seed=123)
+    inst = NeedleInstance(24, 12, 6, seed=123)
     text = json.dumps(inst.to_json_dict())
     assert "planted" not in text
     assert str(inst.planted) not in text.replace("123", "")
@@ -302,5 +311,6 @@ def test_parse_hidden_rejections():
 
 
 def test_planted_optimum_dispatcher():
-    inst = gen_hard_general(8, 2, seed=1)
-    assert planted_optimum(inst) == inst.planted_optimum()
+    # a loaded document reaches the family's own planted_optimum
+    inst = HardGeneralInstance(8, 2, seed=1)
+    assert instance_from_dict(inst.to_json_dict()).planted() == inst.planted_optimum()

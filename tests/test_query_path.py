@@ -20,7 +20,7 @@ from xosmax import (
 )
 from xosmax.algorithms import SamplingParams, solve_random_sampling
 from xosmax.core import BLOCK, INT64_MAX, INT64_MIN, evaluated, first_max
-from xosmax.hardness import gen_needle, uniform_size_probe
+from xosmax.hardness import NeedleInstance, uniform_size_probe
 from xosmax.rng import SplitMix64, sample_mask, sample_masks, sample_positions
 
 _MASK64 = (1 << 64) - 1
@@ -208,7 +208,7 @@ def _peak_bytes(run) -> int:
 
 def test_query_path_memory_stays_bounded():
     rep = random_explicit(16, 3, -20, 40, seed=5)
-    needle = gen_needle(24, 12, 6, 9)
+    needle = NeedleInstance(24, 12, 6, 9)
     brute = _peak_bytes(lambda: solve_brute_force(CountingOracle.for_representation(rep)))
     probe = _peak_bytes(lambda: uniform_size_probe(needle.oracle(), 6, 20000, 3))
     assert brute < 1 << 20, brute
