@@ -44,7 +44,6 @@ from .core import (
     ValueOverflowError,
     XosRepresentation,
     elements_of,
-    load_explicit,
     mask_of,
     parse_explicit,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "elements_of",
     "enumerate_maximal_cliques",
     "instance_from_dict",
-    "load_explicit",
     "load_instance",
     "mask_of",
     "materialize",

@@ -12,17 +12,22 @@ solve_random_sampling     rho-approximation in expectation,    n + min(rounds,r)
                           rho = eps*n/ln(n)                    n + 2^r exhaustively below the threshold
 solve_exact_2xos          exact when the oracle is 2-XOS       <= 6n+10 (never refused)
 solve_k_minus_1           (k-1)-approximation, width k         n + (r-1) per closure (each closure)
-                          unknown; exact when 2-XOS            + sum_V (r-|V|+1) (expansions)
-                                                               + sum_pairs (1+r-|union|) (bridges)
+                          unknown; exact when 2-XOS            + sum_V (r-|V|+1)
+                                                               + sum_pairs (1+r-|union|) (the
+                                                               expansions and bridges, checked
+                                                               after each closure)
 solve_exact_star          exact when singleton weights are     n + sum_c C(r,c)*(r-c+[c>1]) over the
                           peaked-or-nonpositive (star cond.)   rounds c it runs (each round)
 solve_brute_force         exact, any oracle                    2^n (the whole search)
 ========================  ===================================  ==========================================
 
-A solver run makes fewer than ``core.MAX_QUERIES`` = 2^21 queries. Before a
-phase's first query it checks the queries spent so far plus the phase's
-count above, and raises CapExceededError when they would reach the limit;
-expansions and bridges are one phase. For sampling, rounds =
+A solver run makes fewer than ``core.MAX_QUERIES`` = 2^21 queries. Each
+solver call keeps one ``core.Run``; before a phase's first query,
+``Run.phase`` checks the queries spent so far plus the phase's count above
+and raises CapExceededError when they would reach the limit. Expansions and
+bridges are one phase, checked after each closure against the closures
+found so far, so ``kminus1`` on ``hard_general`` n=1000 stops after 64
+closures (64,936 queries). For sampling, rounds =
 ceil(2 ln(r)/eps) and per_round = ceil(r^(1/eps+1)) or the override, times
 ceil(2*eps*r) with high_probability. Exact maximization needs
 exponentially many queries already at width 3, so large grounds meet the
@@ -49,11 +54,10 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import (
-    MAX_QUERIES,
     CountingOracle,
+    Run,
     SolveReport,
     _is_int,
-    check_queries,
     evaluated,
     first_max,
     iter_bits,
@@ -202,10 +206,6 @@ def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, i
     return first_max(evaluated(oracle, lift(masks, retained)))
 
 
-def _empty_report(algorithm: str, oracle: CountingOracle, start_calls: int, **extra) -> SolveReport:
-    return SolveReport(algorithm, 0, 0, oracle.calls - start_calls, **extra)
-
-
 # ---------------------------------------------------------------------------
 # Solvers
 
@@ -220,7 +220,7 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
     enumerated subset (including the empty set and singletons) is evaluated
     through the oracle exactly once.
     """
-    start_calls = oracle.calls
+    run = Run(oracle, "enum")
     retained, _ = _scan_singletons(oracle)
     r = retained.bit_count()
     top = min(params.size_cap, r)
@@ -228,9 +228,8 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
     for i in range(top):  # count = sum_{i<=top} C(r, i), term = C(r, i+1)
         term = term * (r - i) // (i + 1)
         count += term
-    check_queries(oracle.calls - start_calls, count, f"enum subsets of size <= {top}")
-    best_mask, best_val = _exhaustive(oracle, retained, top)
-    return SolveReport("enum", best_mask, best_val, oracle.calls - start_calls)
+    run.phase(count, f"subsets of size <= {top}")
+    return run.report(_exhaustive(oracle, retained, top))
 
 
 def _ceil_root(n: int, d: int) -> int:
@@ -271,19 +270,17 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     Deterministic given ``params.seed``: samples come from a splitmix64
     stream via partial Fisher-Yates, so replays are bit-identical.
     """
-    start_calls = oracle.calls
+    run = Run(oracle, "sample", seed=params.seed, budget_override=params.sample_budget_override)
     retained, _ = _scan_singletons(oracle)
     r = retained.bit_count()
-    extra = {"seed": params.seed, "budget_override": params.sample_budget_override}
     if r == 0:
-        return _empty_report("sample", oracle, start_calls, **extra)
+        return run.report()
 
     eps = params.epsilon
     p, q = eps.numerator, eps.denominator
     fallback, rounds = (True, 0) if r == 1 else _sampling_schedule(r, p, q)
-    if fallback and oracle.calls - start_calls + (1 << r) < MAX_QUERIES:
-        best_mask, best_val = _exhaustive(oracle, retained, r)
-        return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
+    if fallback and run.fits(1 << r):
+        return run.report(_exhaustive(oracle, retained, r))
     # Past here a fallback set is too large to enumerate; sample anyway (guarantee void).
 
     if params.sample_budget_override is not None:
@@ -293,12 +290,11 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     if params.high_probability:
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
     rounds = min(rounds, r)
-    check_queries(oracle.calls - start_calls, rounds * per_round, "sample rounds")
+    run.phase(rounds * per_round, "rounds")
 
     rng = SplitMix64(params.seed)
     draws = chain.from_iterable(sample_masks(r, m, per_round, rng) for m in range(1, rounds + 1))
-    best_mask, best_val = first_max(evaluated(oracle, lift(draws, retained)))
-    return SolveReport("sample", best_mask, best_val, oracle.calls - start_calls, **extra)
+    return run.report(first_max(evaluated(oracle, lift(draws, retained))))
 
 
 def solve_exact_2xos(oracle: CountingOracle) -> SolveReport:
@@ -312,22 +308,20 @@ def solve_exact_2xos(oracle: CountingOracle) -> SolveReport:
     one component's clique extends the closure only through improving
     elements.
     """
-    start_calls = oracle.calls
+    run = Run(oracle, "exact2")
     retained, singles = _scan_singletons(oracle)
     if retained == 0:
-        return _empty_report("exact2", oracle, start_calls)
+        return run.report()
     v1 = (retained & -retained).bit_length() - 1
     V1, val1 = _grow_from(oracle, 1 << v1, singles[v1], retained, singles)
     if V1 == retained:
-        return SolveReport("exact2", V1, val1, oracle.calls - start_calls)
+        return run.report((V1, val1))
     rest = retained & ~V1
     v2 = (rest & -rest).bit_length() - 1
     V2, val2 = _grow_from(oracle, 1 << v2, singles[v2], retained, singles)
-    Y1, y1 = _expand_improving(oracle, V1, val1, retained)
-    Y2, y2 = _expand_improving(oracle, V2, val2, retained)
-    if y2 > y1:
-        return SolveReport("exact2", Y2, y2, oracle.calls - start_calls)
-    return SolveReport("exact2", Y1, y1, oracle.calls - start_calls)
+    Y1 = _expand_improving(oracle, V1, val1, retained)
+    Y2 = _expand_improving(oracle, V2, val2, retained)
+    return run.report(first_max((Y1, Y2)))
 
 
 def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
@@ -343,32 +337,30 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
     Exact for 2-XOS oracles (the pair family then contains the same
     candidates as the width-2 solver). Each closure costs at most r - 1
     queries, each expansion of V at most r - |V| + 1 and each closure pair
-    1 + r - |union|; the limit is checked before each closure and once
-    before the expansions and bridges.
+    1 + r - |union|. The limit is checked before each closure, and after
+    each closure against the expansions and bridges of the closures found so
+    far: more closures only add to that count, so a run that will be
+    refused stops before it pays for the closures still to come.
 
     Candidate order is fixed (closures, then expansions, then pairs in
     lexicographic order with the extra element ascending); the first
     maximizer wins.
     """
-    start_calls = oracle.calls
+    run = Run(oracle, "kminus1")
     retained, singles = _scan_singletons(oracle)
     r = retained.bit_count()
     cliques: list[tuple[int, int]] = []
     covered = 0
+    count = 0  # expansions and bridges of the closures found so far
     while covered != retained:
-        check_queries(oracle.calls - start_calls, r - 1, f"kminus1 closure {len(cliques) + 1}")
+        run.phase(r - 1, f"closure {len(cliques) + 1}")
         rest = retained & ~covered
         v = (rest & -rest).bit_length() - 1
         V, val = _grow_from(oracle, 1 << v, singles[v], retained, singles)
+        count += r - V.bit_count() + 1 + sum(1 + r - (V | U).bit_count() for U, _ in cliques)
         cliques.append((V, val))
         covered |= V
-    masks = [V for V, _ in cliques]
-    count = sum(r - V.bit_count() + 1 for V in masks) + sum(
-        1 + r - (masks[i] | masks[j]).bit_count()
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    )
-    check_queries(oracle.calls - start_calls, count, "kminus1 expansions and bridges")
+        run.phase(count, "expansions and bridges")
 
     def candidates():
         yield from cliques
@@ -389,11 +381,10 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
                         z = union | bit
                         yield z, oracle.evaluate(z)
 
-    best_mask, best_val = first_max(candidates())
-    return SolveReport("kminus1", best_mask, best_val, oracle.calls - start_calls)
+    return run.report(first_max(candidates()))
 
 
-def _maximal_cliques(oracle: CountingOracle, algorithm: str) -> tuple[tuple[int, int], ...]:
+def _maximal_cliques(run: Run) -> tuple[tuple[int, int], ...]:
     """Shared core of enumerate_maximal_cliques / solve_exact_star.
 
     Scans the singletons, then round c tests every retained c-subset X for
@@ -406,14 +397,14 @@ def _maximal_cliques(oracle: CountingOracle, algorithm: str) -> tuple[tuple[int,
     Round c costs at most C(r, c) * (r - c + [c > 1]) queries and is refused
     before it starts when that would reach the limit.
     """
-    start_calls = oracle.calls
+    oracle = run.oracle
     retained, singles = _scan_singletons(oracle)
     r = retained.bit_count()
     found: list[tuple[int, int]] = []
     seen: set[int] = set()
     for card in range(1, r + 1):
         count = math.comb(r, card) * (r - card + (card > 1))
-        check_queries(oracle.calls - start_calls, count, f"{algorithm} round {card}")
+        run.phase(count, f"round {card}")
         for actual in lift(masks_of_card(r, card), retained):
             ssum = sum(singles[v] for v in iter_bits(actual))
             if card > 1 and oracle.evaluate(actual) != ssum:
@@ -439,7 +430,7 @@ def enumerate_maximal_cliques(oracle: CountingOracle) -> tuple[int, ...]:
     Includes its own preprocessing (n queries); behavior for non-XOS oracles
     is undefined but terminating.
     """
-    return tuple(mask for mask, _ in _maximal_cliques(oracle, "cliques"))
+    return tuple(mask for mask, _ in _maximal_cliques(Run(oracle, "cliques")))
 
 
 def solve_exact_star(oracle: CountingOracle) -> SolveReport:
@@ -450,9 +441,8 @@ def solve_exact_star(oracle: CountingOracle) -> SolveReport:
     clique, every maximal clique's value is its additive singleton sum, and
     the best maximal clique is an exact maximizer.
     """
-    start_calls = oracle.calls
-    best_mask, best_val = first_max(_maximal_cliques(oracle, "star"))
-    return SolveReport("star", best_mask, best_val, oracle.calls - start_calls)
+    run = Run(oracle, "star")
+    return run.report(first_max(_maximal_cliques(run)))
 
 
 def solve_brute_force(oracle: CountingOracle) -> SolveReport:
@@ -463,8 +453,6 @@ def solve_brute_force(oracle: CountingOracle) -> SolveReport:
     all-negative instance returns the empty set at value 0 because the empty
     set comes first in canonical order.
     """
-    n = oracle.n
-    check_queries(0, 1 << n, "brute exhaustive search")
-    start_calls = oracle.calls
-    best_mask, best_val = _exhaustive(oracle, oracle.ground.full_mask, n)
-    return SolveReport("brute", best_mask, best_val, oracle.calls - start_calls)
+    run = Run(oracle, "brute")
+    run.phase(1 << oracle.n, "exhaustive search")
+    return run.report(_exhaustive(oracle, oracle.ground.full_mask, oracle.n))

@@ -393,8 +393,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     records = run_suite(config)
-    fmt = args.format if args.format else config.format
-    _emit_records(records, fmt, args.out, args.record_timing)
+    _emit_records(records, config.format, args.out, args.record_timing)
     print(summarize(records), file=sys.stderr)
     return 0
 
@@ -495,8 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a config-driven suite")
     bench.add_argument("--config", required=True, help="experiment config JSON file")
     bench.add_argument("--seed", type=int, help="override the config base_seed")
-    bench.add_argument("--format", choices=("json", "csv"),
-                       help="override the config output format")
     bench.add_argument("--record-timing", action="store_true",
                        help="write measured ms into CSV (breaks byte-identical replay)")
     _add_common_output(bench)
@@ -526,10 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InstanceFormatError as exc:
-        print(f"instance error: {exc}", file=sys.stderr)
-        return 3
-    except ValueOverflowError as exc:
+    except (InstanceFormatError, ValueOverflowError) as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return 3
     except CapExceededError as exc:

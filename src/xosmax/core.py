@@ -15,8 +15,8 @@ Conventions used throughout the package:
 * Subsets are plain ``int`` bitmasks of any length. Bit ``v`` set means
   element ``v`` is in the subset. Ground sizes are limited to
   1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound.
-* A solver run makes fewer than MAX_QUERIES oracle queries, and
-  :func:`check_queries` alone checks that bound.
+* A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
+  call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
   Arithmetic is checked: a weight or an evaluated component sum outside
   [-2^63, 2^63 - 1] raises :class:`ValueOverflowError`, never wraps.
@@ -27,7 +27,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
@@ -78,21 +77,6 @@ def check_value(v: int, what: str = "value") -> int:
     if not INT64_MIN <= v <= INT64_MAX:
         raise ValueOverflowError(f"{what} {v} outside signed 64-bit range")
     return v
-
-
-def check_queries(spent: int, count: int, what: str) -> None:
-    """Raise CapExceededError unless ``spent + count < MAX_QUERIES``.
-
-    ``spent`` is what the run has queried so far and ``count`` the exact
-    worst case of its next phase. Solvers call this before the phase's first
-    query, so a refused run stops at once; ``what`` names solver and phase.
-    """
-    if spent + count >= MAX_QUERIES:
-        shown = count if count < 1 << 64 else f"~2^{count.bit_length() - 1}"
-        raise CapExceededError(
-            f"{what}: up to {shown} more queries after {spent} "
-            f"would reach the limit of {MAX_QUERIES} per run"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +440,51 @@ class SolveReport:
     budget_override: int | None = None
 
 
+class Run:
+    """One solver call's ledger: its query count, limit check and report.
+
+    ``spent`` counts the oracle's calls since the run began, so an oracle
+    that has already answered other queries is charged only for this run's.
+    ``echo`` holds the report fields a solver echoes (``seed``,
+    ``budget_override``).
+    """
+
+    __slots__ = ("oracle", "algorithm", "start", "echo")
+
+    def __init__(self, oracle: CountingOracle, algorithm: str, **echo):
+        self.oracle = oracle
+        self.algorithm = algorithm
+        self.start = oracle.calls
+        self.echo = echo
+
+    @property
+    def spent(self) -> int:
+        return self.oracle.calls - self.start
+
+    def fits(self, count: int) -> bool:
+        """True when ``count`` more queries keep the run below MAX_QUERIES."""
+        return self.spent + count < MAX_QUERIES
+
+    def phase(self, count: int, what: str) -> None:
+        """Raise CapExceededError unless ``count`` more queries fit.
+
+        ``count`` is the exact worst case of the phase ``what`` (or a lower
+        bound on what the run must still query). Solvers call this before
+        the phase's first query, so a refused run stops at once; the message
+        names the algorithm and the phase.
+        """
+        if not self.fits(count):
+            shown = count if count < 1 << 64 else f"~2^{count.bit_length() - 1}"
+            raise CapExceededError(
+                f"{self.algorithm} {what}: up to {shown} more queries after {self.spent} "
+                f"would reach the limit of {MAX_QUERIES} per run"
+            )
+
+    def report(self, best: tuple[int, int] = (0, 0)) -> SolveReport:
+        """The run's SolveReport for the (mask, value) pair ``best``."""
+        return SolveReport(self.algorithm, *best, self.spent, **self.echo)
+
+
 # ---------------------------------------------------------------------------
 # Explicit instance format
 
@@ -479,12 +508,3 @@ def parse_explicit(doc: dict) -> XosRepresentation:
         if not isinstance(row, list):
             raise InstanceFormatError(f"weights row {idx} must be a list")
     return XosRepresentation(ground, tuple(AdditiveFunction(row) for row in weights))
-
-
-def load_explicit(path_or_text: str) -> XosRepresentation:
-    """Load an explicit instance from a JSON string."""
-    try:
-        doc = json.loads(path_or_text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-    return parse_explicit(doc)

@@ -39,10 +39,10 @@ from .core import (
     CountingOracle,
     GroundSet,
     InstanceFormatError,
+    Run,
     SolveReport,
     XosRepresentation,
     _is_int,
-    check_queries,
     evaluated,
     first_max,
     iter_bits,
@@ -332,8 +332,7 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
         raise ValueError(f"probe size must be an integer in [1, {n}], got {size!r}")
     if not (_is_int(queries) and queries >= 0):
         raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
-    check_queries(0, queries, "probe queries")
-    start_calls = oracle.calls
+    run = Run(oracle, "probe", seed=seed)
+    run.phase(queries, "queries")
     rng = SplitMix64(seed)
-    best_mask, best_val = first_max(evaluated(oracle, sample_masks(n, size, queries, rng)))
-    return SolveReport("probe", best_mask, best_val, oracle.calls - start_calls, seed=seed)
+    return run.report(first_max(evaluated(oracle, sample_masks(n, size, queries, rng))))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from xosmax import (
     SamplingParams,
     MAX_GROUND_SIZE,
     MAX_QUERIES,
+    NeedleInstance,
     XosRepresentation,
     enumerate_maximal_cliques,
     preprocess,
@@ -25,8 +27,9 @@ from xosmax import (
     solve_exact_star,
     solve_k_minus_1,
     solve_random_sampling,
+    uniform_size_probe,
 )
-from xosmax import algorithms
+from xosmax import core
 from xosmax.algorithms import (
     RHO_FALLBACK_THRESHOLD,
     _ceil_root,
@@ -431,15 +434,15 @@ def test_reports_are_deterministic():
 
 @pytest.fixture()
 def phases(monkeypatch):
-    """(spent, count, what) of every limit check the solvers make."""
+    """(spent, count, "algo phase") of every limit check the solvers make."""
     seen = []
-    check = algorithms.check_queries
+    phase = core.Run.phase
 
-    def record(spent, count, what):
-        seen.append((spent, count, what))
-        check(spent, count, what)
+    def record(run, count, what):
+        seen.append((run.spent, count, f"{run.algorithm} {what}"))
+        phase(run, count, what)
 
-    monkeypatch.setattr(algorithms, "check_queries", record)
+    monkeypatch.setattr(core.Run, "phase", record)
     return seen
 
 
@@ -503,3 +506,34 @@ def test_phase_counts_bound_every_run(phases):
             assert phases == [] or phases[0][0] == n
             assert calls <= n + sum(count for _, count, _ in phases)
             assert_phases_bound(phases, calls)
+
+
+def test_a_used_oracle_charges_each_run_only_its_own_queries():
+    # An oracle that has already answered MAX_QUERIES + 5 queries: each run
+    # is counted, and limited, by the queries it makes itself.
+    used = MAX_QUERIES + 5
+    rep = random_rep(n=10, k=3, seed=7)
+    sampled = random_rep(n=26, k=3, seed=5, positive_singletons=True)  # past the fallback
+    needle = NeedleInstance(n_hat=30, s=10, t=3, seed=2)
+    on_rep = partial(oracle_for, rep)
+    cases = [
+        (on_rep, lambda o: solve_enum_small_sets(o, EnumParams(Fraction(1, 3)))),
+        (on_rep, lambda o: solve_random_sampling(o, SamplingParams(Fraction(1, 2), seed=5))),
+        (partial(oracle_for, sampled), lambda o: solve_random_sampling(o, SamplingParams(1, seed=3))),
+        (on_rep, solve_exact_2xos),
+        (on_rep, solve_k_minus_1),
+        (on_rep, solve_exact_star),
+        (on_rep, solve_brute_force),
+        (needle.oracle, lambda o: uniform_size_probe(o, needle.t, 500, seed=1)),
+    ]
+    for make, solve in cases:
+        oracle = make()
+        oracle.calls = used
+        report = solve(oracle)
+        assert oracle.calls - used == report.oracle_calls > 0
+        assert report == solve(make())
+
+    oracle, fresh = on_rep(), on_rep()
+    oracle.calls = used
+    assert enumerate_maximal_cliques(oracle) == enumerate_maximal_cliques(fresh)
+    assert oracle.calls - used == fresh.calls > 0

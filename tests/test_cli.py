@@ -262,8 +262,10 @@ def test_one_seed_message_at_every_entry(tmp_path, inst_path, capsys, entry):
          ["--epsilon", "1/3"], "enum subsets of size <= 3"),
         ({"type": "hard_general", "params": {"n": 200, "tau": 5}, "seed": 1}, "kminus1", [],
          "kminus1 expansions and bridges"),
+        ({"type": "hard_general", "params": {"n": 1000, "tau": 7}, "seed": 1}, "kminus1", [],
+         "kminus1 expansions and bridges"),
     ],
-    ids=["star-n64", "enum-n1000", "kminus1-n200"],
+    ids=["star-n64", "enum-n1000", "kminus1-n200", "kminus1-n1000"],
 )
 def test_runs_past_the_query_limit_exit_4_at_once(tmp_path, capsys, doc, algo, extra, phase):
     # each phase's worst case would cross MAX_QUERIES: refused at once, phase named

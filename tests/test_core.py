@@ -14,7 +14,7 @@ from xosmax import (
     ValueOverflowError,
     XosRepresentation,
     elements_of,
-    load_explicit,
+    load_instance,
     mask_of,
     parse_explicit,
 )
@@ -24,7 +24,7 @@ from xosmax.core import (
     INT64_MIN,
     MAX_QUERIES,
     CapExceededError,
-    check_queries,
+    Run,
     check_value,
     first_max,
     iter_masks_by_card,
@@ -165,7 +165,7 @@ def test_parse_explicit_roundtrip():
     doc = {"type": "explicit", "n": 3, "weights": [[3, -1, 2], [1, 2, -5]]}
     rep = parse_explicit(doc)
     assert rep.to_json_dict() == doc
-    same = load_explicit('{"type": "explicit", "n": 3, "weights": [[3,-1,2],[1,2,-5]]}')
+    same = load_instance('{"type": "explicit", "n": 3, "weights": [[3,-1,2],[1,2,-5]]}').explicit
     assert same.to_json_dict() == doc
 
 
@@ -197,16 +197,22 @@ def test_evaluate_first_maximizer_tie():
     assert rep.maximizer_indices(0b10) == {0, 1}
 
 
-def test_check_queries_boundary():
-    # a run may total 2^21 - 1 queries; a phase that would make it 2^21 is refused
+def test_run_phase_boundary():
+    # a run may total 2^21 - 1 queries; a phase that would make it 2^21 is refused.
+    # The counter is set by hand: the run charges only calls made since it began.
     assert MAX_QUERIES == 1 << 21
-    check_queries(0, MAX_QUERIES - 1, "one phase")
-    check_queries(MAX_QUERIES - 11, 10, "last phase")
+    oracle = CountingOracle(GroundSet(1), lambda mask: 0)
+    oracle.calls = 7
+    run = Run(oracle, "kminus1")
+    run.phase(MAX_QUERIES - 1, "one phase")
+    oracle.calls = 7 + MAX_QUERIES - 11
+    run.phase(10, "last phase")
+    oracle.calls = 7 + MAX_QUERIES - 10
     with pytest.raises(CapExceededError) as info:
-        check_queries(MAX_QUERIES - 10, 10, "kminus1 bridges")
+        run.phase(10, "bridges")
     assert str(info.value) == (
         f"kminus1 bridges: up to 10 more queries after {MAX_QUERIES - 10} "
         f"would reach the limit of {MAX_QUERIES} per run"
     )
     with pytest.raises(CapExceededError, match=r"brute exhaustive search: up to ~2\^4096 more"):
-        check_queries(0, 1 << 4096, "brute exhaustive search")
+        Run(oracle, "brute").phase(1 << 4096, "exhaustive search")
