@@ -7,21 +7,23 @@ Subcommands:
 * ``bench``   run a config-driven trial suite and aggregate it
 * ``verify``  materialize a small instance and run the class checks
 
+One ``ExperimentConfig`` describes a suite, whether built from ``solve``'s
+flags, a ``bench`` JSON config or Python, and ``run_suite`` runs it. Trial i
+uses seed (base_seed + i) mod 2^64 and a fresh oracle (base_seed must pass
+``rng.check_seed``, as must ``gen --seed``); the optimum reference is
+computed once per suite without any oracle, so reported call counts are the
+solver's own. A ``TrialRecord``'s fields, in order, are the NDJSON keys; the
+first ten are the fixed CSV columns. Replaying a suite with the same
+base_seed is byte-identical because the ms column is 0 unless
+``--record-timing`` asks for measured wall time.
+
 Machine output (instance JSON, trial records) goes to stdout or ``--out``;
 human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
-arguments, 3 instance error, 4 a work bound refused the run: a solver
-phase whose worst case would take the run to ``core.MAX_QUERIES`` = 2^21
-queries (the message names the solver and the phase), or a ``verify``
-table above ``classify.MATERIALIZE_CAP`` elements. Either is refused before
-its first query or table entry.
-
-Trial i of a suite uses seed (base_seed + i) mod 2^64 and a fresh oracle
-(base_seed, from ``--seed`` or the config, must pass ``rng.check_seed``,
-as must ``gen --seed``); the optimum reference is computed once per suite
-without any oracle, so reported call counts are the solver's own. CSV columns are fixed
-(trial,seed,algo,n,k,value,opt,ratio,calls,ms) and replaying a suite with
-the same base_seed is byte-identical because the ms column is 0 unless
-``--record-timing`` asks for measured wall time.
+arguments or an unwritable ``--out``, 3 instance error, 4 a work bound
+refused the run: a solver phase whose worst case would take the run to
+``core.MAX_QUERIES`` = 2^21 queries (the message names the solver and the
+phase), or a ``verify`` table above ``classify.MATERIALIZE_CAP`` elements.
+Either is refused before its first query or table entry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -85,6 +87,8 @@ class TrialRecord:
     "planted") or the O(kn) identity over a representation ("brute").
     ``ratio`` is opt/value (>= 1 when both are positive), 1.0 when both are
     zero, and infinity when value is nonpositive but opt is positive.
+    ``ms`` is the solver's measured wall time. The fields, in order, are the
+    NDJSON keys.
     """
 
     trial: int
@@ -96,7 +100,7 @@ class TrialRecord:
     opt: int
     ratio: float
     calls: int
-    wall_time_ms: float
+    ms: float
     opt_source: str
     budget_override: int | None = None
 
@@ -126,15 +130,13 @@ def run_trial(
     ``opt_info`` lets suite runners compute the optimum reference once; when
     absent it is computed here on a separate oracle-free path.
     """
+    if algo in ("enum", "sample") and epsilon is None:
+        raise UsageError(f"{algo} needs --epsilon (an exact rational like 1/3)")
     oracle = handle.oracle()
     t0 = time.perf_counter()
     if algo == "enum":
-        if epsilon is None:
-            raise UsageError("enum needs --epsilon (an exact rational like 1/3)")
         report = solve_enum_small_sets(oracle, EnumParams(epsilon))
     elif algo == "sample":
-        if epsilon is None:
-            raise UsageError("sample needs --epsilon (an exact rational like 1/3)")
         report = solve_random_sampling(
             oracle,
             SamplingParams(
@@ -170,7 +172,7 @@ def run_trial(
         opt=opt,
         ratio=_ratio(opt, report.value),
         calls=report.oracle_calls,
-        wall_time_ms=ms,
+        ms=ms,
         opt_source=source,
         budget_override=report.budget_override,
     )
@@ -178,17 +180,39 @@ def run_trial(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Bench suite: instance + algorithm + params + trial count + base seed."""
+    """One trial suite, built from ``solve``'s flags, a ``bench`` JSON config
+    (``from_dict``) or in Python. Construction checks the algorithm, trials,
+    params (``_PARAM_KEYS``; an absent key takes run_trial's default) and
+    format, and then the base seed."""
 
-    instance: dict
+    handle: InstanceHandle
     algorithm: str
     trials: int
     base_seed: int = 0
-    params: dict | None = None
+    params: dict = field(default_factory=dict)
     format: str = "csv"
+
+    def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise UsageError(f"config algorithm must be one of {', '.join(ALGORITHMS)}")
+        if not (_is_int(self.trials) and self.trials >= 0):
+            raise UsageError("trials must be a nonnegative integer")
+        if not isinstance(self.params, dict):
+            raise UsageError("config field 'params' must be an object")
+        unknown = [key for key in self.params if key not in _PARAM_KEYS]
+        if unknown:
+            raise UsageError(
+                f"config field 'params' has unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(_PARAM_KEYS)}"
+            )
+        if self.format not in ("json", "csv"):
+            raise UsageError("config field 'format' must be 'json' or 'csv'")
+        check_seed(self.base_seed, UsageError)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        """A config from a JSON object; a string ``instance`` is a file path,
+        relative to ``base_dir`` when given."""
         if not isinstance(doc, dict):
             raise UsageError("config must be a JSON object")
         inst = doc.get("instance")
@@ -196,62 +220,25 @@ class ExperimentConfig:
             path = Path(inst)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            inst = load_instance(path).to_json_dict()
-        if not isinstance(inst, dict):
+            handle = load_instance(path)
+        elif isinstance(inst, dict):
+            handle = instance_from_dict(inst)
+        else:
             raise UsageError("config field 'instance' must be a document or file path")
-        algo = doc.get("algorithm")
-        if algo not in ALGORITHMS:
-            raise UsageError(f"config algorithm must be one of {', '.join(ALGORITHMS)}")
-        trials = doc.get("trials")
-        if not (_is_int(trials) and trials >= 0):
-            raise UsageError("config field 'trials' must be a nonnegative integer")
-        base_seed = doc.get("base_seed", 0)
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise UsageError("config field 'params' must be an object")
-        unknown = [key for key in params if key not in _PARAM_KEYS]
-        if unknown:
-            raise UsageError(
-                f"config field 'params' has unknown key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(_PARAM_KEYS)}"
-            )
-        fmt = doc.get("format", "csv")
-        if fmt not in ("json", "csv"):
-            raise UsageError("config field 'format' must be 'json' or 'csv'")
-        return cls(inst, algo, trials, base_seed, params, fmt)
-
-
-def _run_trials(
-    handle: InstanceHandle,
-    algo: str,
-    trials: int,
-    base_seed: int,
-    params: dict,
-) -> list[TrialRecord]:
-    """Run ``trials`` trials sequentially; records are ordered by trial index.
-
-    Trials are independent (fresh oracle and seed each); the optimum
-    reference is computed once and shared. ``params`` holds solver options
-    keyed by ``_PARAM_KEYS``; an absent key takes run_trial's default.
-    """
-    if trials < 0:
-        raise UsageError("trials must be a nonnegative integer")
-    check_seed(base_seed, UsageError)
-    opt_info = handle.exact_optimum(DEFAULT_BRUTE_CAP)
-    return [
-        run_trial(
-            handle, algo, trial=i, seed=(base_seed + i) % SEED_LIMIT, opt_info=opt_info, **params
-        )
-        for i in range(trials)
-    ]
+        return cls(handle, doc.get("algorithm"), doc.get("trials"), doc.get("base_seed", 0),
+                   doc.get("params", {}), doc.get("format", "csv"))
 
 
 def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
-    """Run a bench suite; see ``_run_trials``."""
-    handle = instance_from_dict(config.instance)
-    return _run_trials(
-        handle, config.algorithm, config.trials, config.base_seed, config.params or {}
-    )
+    """Run the suite's trials in order: trial i uses seed (base_seed + i)
+    mod 2^64 and a fresh oracle, and all share one optimum reference."""
+    handle = config.handle
+    opt_info = handle.exact_optimum(DEFAULT_BRUTE_CAP)
+    return [
+        run_trial(handle, config.algorithm, trial=i, seed=(config.base_seed + i) % SEED_LIMIT,
+                  opt_info=opt_info, **config.params)
+        for i in range(config.trials)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +246,12 @@ def run_suite(config: ExperimentConfig) -> list[TrialRecord]:
 
 
 def record_to_json_dict(record: TrialRecord) -> dict:
-    ratio = "inf" if math.isinf(record.ratio) else record.ratio
-    return {
-        "trial": record.trial,
-        "seed": record.seed,
-        "algo": record.algo,
-        "n": record.n,
-        "k": record.k,
-        "value": record.value,
-        "opt": record.opt,
-        "ratio": ratio,
-        "calls": record.calls,
-        "ms": round(record.wall_time_ms, 3),
-        "opt_source": record.opt_source,
-        "budget_override": record.budget_override,
-    }
+    """The record's fields in order; an infinite ratio is the string "inf"
+    (JSON has no infinity) and ms is rounded to microseconds."""
+    doc = dict(vars(record))
+    doc["ratio"] = "inf" if math.isinf(record.ratio) else record.ratio
+    doc["ms"] = round(record.ms, 3)
+    return doc
 
 
 def records_to_json_lines(records: Sequence[TrialRecord]) -> str:
@@ -293,9 +271,8 @@ def records_to_csv(records: Sequence[TrialRecord], record_timing: bool = False) 
     which keeps same-seed replays byte-identical."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        ms = int(round(r.wall_time_ms)) if record_timing else 0
-        cells = (r.trial, r.seed, r.algo, r.n, r.k, r.value, r.opt, r.ratio, r.calls, ms)
-        lines.append(",".join(_csv_cell(c) for c in cells))
+        row = dict(vars(r), ms=int(round(r.ms)) if record_timing else 0)
+        lines.append(",".join(_csv_cell(row[column]) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -319,23 +296,30 @@ def summarize(records: Sequence[TrialRecord]) -> str:
         )
     hits = sum(1 for r in records if r.value == r.opt)
     lines.append(f"  optimum hit rate: {hits}/{len(records)}")
-    mean_ms = statistics.fmean(r.wall_time_ms for r in records)
+    mean_ms = statistics.fmean(r.ms for r in records)
     lines.append(f"  mean wall time: {mean_ms:.3f} ms")
     return "\n".join(lines)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit_records(records, fmt: str, out: str | None, record_timing: bool) -> None:
-    if fmt == "csv":
-        _emit(records_to_csv(records, record_timing=record_timing), out)
+def _run_and_write(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    """Run a suite; its records go to stdout or ``--out``, its summary to stderr."""
+    records = run_suite(config)
+    if config.format == "csv":
+        _emit(records_to_csv(records, record_timing=args.record_timing), args.out)
     else:
-        _emit(records_to_json_lines(records), out)
+        _emit(records_to_json_lines(records), args.out)
+    print(summarize(records), file=sys.stderr)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +357,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    handle = load_instance(args.instance)
     params = {key: v for key in _PARAM_KEYS if (v := getattr(args, key)) is not None}
-    records = _run_trials(handle, args.algo, args.trials, args.seed, params)
-    _emit_records(records, args.format, args.out, args.record_timing)
-    print(summarize(records), file=sys.stderr)
-    return 0
+    config = ExperimentConfig(
+        load_instance(args.instance), args.algo, args.trials, args.seed, params, args.format
+    )
+    return _run_and_write(config, args)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -389,13 +372,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc, base_dir=path.parent)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    records = run_suite(config)
-    _emit_records(records, config.format, args.out, args.record_timing)
-    print(summarize(records), file=sys.stderr)
-    return 0
+    if args.seed is not None and isinstance(doc, dict):
+        doc["base_seed"] = args.seed  # replaced before the config checks it
+    return _run_and_write(ExperimentConfig.from_dict(doc, base_dir=path.parent), args)
 
 
 def _witness_text(witness) -> str:

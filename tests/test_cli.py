@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from xosmax.cli import (
     TrialRecord,
     main,
     records_to_csv,
+    records_to_json_lines,
     run_suite,
     run_trial,
+    summarize,
 )
 from xosmax.instances import InstanceHandle, instance_from_dict
 
@@ -371,6 +374,59 @@ def test_bench_bad_config(tmp_path):
     assert run_cli("bench", "--config", str(tmp_path / "missing.json")).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ([], "config must be a JSON object"),
+        ({"instance": 5}, "config field 'instance' must be a document or file path"),
+        ({"params": []}, "config field 'params' must be an object"),
+        ({"format": "xml"}, "config field 'format' must be 'json' or 'csv'"),
+        ({"trials": "2"}, "trials must be a nonnegative integer"),
+        ({"algorithm": "nope"},
+         "config algorithm must be one of enum, sample, exact2, kminus1, star, brute, probe"),
+        (None, "sample needs --epsilon (an exact rational like 1/3)"),
+    ],
+    ids=["not-an-object", "instance", "params", "format", "trials", "algorithm",
+         "solve-sample-without-epsilon"],
+)
+def test_suite_checks_exit_2_before_any_output(tmp_path, inst_path, capsys, config, message):
+    if config is None:
+        argv = ["solve", "--algo", "sample", "--instance", inst_path]
+    elif isinstance(config, dict):
+        argv = ["bench", "--config", _bench_config(tmp_path, **config)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["bench", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_bench_seed_replaces_a_bad_base_seed(tmp_path, capsys):
+    # --seed replaces base_seed before the config checks it
+    cfg = _bench_config(tmp_path, base_seed=-1, format="json")
+    assert main(["bench", "--config", cfg, "--seed", "5"]) == 0
+    assert [json.loads(line)["seed"] for line in capsys.readouterr().out.splitlines()] == [5, 6]
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "bench", "verify"])
+def test_unwritable_out_is_usage_error(tmp_path, inst_path, capsys, command):
+    out = tmp_path / "no" / "such" / "x.json"
+    argv = {
+        "gen": ["gen", "explicit", "--weights", "3,-1,2;1,2,-5"],
+        "solve": ["solve", "--algo", "exact2", "--instance", inst_path],
+        "bench": ["bench", "--config", _bench_config(tmp_path)],
+        "verify": ["verify", "--instance", inst_path],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {out}: " in captured.err
+    assert not out.parent.exists()
+
+
 def test_verify_output_shape(inst_path):
     r = run_cli("verify", "--instance", inst_path)
     assert r.returncode == 0
@@ -454,7 +510,7 @@ def test_run_trial_record_fields():
         rec = run_trial(handle, algo, trial=3, seed=9, epsilon="1/3", queries=20)
         assert isinstance(rec, TrialRecord)
         assert (rec.trial, rec.seed, rec.algo) == (3, 9, algo)
-        assert rec.wall_time_ms >= 0
+        assert rec.ms >= 0
         if algo == "probe":
             assert (rec.n, rec.k) == (8, None)
             assert (rec.opt, rec.opt_source, rec.calls) == (1, "planted", 20)
@@ -491,3 +547,20 @@ def test_ratio_of_zero_value():
     doc = {"type": "explicit", "n": 2, "weights": [[-1, -2]]}
     rec = run_trial(instance_from_dict(doc), "exact2")
     assert (rec.value, rec.opt, rec.ratio) == (0, 0, 1.0)
+
+
+def test_serialized_bytes_of_a_missed_needle():
+    # probe with one query: seed 4 finds the planted set, seed 5 misses it
+    config = ExperimentConfig(
+        instance_from_dict(NEEDLE_DOC), "probe", 2, base_seed=4, params={"queries": 1}
+    )
+    hit, miss = (replace(r, ms=1.23456) for r in run_suite(config))
+    assert (hit.value, miss.value, miss.opt) == (1, 0, 1)
+    assert records_to_csv([miss]).splitlines()[1] == "1,5,probe,8,,0,1,inf,1,0"
+    assert records_to_csv([miss], record_timing=True).splitlines()[1] == "1,5,probe,8,,0,1,inf,1,1"
+    assert records_to_json_lines([miss]) == (
+        '{"trial": 1, "seed": 5, "algo": "probe", "n": 8, "k": null, "value": 0, "opt": 1, '
+        '"ratio": "inf", "calls": 1, "ms": 1.235, "opt_source": "planted", '
+        '"budget_override": null}\n'
+    )
+    assert "mean=1.0000 max=1.0000 (+1 infinite)" in summarize([hit, miss])
