@@ -8,7 +8,9 @@ Subcommands:
 * ``verify``  materialize a small instance and run the class checks
 
 One ``ExperimentConfig`` describes a suite, whether built from ``solve``'s
-flags, a ``bench`` JSON config or Python, and ``run_suite`` runs it. Trial i
+flags, a ``bench`` JSON config or Python, and ``run_suite`` runs it.
+``_solver`` alone knows each algorithm's call, options and their checks;
+building a config checks the options there once, whatever its trials. Trial i
 uses seed (base_seed + i) mod 2^64 and a fresh oracle (base_seed must pass
 ``rng.check_seed``, as must ``gen --seed``); the optimum reference is
 computed once per suite without any oracle, so reported call counts are the
@@ -35,7 +37,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,7 +73,7 @@ CSV_COLUMNS = ("trial", "seed", "algo", "n", "k", "value", "opt", "ratio", "call
 DEFAULT_BRUTE_CAP = 20
 
 # The solver options: the keys a bench config's "params" object may hold and
-# the ``solve`` flags, each passed to run_trial as the keyword of that name.
+# the ``solve`` flags, each passed to _solver as the keyword of that name.
 _PARAM_KEYS = ("epsilon", "budget_override", "high_probability", "queries")
 
 
@@ -113,53 +115,47 @@ def _ratio(opt: int, value: int) -> float:
     return math.inf
 
 
-def run_trial(
-    handle: InstanceHandle,
-    algo: str,
-    trial: int = 0,
-    seed: int = 0,
-    *,
-    epsilon=None,
-    budget_override: int | None = None,
-    high_probability: bool = False,
-    queries: int = 1000,
-    opt_info: tuple[int, str] | None = None,
-) -> TrialRecord:
-    """Run one solver on a fresh oracle and assemble the record.
-
-    ``opt_info`` lets suite runners compute the optimum reference once; when
-    absent it is computed here on a separate oracle-free path.
-    """
+def _solver(handle: InstanceHandle, algo: str, *, epsilon=None,
+            budget_override: int | None = None, high_probability: bool = False,
+            queries: int = 1000):
+    """``algo``'s trial call ``(oracle, seed) -> SolveReport`` on ``handle``,
+    after checking the options it reads before any oracle exists; it ignores
+    the others. A call looks up its solver's name in this module when it runs,
+    so a wrapper put in that name's place sees every report."""
     if algo in ("enum", "sample") and epsilon is None:
         raise UsageError(f"{algo} needs --epsilon (an exact rational like 1/3)")
-    oracle = handle.oracle()
-    t0 = time.perf_counter()
     if algo == "enum":
-        report = solve_enum_small_sets(oracle, EnumParams(epsilon))
-    elif algo == "sample":
-        report = solve_random_sampling(
-            oracle,
-            SamplingParams(
-                epsilon,
-                seed=seed,
-                sample_budget_override=budget_override,
-                high_probability=high_probability,
-            ),
-        )
-    elif algo == "exact2":
-        report = solve_exact_2xos(oracle)
-    elif algo == "kminus1":
-        report = solve_k_minus_1(oracle)
-    elif algo == "star":
-        report = solve_exact_star(oracle)
-    elif algo == "brute":
-        report = solve_brute_force(oracle)
-    elif algo == "probe":
+        params = EnumParams(epsilon)
+        return lambda oracle, seed: solve_enum_small_sets(oracle, params)
+    if algo == "sample":
+        params = SamplingParams(epsilon, 0, budget_override, high_probability)
+        return lambda oracle, seed: solve_random_sampling(oracle, replace(params, seed=seed))
+    if algo == "probe":
         if handle.kind != "needle":
             raise UsageError("probe runs on needle instances only")
-        report = uniform_size_probe(oracle, handle.hidden.t, queries, seed)
-    else:
+        if not (_is_int(queries) and queries >= 0):  # uniform_size_probe's check, made early
+            raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
+        return lambda oracle, seed: uniform_size_probe(oracle, handle.hidden.t, queries, seed)
+    calls = {
+        "exact2": lambda oracle, seed: solve_exact_2xos(oracle),
+        "kminus1": lambda oracle, seed: solve_k_minus_1(oracle),
+        "star": lambda oracle, seed: solve_exact_star(oracle),
+        "brute": lambda oracle, seed: solve_brute_force(oracle),
+    }
+    if algo not in calls:
         raise UsageError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
+    return calls[algo]
+
+
+def run_trial(handle: InstanceHandle, algo: str, trial: int = 0, seed: int = 0, *,
+              opt_info: tuple[int, str] | None = None, **options) -> TrialRecord:
+    """Run ``_solver``'s call for ``algo`` and ``options`` on a fresh oracle and
+    assemble the record. ``opt_info`` lets suite runners compute the optimum
+    reference once; when absent it is computed here on an oracle-free path."""
+    solve = _solver(handle, algo, **options)
+    oracle = handle.oracle()
+    t0 = time.perf_counter()
+    report = solve(oracle, seed)
     ms = (time.perf_counter() - t0) * 1000.0
     opt, source = opt_info if opt_info is not None else handle.exact_optimum(DEFAULT_BRUTE_CAP)
     return TrialRecord(
@@ -182,8 +178,8 @@ def run_trial(
 class ExperimentConfig:
     """One trial suite, built from ``solve``'s flags, a ``bench`` JSON config
     (``from_dict``) or in Python. Construction checks the algorithm, trials,
-    params (``_PARAM_KEYS``; an absent key takes run_trial's default) and
-    format, and then the base seed."""
+    params (``_PARAM_KEYS``), format and base seed, then, whatever ``trials``
+    is, the options the algorithm reads, through ``_solver``."""
 
     handle: InstanceHandle
     algorithm: str
@@ -208,6 +204,7 @@ class ExperimentConfig:
         if self.format not in ("json", "csv"):
             raise UsageError("config field 'format' must be 'json' or 'csv'")
         check_seed(self.base_seed, UsageError)
+        _solver(self.handle, self.algorithm, **self.params)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
@@ -294,6 +291,8 @@ def summarize(records: Sequence[TrialRecord]) -> str:
             f"mean={statistics.fmean(finite):.4f} max={max(finite):.4f}"
             + (f" (+{infinite} infinite)" if infinite else "")
         )
+    else:
+        lines.append(f"  ratio (opt/value): all {infinite} infinite")
     hits = sum(1 for r in records if r.value == r.opt)
     lines.append(f"  optimum hit rate: {hits}/{len(records)}")
     mean_ms = statistics.fmean(r.ms for r in records)
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
     solve.add_argument("--epsilon", help="exact rational like 1/3 (enum and sample)")
     solve.add_argument("--budget-override", type=int, help="per-round sample budget (sample)")
-    solve.add_argument("--high-probability", action="store_true",
+    solve.add_argument("--high-probability", action="store_true", default=None,
                        help="multiply the sample budget by ceil(2*epsilon*n)")
     solve.add_argument("--queries", type=int, help="probe query count")
     solve.add_argument("--format", choices=("json", "csv"), default="json")

@@ -191,6 +191,19 @@ def test_solve_flags_reach_the_solver(tmp_path, inst_path):
     assert rec["budget_override"] == 3
 
 
+def test_solve_forwards_only_the_flags_given(inst_path, monkeypatch):
+    # solve builds the params of the equivalent bench config: an unset flag,
+    # --high-probability included, is left to the solver's default
+    configs = []
+    monkeypatch.setattr(cli, "run_suite", lambda config: configs.append(config) or [])
+    assert main(["solve", "--algo", "sample", "--epsilon", "1/2", "--instance", inst_path]) == 0
+    assert main(["solve", "--algo", "sample", "--epsilon", "1/2", "--high-probability",
+                 "--instance", inst_path]) == 0
+    assert [c.params for c in configs] == [
+        {"epsilon": "1/2"}, {"epsilon": "1/2", "high_probability": True}
+    ]
+
+
 def test_verify_over_cap_builds_no_representation(tmp_path, monkeypatch):
     # hard_general's representation is O(n^2); the materialize cap must stop
     # verify before it is built.
@@ -384,14 +397,23 @@ def test_bench_bad_config(tmp_path):
         ({"trials": "2"}, "trials must be a nonnegative integer"),
         ({"algorithm": "nope"},
          "config algorithm must be one of enum, sample, exact2, kminus1, star, brute, probe"),
-        (None, "sample needs --epsilon (an exact rational like 1/3)"),
+        (("--algo", "sample"), "sample needs --epsilon (an exact rational like 1/3)"),
+        # the options are checked once, when the config is built, so a suite
+        # of zero trials refuses what a suite of one refuses
+        (("--algo", "enum", "--trials", "0"), "enum needs --epsilon (an exact rational like 1/3)"),
+        ({"instance": NEEDLE_DOC, "algorithm": "probe", "trials": 0, "params": {"queries": "10"}},
+         "queries must be an integer >= 0, got '10'"),
+        ({"algorithm": "probe", "trials": 0}, "probe runs on needle instances only"),
+        ({"algorithm": "sample", "trials": 0, "params": {"epsilon": "0"}},
+         "epsilon must be positive, got 0"),
     ],
     ids=["not-an-object", "instance", "params", "format", "trials", "algorithm",
-         "solve-sample-without-epsilon"],
+         "solve-sample-without-epsilon", "solve-enum-0-trials-without-epsilon",
+         "probe-0-trials-string-queries", "probe-0-trials-explicit", "sample-0-trials-epsilon-0"],
 )
 def test_suite_checks_exit_2_before_any_output(tmp_path, inst_path, capsys, config, message):
-    if config is None:
-        argv = ["solve", "--algo", "sample", "--instance", inst_path]
+    if isinstance(config, tuple):
+        argv = ["solve", *config, "--instance", inst_path]
     elif isinstance(config, dict):
         argv = ["bench", "--config", _bench_config(tmp_path, **config)]
     else:
@@ -519,6 +541,57 @@ def test_run_trial_record_fields():
             assert (rec.n, rec.k) == (3, 2)
             assert (rec.value, rec.opt, rec.ratio) == (5, 5, 1.0)
             assert rec.opt_source == "brute"
+
+
+# The cli name each algorithm's trial calls; perfbench captures every
+# SolveReport by putting a wrapper in that name's place.
+SOLVER_NAMES = {
+    "enum": "solve_enum_small_sets",
+    "sample": "solve_random_sampling",
+    "exact2": "solve_exact_2xos",
+    "kminus1": "solve_k_minus_1",
+    "star": "solve_exact_star",
+    "brute": "solve_brute_force",
+    "probe": "uniform_size_probe",
+}
+
+
+def test_trials_reach_a_wrapper_in_each_solver_name(monkeypatch):
+    # a dispatch that bound the solver functions at import would bypass the
+    # wrappers and fail here
+    assert set(SOLVER_NAMES) == set(ALGORITHMS)
+    seen = []
+
+    def wrap(algo, solver):
+        def wrapped(*args, **kwargs):
+            seen.append(algo)
+            return solver(*args, **kwargs)
+        return wrapped
+
+    for algo, name in SOLVER_NAMES.items():
+        monkeypatch.setattr(cli, name, wrap(algo, getattr(cli, name)))
+    explicit = instance_from_dict(EXPLICIT_DOC)
+    needle = instance_from_dict(NEEDLE_DOC)
+    params = {"epsilon": "1/3", "queries": 20}
+    for algo in ALGORITHMS:
+        handle = needle if algo == "probe" else explicit
+        assert run_trial(handle, algo, seed=9, **params).algo == algo
+        assert len(run_suite(ExperimentConfig(handle, algo, 2, params=params))) == 2
+    assert seen == [algo for algo in ALGORITHMS for _ in range(3)]
+
+
+def test_summary_when_every_ratio_is_infinite():
+    # probe with one query misses the planted set on seeds 0 and 1
+    config = ExperimentConfig(
+        instance_from_dict(NEEDLE_DOC), "probe", 2, base_seed=0, params={"queries": 1}
+    )
+    lines = summarize(run_suite(config)).splitlines()
+    assert lines[:4] == [
+        "2 trial(s) of probe on n=8",
+        "  calls: min=1 median=1.0 max=1",
+        "  ratio (opt/value): all 2 infinite",
+        "  optimum hit rate: 0/2",
+    ]
 
 
 def test_run_suite_and_csv_shape():
