@@ -115,6 +115,9 @@ class SamplingParams:
     void the expectation guarantee, so they are echoed in the report.
     ``high_probability`` multiplies the per-round budget by ceil(2*epsilon*n),
     which upgrades the expectation guarantee to probability >= 1 - 1/n.
+    Epsilon = p/q needs p <= 2^17, so the exact p-th root of r^(p+q) costs
+    a few powers of at most 33p bits each (``solve_random_sampling``), and
+    q <= 2^53, so the schedule's floats are exact and finite.
     """
 
     epsilon: Fraction
@@ -124,6 +127,8 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        if self.epsilon.numerator > 1 << 17 or self.epsilon.denominator > 1 << 53:
+            raise ValueError("sampling needs epsilon = p/q with p <= 2^17 and q <= 2^53")
         check_seed(self.seed)  # before any query
         budget = self.sample_budget_override
         if budget is not None and not (_is_int(budget) and budget >= 1):
@@ -233,18 +238,24 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
 
 
 def _ceil_root(n: int, d: int) -> int:
-    """Smallest integer t >= 1 with t**d >= n, for n >= 1 (exact, no floats)."""
+    """Smallest integer t >= 1 with t**d >= n, for n >= 1 (exact).
+
+    Integer Newton steps fall from a start above the root to the floor root,
+    and one exact comparison rounds up. A start only a factor 2 above the
+    root would take about d steps, each shrinking t by (1 - 1/d), so below
+    2^1000 the start is a float estimate raised by 2^-30 (its relative error
+    is below 2^-40) and a large d costs two or three exact powers.
+    """
     if d == 1 or n <= 1:
         return n if d == 1 else 1
-    t = 1 << -(-n.bit_length() // d)  # 2^ceil(bits/d) >= n^(1/d)
+    e = math.log2(n) / d
+    t = int(2**e * (1 + 2**-30)) + 1 if e < 1000 else 1 << -(-n.bit_length() // d)
     while True:
-        nt = ((d - 1) * t + n // t ** (d - 1)) // d
-        if nt >= t:
-            break
+        power = t ** (d - 1)
+        nt = ((d - 1) * t + n // power) // d
+        if nt >= t:  # t is the floor root
+            return t if power * t >= n else t + 1
         t = nt
-    if t ** d < n:
-        t += 1
-    return t
 
 
 def _sampling_schedule(r: int, p: int, q: int) -> tuple[bool, int]:
@@ -265,7 +276,10 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     subsets instead, provided n + 2^r stays below MAX_QUERIES (r <= 20 for
     every ground size); otherwise the sampling rounds run anyway with the
     guarantee void. The rounds cost min(rounds, r) * per_round queries and
-    are refused when that would reach the limit.
+    are refused when that would reach the limit. Without an override, a
+    per_round whose lower bound r^(1 + q//p), for epsilon = p/q, already
+    reaches it is refused on that bound before r^(p+q) is formed; past that
+    bound r^(p+q) and each power ``_ceil_root`` takes have under 33p bits.
 
     Deterministic given ``params.seed``: samples come from a splitmix64
     stream via partial Fisher-Yates, so replays are bit-identical.
@@ -283,13 +297,17 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
         return run.report(_exhaustive(oracle, retained, r))
     # Past here a fallback set is too large to enumerate; sample anyway (guarantee void).
 
+    rounds = min(rounds, r)
     if params.sample_budget_override is not None:
         per_round = params.sample_budget_override
     else:
-        per_round = _ceil_root(r ** (p + q), p)  # ceil(r^(1/eps + 1)), exact
+        # r^(1 + q//p) <= r^(1/eps + 1) and r^21 >= MAX_QUERIES: when this lower
+        # bound already fails the phase below, r^(p+q) is never formed
+        per_round = r ** min(1 + q // p, 21)
+        if run.fits(rounds * per_round):
+            per_round = _ceil_root(r ** (p + q), p)  # ceil(r^(1/eps + 1)), exact
     if params.high_probability:
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
-    rounds = min(rounds, r)
     run.phase(rounds * per_round, "rounds")
 
     rng = SplitMix64(params.seed)

@@ -47,8 +47,6 @@ MATERIALIZE_CAP = 16
 # +-2^62 keeps those int64 results exact.
 _SAFE_SUM_BOUND = 1 << 62
 
-CLASS_NAMES = ("normalized", "monotone", "additive", "submodular", "subadditive")
-
 Witness = Union[tuple[int, ...], None]
 
 
@@ -278,6 +276,7 @@ _CHECKS: dict[str, Callable[[DenseFunction], tuple[bool, Witness]]] = {
     "submodular": check_submodular,
     "subadditive": check_subadditive,
 }
+CLASS_NAMES = tuple(_CHECKS)
 
 
 def check_class(f: DenseFunction, cls: str) -> tuple[bool, Witness]:

@@ -2,22 +2,23 @@
 
 Subcommands:
 
-* ``gen``     write an instance document (explicit weights or a hidden family)
+* ``gen``     write an instance document (explicit, or a ``hardness.FAMILIES`` kind)
 * ``solve``   run one solver for one or more seeded trials on an instance
 * ``bench``   run a config-driven trial suite and aggregate it
 * ``verify``  materialize a small instance and run the class checks
 
 One ``ExperimentConfig`` describes a suite, whether built from ``solve``'s
 flags, a ``bench`` JSON config or Python, and ``run_suite`` runs it.
-``_solver`` alone knows each algorithm's call, options and their checks;
-building a config checks the options there once, whatever its trials. Trial i
-uses seed (base_seed + i) mod 2^64 and a fresh oracle (base_seed must pass
-``rng.check_seed``, as must ``gen --seed``); the optimum reference is
-computed once per suite without any oracle, so reported call counts are the
-solver's own. A ``TrialRecord``'s fields, in order, are the NDJSON keys; the
-first ten are the fixed CSV columns. Replaying a suite with the same
-base_seed is byte-identical because the ms column is 0 unless
-``--record-timing`` asks for measured wall time.
+``SOLVERS`` maps each algorithm to its trial call. ``_solver`` alone checks
+the name and the options it reads, and meets the query limit for brute and
+probe, whose counts the options fix; building a config runs it once,
+whatever its trials. Trial i uses seed (base_seed + i) mod 2^64 and a fresh
+oracle (base_seed must pass ``rng.check_seed``, as must ``gen --seed``); the
+optimum reference is computed once per suite without any oracle, so
+reported call counts are the solver's own. A ``TrialRecord``'s fields, in
+order, are the NDJSON keys; the first ten are the fixed CSV columns.
+Replaying a suite with the same base_seed is byte-identical because the ms
+column is 0 unless ``--record-timing`` asks for measured wall time.
 
 Machine output (instance JSON, trial records) goes to stdout or ``--out``;
 human-readable summaries go to stderr. Exit codes: 0 success, 2 bad
@@ -55,6 +56,7 @@ from .classify import CLASS_NAMES, check_class, check_star_condition, materializ
 from .core import (
     CapExceededError,
     InstanceFormatError,
+    Run,
     ValueOverflowError,
     _is_int,
     elements_of,
@@ -63,7 +65,19 @@ from .hardness import FAMILIES, uniform_size_probe
 from .instances import InstanceHandle, dump_instance, instance_from_dict, load_instance
 from .rng import SEED_LIMIT, check_seed
 
-ALGORITHMS = ("enum", "sample", "exact2", "kminus1", "star", "brute", "probe")
+# Each algorithm's trial call (oracle, seed, args), args being what _solver
+# builds. A call looks up its solver's name here when it runs, so a wrapper
+# put in that name's place sees every report.
+SOLVERS = {
+    "enum": lambda oracle, seed, args: solve_enum_small_sets(oracle, args),
+    "sample": lambda oracle, seed, args: solve_random_sampling(oracle, replace(args, seed=seed)),
+    "exact2": lambda oracle, seed, args: solve_exact_2xos(oracle),
+    "kminus1": lambda oracle, seed, args: solve_k_minus_1(oracle),
+    "star": lambda oracle, seed, args: solve_exact_star(oracle),
+    "brute": lambda oracle, seed, args: solve_brute_force(oracle),
+    "probe": lambda oracle, seed, args: uniform_size_probe(oracle, *args, seed),
+}
+ALGORITHMS = tuple(SOLVERS)
 
 CSV_COLUMNS = ("trial", "seed", "algo", "n", "k", "value", "opt", "ratio", "calls", "ms")
 
@@ -118,44 +132,38 @@ def _ratio(opt: int, value: int) -> float:
 def _solver(handle: InstanceHandle, algo: str, *, epsilon=None,
             budget_override: int | None = None, high_probability: bool = False,
             queries: int = 1000):
-    """``algo``'s trial call ``(oracle, seed) -> SolveReport`` on ``handle``,
-    after checking the options it reads before any oracle exists; it ignores
-    the others. A call looks up its solver's name in this module when it runs,
-    so a wrapper put in that name's place sees every report."""
+    """The ``args`` that ``SOLVERS[algo]`` takes on ``handle``, after checking
+    the options ``algo`` reads before any oracle exists; it ignores the others.
+    Brute force and probe, whose whole query count is known here, meet the
+    query limit here too, so a suite of zero trials refuses what one refuses."""
+    if algo not in ALGORITHMS:  # a tuple test: an unhashable JSON value is no TypeError
+        raise UsageError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algo!r}")
     if algo in ("enum", "sample") and epsilon is None:
         raise UsageError(f"{algo} needs --epsilon (an exact rational like 1/3)")
     if algo == "enum":
-        params = EnumParams(epsilon)
-        return lambda oracle, seed: solve_enum_small_sets(oracle, params)
+        return EnumParams(epsilon)
     if algo == "sample":
-        params = SamplingParams(epsilon, 0, budget_override, high_probability)
-        return lambda oracle, seed: solve_random_sampling(oracle, replace(params, seed=seed))
+        return SamplingParams(epsilon, 0, budget_override, high_probability)
+    if algo == "brute":
+        Run(handle.oracle(), algo).phase(1 << handle.n, "exhaustive search")
     if algo == "probe":
         if handle.kind != "needle":
             raise UsageError("probe runs on needle instances only")
         if not (_is_int(queries) and queries >= 0):  # uniform_size_probe's check, made early
             raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
-        return lambda oracle, seed: uniform_size_probe(oracle, handle.hidden.t, queries, seed)
-    calls = {
-        "exact2": lambda oracle, seed: solve_exact_2xos(oracle),
-        "kminus1": lambda oracle, seed: solve_k_minus_1(oracle),
-        "star": lambda oracle, seed: solve_exact_star(oracle),
-        "brute": lambda oracle, seed: solve_brute_force(oracle),
-    }
-    if algo not in calls:
-        raise UsageError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
-    return calls[algo]
+        Run(handle.oracle(), algo).phase(queries, "queries")
+        return handle.hidden.t, queries
 
 
 def run_trial(handle: InstanceHandle, algo: str, trial: int = 0, seed: int = 0, *,
               opt_info: tuple[int, str] | None = None, **options) -> TrialRecord:
-    """Run ``_solver``'s call for ``algo`` and ``options`` on a fresh oracle and
-    assemble the record. ``opt_info`` lets suite runners compute the optimum
-    reference once; when absent it is computed here on an oracle-free path."""
-    solve = _solver(handle, algo, **options)
+    """Run ``SOLVERS[algo]`` with ``_solver``'s args for ``options`` on a fresh
+    oracle and assemble the record. ``opt_info`` lets suite runners compute the
+    optimum reference once; when absent it is computed on an oracle-free path."""
+    args = _solver(handle, algo, **options)
     oracle = handle.oracle()
     t0 = time.perf_counter()
-    report = solve(oracle, seed)
+    report = SOLVERS[algo](oracle, seed, args)
     ms = (time.perf_counter() - t0) * 1000.0
     opt, source = opt_info if opt_info is not None else handle.exact_optimum(DEFAULT_BRUTE_CAP)
     return TrialRecord(
@@ -177,9 +185,9 @@ def run_trial(handle: InstanceHandle, algo: str, trial: int = 0, seed: int = 0, 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One trial suite, built from ``solve``'s flags, a ``bench`` JSON config
-    (``from_dict``) or in Python. Construction checks the algorithm, trials,
-    params (``_PARAM_KEYS``), format and base seed, then, whatever ``trials``
-    is, the options the algorithm reads, through ``_solver``."""
+    (``from_dict``) or in Python. Construction checks trials, params
+    (``_PARAM_KEYS``), format and base seed, then, whatever ``trials`` is, the
+    algorithm and the options it reads, through ``_solver``."""
 
     handle: InstanceHandle
     algorithm: str
@@ -189,8 +197,6 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise UsageError(f"config algorithm must be one of {', '.join(ALGORITHMS)}")
         if not (_is_int(self.trials) and self.trials >= 0):
             raise UsageError("trials must be a nonnegative integer")
         if not isinstance(self.params, dict):
@@ -430,26 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
     g_exp = gen_sub.add_parser("explicit", help="explicit weight matrix")
     g_exp.add_argument("--weights", required=True, help="rows ';'-separated, entries ','")
     g_exp.set_defaults(type="explicit")
-    g_nee = gen_sub.add_parser("needle", help="hidden threshold set")
-    g_nee.add_argument("--nhat", dest="n_hat", type=int, required=True)
-    g_nee.add_argument("--s", type=int, required=True)
-    g_nee.add_argument("--t", type=int, required=True)
-    g_nee.add_argument("--seed", type=int, default=0)
-    g_nee.set_defaults(type="needle")
-    g_hg = gen_sub.add_parser("hard-general", help="hidden half-size set with floor")
-    g_hg.add_argument("--n", type=int, required=True)
-    g_hg.add_argument("--tau", type=int, required=True)
-    g_hg.add_argument("--seed", type=int, default=0)
-    g_hg.add_argument("--remark", dest="type", action="store_const", const="hard_general_remark",
-                      help="max(additive, floor) variant")
-    g_hg.set_defaults(type="hard_general")
-    g_kx = gen_sub.add_parser("hard-kxos", help="width-k blocked construction")
-    g_kx.add_argument("--k", type=int, required=True)
-    g_kx.add_argument("--ntilde", dest="n_tilde", type=int, required=True)
-    g_kx.add_argument("--a", type=int, required=True)
-    g_kx.add_argument("--seed", type=int, default=0)
-    g_kx.set_defaults(type="hard_kxos")
-    for p in (g_exp, g_nee, g_hg, g_kx):
+    family_parsers = {}
+    for kind, (cls, fixed) in FAMILIES.items():
+        if fixed:  # a variant: one flag, named after its keyword, on its class's subcommand
+            (key,) = fixed
+            family_parsers[cls].add_argument(f"--{key}", dest="type", action="store_const",
+                                             const=kind, help=f"the {kind} variant")
+            continue
+        p = family_parsers[cls] = gen_sub.add_parser(kind.replace("_", "-"),
+                                                      help=cls.__doc__.splitlines()[0])
+        for key in cls.params:
+            p.add_argument("--" + key.replace("_", ""), dest=key, type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(type=kind)
+    for p in (g_exp, *family_parsers.values()):
         _add_common_output(p)
         p.set_defaults(func=cmd_gen)
 

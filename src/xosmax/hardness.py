@@ -6,8 +6,8 @@ parameters and seed; planted sets are drawn by the same exactly-uniform
 sampler the solvers use, so serialized instances store only (params, seed)
 and never leak the planted set. The families share one base class that
 declares their parameter keys and holds the type check, the oracle factory
-and the document writer; ``FAMILIES`` maps each document type to its class,
-and is the one table ``parse_hidden`` and ``xosmax gen`` read.
+and the document writer. ``FAMILIES`` maps each document type to its class;
+``parse_hidden`` reads it, and ``gen`` builds its subcommands and flags from it.
 
 * needle(n_hat, s, t): f(X) = 1 iff X is inside a hidden s-element set and
   |X| >= t, else 0. Any querier needs on the order of (n_hat/s)^t queries to

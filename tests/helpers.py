@@ -13,6 +13,18 @@ from itertools import combinations
 from xosmax import XosRepresentation, random_explicit
 from xosmax.rng import SplitMix64
 
+# The cli name each algorithm's trial calls; perfbench captures every
+# SolveReport by putting a wrapper in that name's place.
+SOLVER_NAMES = {
+    "enum": "solve_enum_small_sets",
+    "sample": "solve_random_sampling",
+    "exact2": "solve_exact_2xos",
+    "kminus1": "solve_k_minus_1",
+    "star": "solve_exact_star",
+    "brute": "solve_brute_force",
+    "probe": "uniform_size_probe",
+}
+
 
 def bits_of(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from xosmax import SamplingParams, SplitMix64, cli, solve_random_sampling
+from xosmax import SamplingParams, SplitMix64, cli, random_explicit, solve_random_sampling
 from xosmax.cli import (
     ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
     TrialRecord,
+    UsageError,
     main,
     records_to_csv,
     records_to_json_lines,
@@ -26,8 +27,14 @@ from xosmax.cli import (
 )
 from xosmax.instances import InstanceHandle, instance_from_dict
 
+from helpers import SOLVER_NAMES
+
 EXPLICIT_DOC = {"type": "explicit", "n": 3, "weights": [[3, -1, 2], [1, 2, -5]]}
 NEEDLE_DOC = {"type": "needle", "params": {"n_hat": 8, "s": 4, "t": 2}, "seed": 3}
+N21_DOC = {"type": "explicit", "n": 21, "weights": [[1] * 21]}
+UNKNOWN_ALGORITHM = (
+    "algorithm must be one of enum, sample, exact2, kminus1, star, brute, probe, got "
+)
 
 
 def run_cli(*args, **kwargs):
@@ -280,8 +287,12 @@ def test_one_seed_message_at_every_entry(tmp_path, inst_path, capsys, entry):
          "kminus1 expansions and bridges"),
         ({"type": "hard_general", "params": {"n": 1000, "tau": 7}, "seed": 1}, "kminus1", [],
          "kminus1 expansions and bridges"),
+        # brute's and probe's counts are known before any trial: zero trials refuse them too
+        (N21_DOC, "brute", ["--trials", "0"], "brute exhaustive search"),
+        (NEEDLE_DOC, "probe", ["--queries", "4194304", "--trials", "0"], "probe queries"),
     ],
-    ids=["star-n64", "enum-n1000", "kminus1-n200", "kminus1-n1000"],
+    ids=["star-n64", "enum-n1000", "kminus1-n200", "kminus1-n1000", "brute-n21-0-trials",
+         "probe-0-trials"],
 )
 def test_runs_past_the_query_limit_exit_4_at_once(tmp_path, capsys, doc, algo, extra, phase):
     # each phase's worst case would cross MAX_QUERIES: refused at once, phase named
@@ -292,6 +303,45 @@ def test_runs_past_the_query_limit_exit_4_at_once(tmp_path, capsys, doc, algo, e
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert f"cap exceeded: {phase}:" in err and "limit of 2097152" in err
+
+
+@pytest.mark.parametrize(
+    "doc,extra",
+    [(N21_DOC, ["--algo", "brute"]), (NEEDLE_DOC, ["--algo", "probe", "--queries", "4194304"])],
+    ids=["brute-n21", "probe"],
+)
+def test_a_refused_run_prints_the_same_at_0_and_1_trials(tmp_path, capsys, doc, extra):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(doc))
+    outputs = []
+    for trials in ("0", "1"):
+        assert main(["solve", *extra, "--instance", str(p), "--trials", trials]) == 4
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == "" and outputs[0].err.startswith("cap exceeded: ")
+
+
+def test_sampling_schedule_work_is_bounded(tmp_path, capsys):
+    # r^(p+q) and its exact p-th root: a p near 10^5 costs a few powers, a
+    # tiny epsilon is refused on a lower bound, and terms too large exit 2
+    p = tmp_path / "inst.json"
+    rep = random_explicit(26, 3, 1, 8, 5, positive_singletons=True)
+    p.write_text(json.dumps(rep.to_json_dict()))
+    argv = ["solve", "--algo", "sample", "--instance", str(p), "--seed", "3", "--format", "csv"]
+    assert main([*argv, "--epsilon", "1"]) == 0
+    want = capsys.readouterr().out
+    for epsilon, code in (("100001/100000", 0), ("1/10000000", 4),
+                          (f"{10**400 + 1}/{10**399}", 2), ("1000001/1000000", 2)):
+        t0 = time.perf_counter()
+        assert main([*argv, "--epsilon", epsilon]) == code
+        assert time.perf_counter() - t0 < 1.0, epsilon
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out == want
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith({2: "error: ", 4: "cap exceeded: sample rounds: "}[code])
+            assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -395,8 +445,9 @@ def test_bench_bad_config(tmp_path):
         ({"params": []}, "config field 'params' must be an object"),
         ({"format": "xml"}, "config field 'format' must be 'json' or 'csv'"),
         ({"trials": "2"}, "trials must be a nonnegative integer"),
-        ({"algorithm": "nope"},
-         "config algorithm must be one of enum, sample, exact2, kminus1, star, brute, probe"),
+        ({"algorithm": "nope"}, UNKNOWN_ALGORITHM + "'nope'"),
+        ({"algorithm": ["exact2"]}, UNKNOWN_ALGORITHM + "['exact2']"),
+        ({"algorithm": {}}, UNKNOWN_ALGORITHM + "{}"),
         (("--algo", "sample"), "sample needs --epsilon (an exact rational like 1/3)"),
         # the options are checked once, when the config is built, so a suite
         # of zero trials refuses what a suite of one refuses
@@ -408,6 +459,7 @@ def test_bench_bad_config(tmp_path):
          "epsilon must be positive, got 0"),
     ],
     ids=["not-an-object", "instance", "params", "format", "trials", "algorithm",
+         "algorithm-list", "algorithm-object",
          "solve-sample-without-epsilon", "solve-enum-0-trials-without-epsilon",
          "probe-0-trials-string-queries", "probe-0-trials-explicit", "sample-0-trials-epsilon-0"],
 )
@@ -424,6 +476,12 @@ def test_suite_checks_exit_2_before_any_output(tmp_path, inst_path, capsys, conf
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_run_trial_gives_the_one_unknown_algorithm_message():
+    with pytest.raises(UsageError) as info:
+        run_trial(instance_from_dict(EXPLICIT_DOC), "nope")
+    assert str(info.value) == UNKNOWN_ALGORITHM + "'nope'"
 
 
 def test_bench_seed_replaces_a_bad_base_seed(tmp_path, capsys):
@@ -541,19 +599,6 @@ def test_run_trial_record_fields():
             assert (rec.n, rec.k) == (3, 2)
             assert (rec.value, rec.opt, rec.ratio) == (5, 5, 1.0)
             assert rec.opt_source == "brute"
-
-
-# The cli name each algorithm's trial calls; perfbench captures every
-# SolveReport by putting a wrapper in that name's place.
-SOLVER_NAMES = {
-    "enum": "solve_enum_small_sets",
-    "sample": "solve_random_sampling",
-    "exact2": "solve_exact_2xos",
-    "kminus1": "solve_k_minus_1",
-    "star": "solve_exact_star",
-    "brute": "solve_brute_force",
-    "probe": "uniform_size_probe",
-}
 
 
 def test_trials_reach_a_wrapper_in_each_solver_name(monkeypatch):

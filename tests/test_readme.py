@@ -1,5 +1,6 @@
-"""README's CLI examples run as written, so the documentation cannot drift
-from the options."""
+"""README's CLI examples run as written, and its solver table and family list
+name exactly the solvers and families the package has, so the documentation
+cannot drift from the options or the registries."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from xosmax.hardness import FAMILIES
+
+from helpers import SOLVER_NAMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +36,14 @@ def test_readme_cli_examples_exit_0(tmp_path):
             cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert r.returncode == 0, f"{line}\n{r.stderr}"
+
+
+def test_readme_lists_each_solver_and_family_once():
+    text = README.read_text()
+    rows = re.findall(r"^\| `(\w+)` \|", text, re.M)
+    assert sorted(rows) == sorted(SOLVER_NAMES.values())
+    bullets = [
+        (kind, tuple(re.findall(r"`(\w+)`", params)))
+        for kind, params in re.findall(r"^\* `(\w+)` \(params ([^)]*)\):", text, re.M)
+    ]
+    assert bullets == [(kind, cls.params) for kind, (cls, fixed) in FAMILIES.items() if not fixed]
