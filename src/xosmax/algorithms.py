@@ -238,18 +238,17 @@ def solve_enum_small_sets(oracle: CountingOracle, params: EnumParams) -> SolveRe
 
 
 def _ceil_root(n: int, d: int) -> int:
-    """Smallest integer t >= 1 with t**d >= n, for n >= 1 (exact).
+    """Smallest integer t >= 1 with t**d >= n, for n >= 1 and log2(n)/d
+    below 1000, so that 2^(log2(n)/d) is a float (exact).
 
     Integer Newton steps fall from a start above the root to the floor root,
-    and one exact comparison rounds up. A start only a factor 2 above the
-    root would take about d steps, each shrinking t by (1 - 1/d), so below
-    2^1000 the start is a float estimate raised by 2^-30 (its relative error
-    is below 2^-40) and a large d costs two or three exact powers.
+    and one exact comparison rounds up. The start is a float estimate raised
+    by 2^-30 (its relative error is below 2^-40), so a large d costs two or
+    three exact powers.
     """
     if d == 1 or n <= 1:
         return n if d == 1 else 1
-    e = math.log2(n) / d
-    t = int(2**e * (1 + 2**-30)) + 1 if e < 1000 else 1 << -(-n.bit_length() // d)
+    t = int(2 ** (math.log2(n) / d) * (1 + 2**-30)) + 1
     while True:
         power = t ** (d - 1)
         nt = ((d - 1) * t + n // power) // d
@@ -472,5 +471,10 @@ def solve_brute_force(oracle: CountingOracle) -> SolveReport:
     set comes first in canonical order.
     """
     run = Run(oracle, "brute")
-    run.phase(1 << oracle.n, "exhaustive search")
+    brute_phase(run, oracle.n)
     return run.report(_exhaustive(oracle, oracle.ground.full_mask, oracle.n))
+
+
+def brute_phase(run: Run, n: int) -> None:
+    """Brute force's one limit check: all 2^n subsets, before the first query."""
+    run.phase(1 << n, "exhaustive search")

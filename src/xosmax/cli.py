@@ -10,9 +10,9 @@ Subcommands:
 One ``ExperimentConfig`` describes a suite, whether built from ``solve``'s
 flags, a ``bench`` JSON config or Python, and ``run_suite`` runs it.
 ``SOLVERS`` maps each algorithm to its trial call. ``_solver`` alone checks
-the name and the options it reads, and meets the query limit for brute and
-probe, whose counts the options fix; building a config runs it once,
-whatever its trials. Trial i uses seed (base_seed + i) mod 2^64 and a fresh
+the name and the options it reads; building a config runs it once, whatever
+its trials, and then brute's and probe's own query-limit checks, whose
+counts the options fix. Trial i uses seed (base_seed + i) mod 2^64 and a fresh
 oracle (base_seed must pass ``rng.check_seed``, as must ``gen --seed``); the
 optimum reference is computed once per suite without any oracle, so
 reported call counts are the solver's own. A ``TrialRecord``'s fields, in
@@ -45,6 +45,7 @@ from typing import Sequence
 from .algorithms import (
     EnumParams,
     SamplingParams,
+    brute_phase,
     solve_brute_force,
     solve_enum_small_sets,
     solve_exact_2xos,
@@ -61,7 +62,7 @@ from .core import (
     _is_int,
     elements_of,
 )
-from .hardness import FAMILIES, uniform_size_probe
+from .hardness import FAMILIES, probe_phase, uniform_size_probe
 from .instances import InstanceHandle, dump_instance, instance_from_dict, load_instance
 from .rng import SEED_LIMIT, check_seed
 
@@ -133,9 +134,7 @@ def _solver(handle: InstanceHandle, algo: str, *, epsilon=None,
             budget_override: int | None = None, high_probability: bool = False,
             queries: int = 1000):
     """The ``args`` that ``SOLVERS[algo]`` takes on ``handle``, after checking
-    the options ``algo`` reads before any oracle exists; it ignores the others.
-    Brute force and probe, whose whole query count is known here, meet the
-    query limit here too, so a suite of zero trials refuses what one refuses."""
+    the options ``algo`` reads before any oracle exists; it ignores the others."""
     if algo not in ALGORITHMS:  # a tuple test: an unhashable JSON value is no TypeError
         raise UsageError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algo!r}")
     if algo in ("enum", "sample") and epsilon is None:
@@ -144,14 +143,9 @@ def _solver(handle: InstanceHandle, algo: str, *, epsilon=None,
         return EnumParams(epsilon)
     if algo == "sample":
         return SamplingParams(epsilon, 0, budget_override, high_probability)
-    if algo == "brute":
-        Run(handle.oracle(), algo).phase(1 << handle.n, "exhaustive search")
     if algo == "probe":
         if handle.kind != "needle":
             raise UsageError("probe runs on needle instances only")
-        if not (_is_int(queries) and queries >= 0):  # uniform_size_probe's check, made early
-            raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
-        Run(handle.oracle(), algo).phase(queries, "queries")
         return handle.hidden.t, queries
 
 
@@ -187,7 +181,8 @@ class ExperimentConfig:
     """One trial suite, built from ``solve``'s flags, a ``bench`` JSON config
     (``from_dict``) or in Python. Construction checks trials, params
     (``_PARAM_KEYS``), format and base seed, then, whatever ``trials`` is, the
-    algorithm and the options it reads, through ``_solver``."""
+    algorithm and the options it reads, through ``_solver``, and brute's and
+    probe's query limit through their own checks, which make no query."""
 
     handle: InstanceHandle
     algorithm: str
@@ -210,7 +205,12 @@ class ExperimentConfig:
         if self.format not in ("json", "csv"):
             raise UsageError("config field 'format' must be 'json' or 'csv'")
         check_seed(self.base_seed, UsageError)
-        _solver(self.handle, self.algorithm, **self.params)
+        args = _solver(self.handle, self.algorithm, **self.params)
+        run = Run(self.handle.oracle(), self.algorithm)
+        if self.algorithm == "brute":
+            brute_phase(run, self.handle.n)
+        elif self.algorithm == "probe":
+            probe_phase(run, args[1])
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              const=kind, help=f"the {kind} variant")
             continue
         p = family_parsers[cls] = gen_sub.add_parser(kind.replace("_", "-"),
-                                                      help=cls.__doc__.splitlines()[0])
+                                                      help=(cls.__doc__ or kind).splitlines()[0])
         for key in cls.params:
             p.add_argument("--" + key.replace("_", ""), dest=key, type=int, required=True)
         p.add_argument("--seed", type=int, default=0)

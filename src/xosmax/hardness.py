@@ -330,9 +330,15 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
     n = oracle.n
     if not (_is_int(size) and 1 <= size <= n):
         raise ValueError(f"probe size must be an integer in [1, {n}], got {size!r}")
-    if not (_is_int(queries) and queries >= 0):
-        raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
     run = Run(oracle, "probe", seed=seed)
-    run.phase(queries, "queries")
+    probe_phase(run, queries)
     rng = SplitMix64(seed)
     return run.report(first_max(evaluated(oracle, sample_masks(n, size, queries, rng))))
+
+
+def probe_phase(run: Run, queries: int) -> None:
+    """The probe's checks before its first query: ``queries`` is an integer
+    >= 0, and that many queries fit the run's limit."""
+    if not (_is_int(queries) and queries >= 0):
+        raise ValueError(f"queries must be an integer >= 0, got {queries!r}")
+    run.phase(queries, "queries")

@@ -11,7 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from xosmax import SamplingParams, SplitMix64, cli, random_explicit, solve_random_sampling
+from xosmax import (
+    CapExceededError,
+    SamplingParams,
+    SplitMix64,
+    cli,
+    random_explicit,
+    solve_brute_force,
+    solve_random_sampling,
+    uniform_size_probe,
+)
 from xosmax.cli import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -89,6 +98,14 @@ def test_gen_hidden_families(tmp_path):
         # params in document order, byte for byte
         want = {"type": kind, "params": params, "seed": 4}
         assert out.read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def test_the_cli_runs_with_docstrings_stripped():
+    # gen's help strings come from the family docstrings, which -OO removes
+    r = subprocess.run([sys.executable, "-OO", "-m", "xosmax.cli", "gen", "needle", "--nhat", "8",
+                        "--s", "4", "--t", "2"], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["type"] == "needle"
 
 
 def test_gen_solve_kminus1_past_a_machine_word(tmp_path):
@@ -306,11 +323,14 @@ def test_runs_past_the_query_limit_exit_4_at_once(tmp_path, capsys, doc, algo, e
 
 
 @pytest.mark.parametrize(
-    "doc,extra",
-    [(N21_DOC, ["--algo", "brute"]), (NEEDLE_DOC, ["--algo", "probe", "--queries", "4194304"])],
+    "doc,extra,call",
+    [(N21_DOC, ["--algo", "brute"], solve_brute_force),
+     (NEEDLE_DOC, ["--algo", "probe", "--queries", "4194304"],
+      lambda oracle: uniform_size_probe(oracle, 2, 4194304, 0))],
     ids=["brute-n21", "probe"],
 )
-def test_a_refused_run_prints_the_same_at_0_and_1_trials(tmp_path, capsys, doc, extra):
+def test_a_refused_run_prints_the_same_at_0_and_1_trials(tmp_path, capsys, doc, extra, call):
+    # the same bytes at 0 and 1 trials, and the text the library solver raises
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(doc))
     outputs = []
@@ -318,7 +338,11 @@ def test_a_refused_run_prints_the_same_at_0_and_1_trials(tmp_path, capsys, doc, 
         assert main(["solve", *extra, "--instance", str(p), "--trials", trials]) == 4
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
-    assert outputs[0].out == "" and outputs[0].err.startswith("cap exceeded: ")
+    oracle = instance_from_dict(doc).oracle()
+    with pytest.raises(CapExceededError) as refused:
+        call(oracle)
+    assert outputs[0].out == "" and outputs[0].err == f"cap exceeded: {refused.value}\n"
+    assert oracle.calls == 0
 
 
 def test_sampling_schedule_work_is_bounded(tmp_path, capsys):
