@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 
@@ -257,6 +258,16 @@ def _ceil_root(n: int, d: int) -> int:
         t = nt
 
 
+@lru_cache(maxsize=16)
+def _per_round(r: int, p: int, q: int) -> int:
+    """ceil(r^(1/eps + 1)) for epsilon = p/q, exact.
+
+    Cached: it depends on nothing else, and at a large p its powers cost
+    far more than a trial's queries, which a suite would pay per trial.
+    """
+    return _ceil_root(r ** (p + q), p)
+
+
 def _sampling_schedule(r: int, p: int, q: int) -> tuple[bool, int]:
     """(rho < RHO_FALLBACK_THRESHOLD, ceil(2 ln(r)/epsilon)) for r >= 2
     retained elements, epsilon = p/q and rho = epsilon*r/ln(r)."""
@@ -304,7 +315,7 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
         # bound already fails the phase below, r^(p+q) is never formed
         per_round = r ** min(1 + q // p, 21)
         if run.fits(rounds * per_round):
-            per_round = _ceil_root(r ** (p + q), p)  # ceil(r^(1/eps + 1)), exact
+            per_round = _per_round(r, p, q)
     if params.high_probability:
         per_round *= -((-2 * p * r) // q)  # ceil(2*epsilon*r)
     run.phase(rounds * per_round, "rounds")

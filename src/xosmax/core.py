@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
+from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -51,6 +52,11 @@ BLOCK = 1024
 # needs exponentially many queries already at width 3, so a run that would
 # reach the limit is refused before it starts the phase that would cross it.
 MAX_QUERIES = 1 << 21
+
+# XosRepresentation.evaluate packs a byte table row's k sums, each plus
+# 2^63, into one int, one lane each; a lane holds the sum of up to 8 of them.
+_LANE_BITS = 72
+_LANE_MASK = (1 << _LANE_BITS) - 1
 
 
 class ValueOverflowError(OverflowError):
@@ -283,31 +289,51 @@ class XosRepresentation:
         return len(self.components)
 
     def evaluate(self, mask: int) -> int:
-        """f(mask) = max over components. f(empty) = 0 since every sum is 0."""
-        best = None
-        for comp in self.components:
-            s = comp.evaluate(mask)
-            if best is None or s > best:
-                best = s
-        return best  # type: ignore[return-value]
+        """f(mask) = max over components. f(empty) = 0 since every sum is 0.
 
-    @cached_property
-    def _byte_tables(self) -> list[np.ndarray] | None:
-        """Per-byte subset-sum tables for ``evaluate_many``, built once.
-
-        Table b holds, for each value x of mask bits 8b..8b+7, every
-        component's sum over those bits: shape (2^bits, k), int64. None when
-        n > 64 or some component has a subset sum outside int64 (its
-        positive weights sum above INT64_MAX or its negative ones below
-        INT64_MIN); every partial sum of a table lookup is a subset sum, so
-        otherwise nothing can wrap.
+        With byte tables, one packed row per mask byte is summed and the
+        largest lane, less the offsets, is the value; an out-of-ground mask
+        raises ``GroundSet.validate_subset``'s error. Otherwise each
+        component sums the set bits of ``mask`` (checked).
         """
+        packed = self._packed_tables
+        if packed is None:
+            best = None
+            for comp in self.components:
+                s = comp.evaluate(mask)
+                if best is None or s > best:
+                    best = s
+            return best  # type: ignore[return-value]
+        rows, lanes, offset = packed
+        if mask >> self.ground.n:  # negative, or bits outside the ground set
+            self.ground.validate_subset(mask)  # raises
+        total = sum(map(getitem, rows, mask.to_bytes(len(rows), "little")))
+        return max([total >> s & _LANE_MASK for s in lanes]) - offset
+
+    def _tables_fit(self) -> bool:
+        """True when n <= 64 and no component has a subset sum outside int64
+        (its positive weights sum above INT64_MAX or its negative ones below
+        INT64_MIN): the condition for byte tables, packed or not."""
         if self.n > 64:
-            return None
+            return False
         for comp in self.components:
             w = comp.weights
             if sum(x for x in w if x > 0) > INT64_MAX or sum(x for x in w if x < 0) < INT64_MIN:
-                return None
+                return False
+        return True
+
+    @cached_property
+    def _byte_tables(self) -> list[np.ndarray] | None:
+        """Per-byte subset-sum tables for ``evaluate_many`` and
+        ``classify.materialize``, built once.
+
+        Table b holds, for each value x of mask bits 8b..8b+7, every
+        component's sum over those bits: shape (2^bits, k), int64. None
+        unless ``_tables_fit``; every partial sum of a table lookup is a
+        subset sum, so otherwise nothing can wrap.
+        """
+        if not self._tables_fit():
+            return None
         columns = np.array([comp.weights for comp in self.components], dtype=np.int64).T
         tables = []
         for lo in range(0, self.n, 8):
@@ -317,6 +343,37 @@ class XosRepresentation:
                 table[1 << bit : 2 << bit] = table[: 1 << bit] + row
             tables.append(table)
         return tables
+
+    @cached_property
+    def _packed_tables(self) -> tuple[list[list[int]], range, int] | None:
+        """The byte tables with each row packed into one int, for ``evaluate``.
+
+        Entry i of a row, plus 2^63 so that it is nonnegative, fills lane i,
+        bits [72i, 72i + 72). A mask's sum over its ceil(n/8) bytes holds at
+        most 8 entries per lane, each below 2^64, so no lane carries into the
+        next, and each lane less ceil(n/8)·2^63 is that component's sum.
+        Returns (rows per byte, lane shifts, that offset); None unless
+        ``_tables_fit``. Built in plain ints, so no dtype can wrap.
+        """
+        if not self._tables_fit():
+            return None
+        lanes = range(0, _LANE_BITS * self.width, _LANE_BITS)
+        empty = sum(1 << (63 + s) for s in lanes)
+        # Each element's k weights shifted into their lanes. The int of a
+        # negative weight is negative, but ints add exactly and every lane of
+        # a row or of a query's total lies in [0, 2^72), so the base-2^72
+        # digits of the result are still the lanes.
+        columns = [
+            sum(w << s for w, s in zip(column, lanes))
+            for column in zip(*(comp.weights for comp in self.components))
+        ]
+        rows = []
+        for lo in range(0, self.n, 8):
+            table = [empty]
+            for column in columns[lo : lo + 8]:
+                table += [row + column for row in table]
+            rows.append(table)
+        return rows, lanes, len(rows) << 63
 
     def evaluate_many(self, masks: list[int]) -> list[int]:
         """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.

@@ -15,6 +15,7 @@ from xosmax import (
     CapExceededError,
     SamplingParams,
     SplitMix64,
+    algorithms,
     cli,
     random_explicit,
     solve_brute_force,
@@ -366,6 +367,29 @@ def test_sampling_schedule_work_is_bounded(tmp_path, capsys):
             assert captured.out == ""
             assert captured.err.startswith({2: "error: ", 4: "cap exceeded: sample rounds: "}[code])
             assert captured.err.count("\n") == 1
+
+
+def test_sampling_schedule_is_computed_once_per_suite(tmp_path, capsys, monkeypatch):
+    # ceil(r^(1/eps + 1)) depends on r and epsilon alone, so a 3-trial suite
+    # at a large-p epsilon takes its root once, not once per trial.
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(random_explicit(26, 3, 1, 8, 5, positive_singletons=True).to_json_dict()))
+    argv = ["solve", "--algo", "sample", "--instance", str(p), "--seed", "3", "--format", "csv",
+            "--trials", "3"]
+    assert main([*argv, "--epsilon", "1"]) == 0
+    want = capsys.readouterr().out
+    roots = []
+
+    def counted(n, d):
+        roots.append((n, d))
+        return ceil_root(n, d)
+
+    ceil_root = algorithms._ceil_root
+    monkeypatch.setattr(algorithms, "_ceil_root", counted)
+    algorithms._per_round.cache_clear()
+    assert main([*argv, "--epsilon", "100001/100000"]) == 0
+    assert capsys.readouterr().out == want
+    assert len(roots) == 1 and roots[0][1] == 100001
 
 
 @pytest.mark.parametrize(

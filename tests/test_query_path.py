@@ -8,6 +8,7 @@ counts and the same errors.
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +20,10 @@ from xosmax import (
     solve_brute_force,
 )
 from xosmax.algorithms import SamplingParams, solve_random_sampling
+from xosmax.cli import SOLVERS, _solver
 from xosmax.core import BLOCK, INT64_MAX, INT64_MIN, evaluated, first_max
 from xosmax.hardness import NeedleInstance, uniform_size_probe
+from xosmax.instances import InstanceHandle
 from xosmax.rng import SplitMix64, sample_mask, sample_masks, sample_positions
 
 _MASK64 = (1 << 64) - 1
@@ -94,23 +97,72 @@ def _random_masks(n: int, count: int, seed: int) -> list[int]:
     return masks
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 63, 64, 65, 200])
-def test_evaluate_many_agrees_with_evaluate(n):
+def _bit_loop(rep: XosRepresentation, mask: int) -> int:
+    """The reference: each component's checked sum over the set bits."""
+    return max(comp.evaluate(mask) for comp in rep.components)
+
+
+def _table_reps(n: int) -> list[XosRepresentation]:
+    """Random representations of widths 1-4, and ones whose lanes reach the
+    ends of int64: ``_edge_rows``, and alternating top and bottom rows with
+    the wide weight first and last, so that a carry or borrow between
+    lanes would change a neighbour's sum."""
+    edge = _edge_rows(n)
+    top, bottom, _ = edge
     reps = [random_explicit(n, k, -(1 << 40), 1 << 40, seed=n + k) for k in range(1, 5)]
     reps += [
         XosRepresentation.from_weights(rows)
-        for rows in (_edge_rows(n)[:1], _edge_rows(n)[:2], _edge_rows(n))
+        for rows in (edge[:1], edge[:2], edge, [bottom],
+                     [top, bottom, top[::-1], bottom[::-1]], [bottom[::-1], top])
     ]
+    return reps
+
+
+_TABLE_SIZES = [1, 8, 9, 13, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_evaluate_many_agrees_with_evaluate(n):
     masks = _random_masks(n, 300, seed=n)
-    for rep in reps:
+    for rep in _table_reps(n):
         # n <= 64 takes the table route; wider grounds take evaluate.
         assert (rep._byte_tables is None) == (n > 64)
         batched = CountingOracle.for_representation(rep)
         scalar = CountingOracle.for_representation(rep)
-        assert batched.evaluate_many(masks) == [scalar.evaluate(m) for m in masks]
+        expected = [_bit_loop(rep, m) for m in masks]
+        assert batched.evaluate_many(masks) == expected
+        assert [scalar.evaluate(m) for m in masks] == expected
         assert batched.calls == scalar.calls == len(masks)
         assert batched.evaluate_many([]) == []
         assert batched.calls == len(masks)
+
+
+@pytest.mark.parametrize("n", _TABLE_SIZES)
+def test_single_queries_read_the_packed_tables(n):
+    # Every single-element and co-single-element mask, plus random ones:
+    # each byte's table is read with one bit set and with all but one.
+    full = (1 << n) - 1
+    masks = _random_masks(n, 100, seed=n + 1)
+    masks += [1 << v for v in range(n)] + [full ^ (1 << v) for v in range(n)]
+    for rep in _table_reps(n):
+        assert (rep._packed_tables is None) == (n > 64)
+        assert [rep.evaluate(m) for m in masks] == [_bit_loop(rep, m) for m in masks]
+    edge = XosRepresentation.from_weights(_edge_rows(n)[:2])
+    assert edge.evaluate(full) == INT64_MAX
+    assert XosRepresentation.from_weights(_edge_rows(n)[1:2]).evaluate(full) == INT64_MIN
+
+
+@pytest.mark.parametrize("n", [13, 64])
+@pytest.mark.parametrize("bad", [lambda n: -1, lambda n: 1 << n, lambda n: (1 << 64) | 1],
+                         ids=["negative", "bit-n", "bit-64"])
+def test_single_queries_reject_masks_outside_the_ground(n, bad):
+    # A byte lookup reads only the low ceil(n/8) bytes of a mask, so the
+    # table route checks the mask first instead of ignoring the rest.
+    rep = random_explicit(n, 3, -5, 5, seed=n)
+    assert rep._packed_tables is not None
+    with pytest.raises(ValueError, match="is not a subset of a ground set"):
+        rep.evaluate(bad(n))
+    assert rep.evaluate(True) == rep.evaluate(1)
 
 
 def test_evaluate_many_overflow_raises_like_evaluate():
@@ -121,6 +173,15 @@ def test_evaluate_many_overflow_raises_like_evaluate():
     with pytest.raises(ValueOverflowError):
         CountingOracle.for_representation(rep).evaluate_many([0b01, 0b11])
     assert CountingOracle.for_representation(rep).evaluate_many([0b01, 0b10]) == [2**62, 2**62]
+    # One past the widest batched rows: the top row's sum is INT64_MAX + 1
+    # and the bottom row's INT64_MIN - 1, so neither has tables.
+    top, bottom, _ = _edge_rows(64)
+    for row, delta in ((top, 1), (bottom, -1)):
+        rep = XosRepresentation.from_weights([[row[0] + delta, *row[1:]]])
+        assert rep._packed_tables is None
+        with pytest.raises(ValueOverflowError):
+            rep.evaluate((1 << 64) - 1)
+        assert rep.evaluate((1 << 64) - 2) == 63 * delta
 
 
 def test_evaluate_many_closure_counts_the_same():
@@ -154,6 +215,28 @@ def test_evaluate_many_rejects_masks_like_evaluate(bad, error):
         with pytest.raises(error) as batch_exc:
             oracle.evaluate_many([1, bad])
         assert str(batch_exc.value) == str(scalar_exc.value)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(2)])
+@pytest.mark.parametrize(
+    "args", [(16, 2, -10, 30, 1, True), (16, 3, -20, 30, 2), (14, 1, -5, 9, 3)]
+)
+def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
+    # The closure oracle has no evaluate_many owner and no tables, so every
+    # query it answers runs the bit loop. The last two instances drop
+    # singletons below retained elements, so core.lift translates masks.
+    rep = random_explicit(*args)
+    retained = sum(1 << v for v in range(rep.n) if rep.singleton_value(v) > 0)
+    assert (retained & (retained + 1) == 0) == (len(args) == 6)
+    handle = InstanceHandle("explicit", explicit=rep)
+    algorithms = [a for a in SOLVERS if a != "probe"]  # probe runs on needles only
+    for algo in algorithms:
+        reports = []
+        for oracle in (CountingOracle.for_representation(rep),
+                       CountingOracle(rep.ground, lambda m: _bit_loop(rep, m))):
+            reports.append(SOLVERS[algo](oracle, 7, _solver(handle, algo, epsilon=epsilon)))
+            assert oracle.calls == reports[-1].oracle_calls
+        assert reports[0] == reports[1], algo
 
 
 def test_evaluated_hands_out_blocks_in_order():
