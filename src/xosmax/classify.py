@@ -23,9 +23,6 @@ row. A failure's witness is still the pair scans': the submodular route
 hands a failure to the scan, and the subadditive walk finds the scan's first
 failing row, whose first Y one vectorized row gives. The 4^n pair scans
 (vectorized per row) remain the reference the routes are tested against.
-``check_submodular_marginal`` is an intentionally separate pure-Python route
-through the same marginal characterization, kept independent so the two can
-cross-validate each other.
 """
 
 from __future__ import annotations
@@ -34,12 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (
-    CapExceededError,
-    CountingOracle,
-    XosRepresentation,
-    check_value,
-)
+from .core import CapExceededError, XosRepresentation, check_value
 
 MATERIALIZE_CAP = 16
 
@@ -93,16 +85,17 @@ def _exact_table(table: np.ndarray) -> np.ndarray:
 
 
 def materialize(
-    source: Union[XosRepresentation, CountingOracle, Callable[[int], int]],
+    source: Union[XosRepresentation, Callable[[int], int]],
     n: int | None = None,
 ) -> DenseFunction:
-    """Build the dense table for a representation, oracle, or callable.
+    """Build the dense table for a representation, or a callable and ``n``.
 
-    Representations are read from their byte tables; oracles are evaluated
-    mask by mask (counted, 2^n calls). A bare callable needs ``n``. The cap
-    is checked before any evaluation.
+    Representations are read from their byte tables; a callable is called
+    once per mask, 2^n calls (pass ``oracle.evaluate, oracle.n`` to count
+    them). Anything else, a ``CountingOracle`` included, raises TypeError.
+    The cap is checked before any evaluation.
     """
-    if isinstance(source, (XosRepresentation, CountingOracle)):
+    if isinstance(source, XosRepresentation):
         n = source.n
     elif not callable(source):
         raise TypeError(f"cannot materialize {type(source).__name__}")
@@ -112,8 +105,7 @@ def materialize(
         raise CapExceededError(f"materialize supports 1 <= n <= {MATERIALIZE_CAP}, got {n}")
     if isinstance(source, XosRepresentation):
         return _dense_from_representation(source)
-    fn = source.evaluate if isinstance(source, CountingOracle) else source
-    return DenseFunction(n, [fn(mask) for mask in range(1 << n)])
+    return DenseFunction(n, [source(mask) for mask in range(1 << n)])
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
@@ -286,30 +278,6 @@ def check_class(f: DenseFunction, cls: str) -> tuple[bool, Witness]:
     except KeyError:
         raise ValueError(f"unknown class {cls!r}; expected one of {CLASS_NAMES}") from None
     return fn(f)
-
-
-def check_submodular_marginal(f: DenseFunction) -> tuple[bool, Witness]:
-    """Submodularity via diminishing pairwise marginals, as a separate route.
-
-    f is submodular iff f(X+u) + f(X+v) >= f(X+u+v) + f(X) for all X and
-    distinct u, v outside X. Pure Python on purpose; cross-validates
-    check_submodular.
-    """
-    n = f.n
-    vals = f.values
-    for x in range(len(f)):
-        fx = int(vals[x])
-        for u in range(n):
-            bu = 1 << u
-            if x & bu:
-                continue
-            for v in range(u + 1, n):
-                bv = 1 << v
-                if x & bv:
-                    continue
-                if int(vals[x | bu]) + int(vals[x | bv]) < int(vals[x | bu | bv]) + fx:
-                    return False, (x, x | bu, x | bv)
-    return True, None
 
 
 def check_star_condition(rep: XosRepresentation) -> tuple[bool, Witness]:

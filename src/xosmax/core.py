@@ -7,8 +7,7 @@ An XOS (max-of-additive) function over a ground set V = {0, ..., n-1} is
 the pointwise maximum of k additive functions. The number k is the width of
 the representation. Algorithms in this package interact with f only through
 a :class:`CountingOracle`, whose call counter is the complexity measure of
-record; white-box accessors (:meth:`XosRepresentation.maximizer_indices`,
-:meth:`XosRepresentation.clique_of`) exist for tests and diagnostics.
+record.
 
 Conventions used throughout the package:
 
@@ -298,12 +297,7 @@ class XosRepresentation:
         """
         packed = self._packed_tables
         if packed is None:
-            best = None
-            for comp in self.components:
-                s = comp.evaluate(mask)
-                if best is None or s > best:
-                    best = s
-            return best  # type: ignore[return-value]
+            return max(comp.evaluate(mask) for comp in self.components)
         rows, lanes, offset = packed
         if mask >> self.ground.n:  # negative, or bits outside the ground set
             self.ground.validate_subset(mask)  # raises
@@ -378,42 +372,42 @@ class XosRepresentation:
     def evaluate_many(self, masks: list[int]) -> list[int]:
         """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
 
-        Sums one table row per mask byte, then takes each row's maximum.
-        Representations without byte tables run ``evaluate``, which raises
-        ``ValueOverflowError`` on a sum outside int64.
+        Sums one table row per mask byte, then takes each row's maximum. A
+        mask outside the ground set raises ``GroundSet.validate_subset``'s
+        error for the first such mask, as ``evaluate`` does; one array test
+        per call finds it. Representations without byte tables run
+        ``evaluate``, which raises ``ValueOverflowError`` on a sum outside
+        int64.
         """
         tables = self._byte_tables
         if tables is None:
             return [self.evaluate(m) for m in masks]
         if not masks:
             return []
-        mask_bytes = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+        try:
+            if self.n < 64:
+                # int64 holds every valid mask and a negative one exactly,
+                # and a mask outside the ground set keeps bits above n - 1.
+                arr = np.array(masks, dtype="<i8")
+                inside = not (arr >> self.n).any()
+            else:
+                # Some NumPy releases wrap a negative int to uint64 instead
+                # of raising, so the list is tested first.
+                inside = min(masks) >= 0
+                arr = np.array(masks, dtype="<u8") if inside else None
+        except OverflowError:  # an int too wide for the dtype
+            inside = False
+        if not inside:
+            for m in masks:
+                self.ground.validate_subset(m)  # raises at the first mask outside
+        mask_bytes = arr.view(np.uint8).reshape(len(masks), 8)
         sums = tables[0][mask_bytes[:, 0]]
         for b in range(1, len(tables)):
             sums += tables[b][mask_bytes[:, b]]
         return sums.max(axis=1).tolist()
 
-    def maximizer_indices(self, mask: int) -> set[int]:
-        """Indices of components attaining f(mask)."""
-        sums = [comp.evaluate(mask) for comp in self.components]
-        top = max(sums)
-        return {i for i, s in enumerate(sums) if s == top}
-
     def singleton_value(self, v: int) -> int:
         return max(comp.weights[v] for comp in self.components)
-
-    def clique_of(self, i: int) -> int:
-        """Elements whose singleton value is attained by component ``i``.
-
-        For a grown set G inside this clique, f(G) equals the additive sum of
-        singleton values, which is what the growth algorithms exploit.
-        """
-        comp = self.components[i]
-        m = 0
-        for v in range(self.n):
-            if comp.weights[v] == self.singleton_value(v):
-                m |= 1 << v
-        return m
 
     def exact_maximum(self) -> int:
         """max_X f(X) = max_i sum_v max(w_i(v), 0), exact and O(k n)."""

@@ -106,14 +106,14 @@ def instance_from_dict(doc: dict) -> InstanceHandle:
     return InstanceHandle(hidden.kind, hidden=hidden)
 
 
-def load_instance(source: Union[str, Path, dict]) -> InstanceHandle:
-    """Load an instance from a dict, a JSON string, or a file path.
+def load_instance(source: Union[str, Path]) -> InstanceHandle:
+    """Load an instance from JSON text or a file path.
 
     A ``str`` whose text starts with ``{`` is JSON, however long; any other
-    ``str`` and every ``Path`` name a file.
+    ``str`` and every ``Path`` name a file. A parsed document goes to
+    ``instance_from_dict``, which is also the route for a dict; passing a
+    dict here raises TypeError.
     """
-    if isinstance(source, dict):
-        return instance_from_dict(source)
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:

@@ -4,6 +4,11 @@ The reference implementations here deliberately avoid the package's own
 enumeration and evaluation helpers (itertools.combinations instead of bit
 tricks, direct row sums instead of AdditiveFunction) so that agreement
 between a solver and a reference is evidence, not tautology.
+
+Three white-box routes only tests use live here too and do read the
+package's values: ``maximizer_indices`` and ``clique_of`` on a
+representation, and ``check_submodular_marginal`` on a dense table, the
+pure-Python second route to the submodular verdict.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from xosmax import XosRepresentation, random_explicit
+from xosmax.classify import DenseFunction, Witness
 from xosmax.rng import SplitMix64
 
 # The cli name each algorithm's trial calls; perfbench captures every
@@ -86,6 +92,28 @@ def random_star_representation(n: int, k: int, seed: int) -> XosRepresentation:
     return XosRepresentation.from_weights(rows)
 
 
+def maximizer_indices(rep: XosRepresentation, mask: int) -> set[int]:
+    """Indices of components attaining f(mask)."""
+    sums = [comp.evaluate(mask) for comp in rep.components]
+    top = max(sums)
+    return {i for i, s in enumerate(sums) if s == top}
+
+
+def clique_of(rep: XosRepresentation, i: int) -> int:
+    """Elements whose singleton value is attained by component ``i``, read
+    through ``rep.singleton_value``; ``clique_of_rep`` is the raw-rows route.
+
+    For a grown set G inside this clique, f(G) equals the additive sum of
+    singleton values, which is what the growth algorithms exploit.
+    """
+    comp = rep.components[i]
+    m = 0
+    for v in range(rep.n):
+        if comp.weights[v] == rep.singleton_value(v):
+            m |= 1 << v
+    return m
+
+
 def clique_of_rep(rep: XosRepresentation, i: int) -> int:
     """Reference clique: elements whose component-i weight attains the
     function's singleton value (computed from raw rows)."""
@@ -105,3 +133,27 @@ def inclusion_maximal(masks) -> set[int]:
         if not any(m != other and (m & other) == m for other in unique):
             out.add(m)
     return out
+
+
+def check_submodular_marginal(f: DenseFunction) -> tuple[bool, Witness]:
+    """Submodularity via diminishing pairwise marginals, as a separate route.
+
+    f is submodular iff f(X+u) + f(X+v) >= f(X+u+v) + f(X) for all X and
+    distinct u, v outside X. Pure Python on purpose; cross-validates
+    check_submodular.
+    """
+    n = f.n
+    vals = f.values
+    for x in range(len(f)):
+        fx = int(vals[x])
+        for u in range(n):
+            bu = 1 << u
+            if x & bu:
+                continue
+            for v in range(u + 1, n):
+                bv = 1 << v
+                if x & bv:
+                    continue
+                if int(vals[x | bu]) + int(vals[x | bv]) < int(vals[x | bu | bv]) + fx:
+                    return False, (x, x | bu, x | bv)
+    return True, None

@@ -38,12 +38,17 @@ from xosmax import (
     solve_random_sampling,
     uniform_size_probe,
 )
-from xosmax.classify import CLASS_NAMES, DenseFunction, check_submodular, check_submodular_marginal
+from xosmax.classify import CLASS_NAMES, DenseFunction, check_submodular
 from xosmax.cli import ExperimentConfig, records_to_csv, run_suite
 from xosmax.rng import SplitMix64, sample_mask
 
 from conftest import record_criterion
-from helpers import clique_of_rep, inclusion_maximal, random_star_representation
+from helpers import (
+    check_submodular_marginal,
+    clique_of_rep,
+    inclusion_maximal,
+    random_star_representation,
+)
 
 AVG = statistics.fmean
 

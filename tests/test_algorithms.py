@@ -40,6 +40,7 @@ from xosmax.algorithms import (
 )
 
 from helpers import (
+    clique_of,
     clique_of_rep,
     inclusion_maximal,
     random_rep,
@@ -377,7 +378,7 @@ def test_clique_of_agrees_with_reference():
     for seed in range(20):
         rep = random_rep(n=7, k=3, seed=seed)
         for i in range(3):
-            assert rep.clique_of(i) == clique_of_rep(rep, i)
+            assert clique_of(rep, i) == clique_of_rep(rep, i)
 
 
 def test_star_example():

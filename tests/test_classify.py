@@ -22,11 +22,18 @@ from xosmax import (
     check_submodular,
     materialize,
 )
-from xosmax.classify import _SAFE_SUM_BOUND, _pair_scan, check_submodular_marginal
+from xosmax.classify import _SAFE_SUM_BOUND, _pair_scan
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
-from helpers import bits_of, random_rep, random_star_representation, ref_rep_value, rep_as_lists
+from helpers import (
+    bits_of,
+    check_submodular_marginal,
+    random_rep,
+    random_star_representation,
+    ref_rep_value,
+    rep_as_lists,
+)
 
 EXAMPLE = XosRepresentation.from_weights([[3, -1, 2], [1, 2, -5]])
 
@@ -71,10 +78,16 @@ def test_materialize_reads_every_byte_table(n):
 
 def test_materialize_from_oracle_and_callable():
     rep = EXAMPLE
-    via_oracle = materialize(CountingOracle.for_representation(rep))
+    oracle = CountingOracle.for_representation(rep)
+    via_oracle = materialize(oracle.evaluate, oracle.n)
+    assert oracle.calls == 8
     via_callable = materialize(rep.evaluate, 3)
     via_rep = materialize(rep)
     assert [via_oracle[m] for m in range(8)] == [via_rep[m] for m in range(8)]
+    # an oracle itself is not a source; its bound evaluate is
+    with pytest.raises(TypeError, match="cannot materialize CountingOracle"):
+        materialize(oracle)
+    assert oracle.calls == 8
     assert [via_callable[m] for m in range(8)] == [via_rep[m] for m in range(8)]
 
 
@@ -91,7 +104,7 @@ def test_materialize_cap():
         materialize(wide)
     oracle = CountingOracle.for_representation(wide)
     with pytest.raises(CapExceededError):
-        materialize(oracle)
+        materialize(oracle.evaluate, oracle.n)
     assert oracle.calls == 0
 
 

@@ -79,8 +79,11 @@ def test_dump_load_roundtrip(tmp_path):
     assert again.explicit.to_json_dict() == EXPLICIT_DOC
     from_string = load_instance(text)
     assert from_string.explicit.to_json_dict() == EXPLICIT_DOC
-    from_dict = load_instance(EXPLICIT_DOC)
+    from_dict = instance_from_dict(json.loads(text))
     assert from_dict.explicit.to_json_dict() == EXPLICIT_DOC
+    # a document goes to instance_from_dict; load_instance reads text or a path
+    with pytest.raises(TypeError):
+        load_instance(EXPLICIT_DOC)
 
 
 def test_load_missing_file():

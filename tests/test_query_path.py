@@ -26,6 +26,8 @@ from xosmax.hardness import NeedleInstance, uniform_size_probe
 from xosmax.instances import InstanceHandle
 from xosmax.rng import SplitMix64, sample_mask, sample_masks, sample_positions
 
+from helpers import maximizer_indices
+
 _MASK64 = (1 << 64) - 1
 _INV_GAMMA = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
 
@@ -165,6 +167,25 @@ def test_single_queries_reject_masks_outside_the_ground(n, bad):
     assert rep.evaluate(True) == rep.evaluate(1)
 
 
+@pytest.mark.parametrize("n", [13, 16, 64])
+def test_evaluate_many_rejects_masks_outside_the_ground(n):
+    # The byte tables read only the low ceil(n/8) bytes of a mask, so the
+    # batch tests the masks as evaluate does instead of reading part of one.
+    rep = random_explicit(n, 2, 1, 9, 0)
+    assert rep._byte_tables is not None
+    bads = [-1, 1 << n, (1 << 64) | 1] + ([1 << 40, (1 << 40) | 1] if n < 40 else [])
+    for bad in bads:
+        with pytest.raises(ValueError) as scalar_exc:
+            rep.evaluate(bad)
+        for masks in ([bad], [1, bad]):
+            with pytest.raises(ValueError) as batch_exc:
+                rep.evaluate_many(masks)
+            assert type(batch_exc.value) is type(scalar_exc.value), (bad, masks)
+            assert str(batch_exc.value) == str(scalar_exc.value), (bad, masks)
+    full = (1 << n) - 1
+    assert rep.evaluate_many([0, 1, full]) == [rep.evaluate(m) for m in (0, 1, full)]
+
+
 def test_evaluate_many_overflow_raises_like_evaluate():
     rep = XosRepresentation.from_weights([[2**62, 2**62]])
     assert rep._byte_tables is None
@@ -198,8 +219,19 @@ def test_evaluate_many_closure_counts_the_same():
     assert oracle.calls == len(masks)
     assert seen == masks
     # A bound method other than evaluate never reaches the owner's batch.
-    other = CountingOracle(rep.ground, rep.maximizer_indices)
-    assert other.evaluate_many(masks) == [rep.maximizer_indices(m) for m in masks]
+    class Owner:
+        def evaluate(self, mask):
+            raise AssertionError("evaluate is not the value function")
+
+        def evaluate_many(self, masks):
+            raise AssertionError("the batch must not reach the owner")
+
+        def maximizer_indices(self, mask):
+            return maximizer_indices(rep, mask)
+
+    owner = Owner()
+    other = CountingOracle(rep.ground, owner.maximizer_indices)
+    assert other.evaluate_many(masks) == [owner.maximizer_indices(m) for m in masks]
     assert other.calls == len(masks)
 
 
