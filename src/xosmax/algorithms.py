@@ -52,14 +52,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain
 
 from .core import (
     CountingOracle,
     Run,
     SolveReport,
     _is_int,
-    evaluated,
+    best_of,
     first_max,
     iter_bits,
     iter_masks_by_card,
@@ -67,7 +66,7 @@ from .core import (
     masks_of_card,
 )
 # sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
-from .rng import SplitMix64, check_seed, sample_masks, sample_positions  # noqa: F401
+from .rng import SplitMix64, check_seed, sample_mask_runs, sample_positions  # noqa: F401
 
 # Below this approximation factor the sampling analysis needs more samples
 # than brute force would cost, so the solver enumerates instead.
@@ -209,7 +208,7 @@ def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, i
     canonical order.
     """
     masks = iter_masks_by_card(retained.bit_count(), cap)
-    return first_max(evaluated(oracle, lift(masks, retained)))
+    return best_of(oracle, lift(masks, retained))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +320,8 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     run.phase(rounds * per_round, "rounds")
 
     rng = SplitMix64(params.seed)
-    draws = chain.from_iterable(sample_masks(r, m, per_round, rng) for m in range(1, rounds + 1))
-    return run.report(first_max(evaluated(oracle, lift(draws, retained))))
+    draws = sample_mask_runs(r, [(m, per_round) for m in range(1, rounds + 1)], rng)
+    return run.report(best_of(oracle, lift(draws, retained)))
 
 
 def solve_exact_2xos(oracle: CountingOracle) -> SolveReport:

@@ -20,8 +20,11 @@ Conventions used throughout the package:
   Arithmetic is checked: a weight or an evaluated component sum outside
   [-2^63, 2^63 - 1] raises :class:`ValueOverflowError`, never wraps.
 * The canonical enumeration order of subsets is ascending cardinality, then
-  ascending numeric mask value. Argmax scans keep the first maximizer, so
-  every tie-break in the package is deterministic.
+  ascending numeric mask value. Argmax scans keep the first maximizer:
+  ``first_max`` over (mask, value) pairs, or ``best_of`` over masks that do
+  not depend on earlier answers, asked a block at a time through
+  ``CountingOracle.evaluate_many``. So every tie-break in the package is
+  deterministic.
 """
 
 from __future__ import annotations
@@ -171,16 +174,24 @@ def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return best
 
 
-def evaluated(oracle: "CountingOracle", masks: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(mask, oracle value) pairs in the order of ``masks``.
+def best_of(oracle: "CountingOracle", masks: Iterable[int]) -> tuple[int, int]:
+    """``first_max`` of the (mask, oracle value) pairs in the order of ``masks``.
 
     For queries that do not depend on earlier answers: masks are taken
     BLOCK at a time and each block is one ``evaluate_many`` call, so at
-    most one block is held however long ``masks`` is.
+    most one block is held however long ``masks`` is. Each block's first
+    maximizer is found by ``max`` and ``list.index``, and a later block
+    replaces the kept pair only when it is strictly larger. No masks gives
+    (0, 0).
     """
+    best = None
     it = iter(masks)
     while block := list(islice(it, BLOCK)):
-        yield from zip(block, oracle.evaluate_many(block))
+        values = oracle.evaluate_many(block)
+        top = max(values)
+        if best is None or top > best[1]:
+            best = block[values.index(top)], top
+    return (0, 0) if best is None else best
 
 
 @dataclass(frozen=True)
@@ -453,20 +464,27 @@ class CountingOracle:
     def evaluate_many(self, masks: list[int]) -> list[int]:
         """``[self.evaluate(m) for m in masks]``: same checks, same count.
 
-        When the value function is the bound ``evaluate`` of an owner that
-        also has an ``evaluate_many``, the batch goes there in one call; any
-        other value function is called mask by mask through ``evaluate``. An
-        invalid mask raises the error ``evaluate`` raises; the masks before
-        it may or may not have been counted.
+        When the value function is its owner's bound ``evaluate`` and this
+        class does not override ``evaluate``, the block is checked once (all
+        plain ints, none negative, none above the ground) and counted in
+        one step, then answered by the owner's ``evaluate_many`` if it has
+        one, else by mapping the value function. A block that fails the
+        test is checked mask by mask, so it raises ``evaluate``'s error for
+        its first invalid mask, before any of it is counted. Any other
+        value function, or an overridden ``evaluate``, is called mask by
+        mask through ``self.evaluate``.
         """
-        owner = getattr(self._func, "__self__", None)
-        if self._func != getattr(owner, "evaluate", None) or not hasattr(owner, "evaluate_many"):
+        func = self._func
+        owner = getattr(func, "__self__", None)
+        overridden = type(self).evaluate is not CountingOracle.evaluate
+        if overridden or func != getattr(owner, "evaluate", None):
             return [self.evaluate(m) for m in masks]
-        validate = self.ground.validate_subset
-        for m in masks:
-            validate(m)
+        if not (set(map(type, masks)) == {int} and min(masks) >= 0 and not max(masks) >> self.n):
+            for m in masks:
+                self.ground.validate_subset(m)
         self.calls += len(masks)
-        return owner.evaluate_many(masks)
+        batch = getattr(owner, "evaluate_many", None)
+        return batch(masks) if batch is not None else list(map(func, masks))
 
     def peek(self, mask: int) -> int:
         """Uncounted evaluation; verification only."""

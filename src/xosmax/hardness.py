@@ -43,8 +43,7 @@ from .core import (
     SolveReport,
     XosRepresentation,
     _is_int,
-    evaluated,
-    first_max,
+    best_of,
     iter_bits,
 )
 from .rng import SplitMix64, check_seed, sample_mask, sample_masks
@@ -333,7 +332,7 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
     run = Run(oracle, "probe", seed=seed)
     probe_phase(run, queries)
     rng = SplitMix64(seed)
-    return run.report(first_max(evaluated(oracle, sample_masks(n, size, queries, rng))))
+    return run.report(best_of(oracle, sample_masks(n, size, queries, rng)))
 
 
 def probe_phase(run: Run, queries: int) -> None:

@@ -8,13 +8,15 @@ regression tests pin known-answer vectors, so the stream will not change
 across versions. Bounded draws use rejection sampling, which keeps them
 exactly uniform, and fixed-size subsets come from a partial Fisher-Yates
 shuffle, which makes every m-element subset exactly equally likely.
-``sample_masks`` streams many subsets: it draws them BLOCK at a time with
-numpy, holds one block, and yields exactly what the scalar sampler would.
+``sample_mask_runs`` streams many subsets given as runs of (size, count),
+``sample_masks`` one run of them: the masks are drawn BLOCK at a time with
+numpy, a block may span runs, one block is held, and the stream is exactly
+what the scalar sampler would yield.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -108,14 +110,21 @@ def sample_mask(n: int, m: int, rng: SplitMix64) -> int:
     return out
 
 
-def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
-    """``count`` size-m masks over n <= 64 drawn from ``state``, or None.
+def _mask_block(n: int, runs: list[tuple[int, int]], state: int) -> list[int] | None:
+    """The masks of ``runs`` over n <= 64 drawn from ``state``, or None.
 
-    Output t of the stream is mix(state + t*gamma), so all count*m draws are
-    one uint64 expression. None when any draw would be rejected by
+    ``runs`` holds (size m, count) pairs in stream order, at most BLOCK
+    masks in all, none of count 0. Output t of the stream is
+    mix(state + t*gamma), so every draw of the block is one uint64
+    expression. Mask t's m draws, then zeros, fill column t of the draw
+    grid, and position i of every mask is row i of ``idx``. A zero draw
+    swaps position i with itself, so swap i touches only the masks from the
+    first run longer than i onward. None when any draw would be rejected by
     ``randrange``: the caller then redraws the block with the scalar code.
     """
-    z = np.arange(1, count * m + 1, dtype=np.uint64)
+    width = max(m for m, _ in runs)
+    count = sum(c for _, c in runs)
+    z = np.arange(1, sum(m * c for m, c in runs) + 1, dtype=np.uint64)
     z *= _U_GAMMA
     z += np.uint64(state)
     z ^= z >> _U30
@@ -123,46 +132,83 @@ def _mask_block(n: int, m: int, count: int, state: int) -> list[int] | None:
     z ^= z >> _U27
     z *= _U_MIX2
     z ^= z >> _U31
-    draws = z.reshape(count, m)
-    bounds = range(n, n - m, -1)  # randrange(n - i) for the i-th swap
-    for top, bound in zip(draws.max(axis=0).tolist(), bounds):
-        if top >= _reject_from(bound):
+    draws = np.zeros((width, count), dtype=np.uint64)
+    first = []  # first[i]: the first mask of the first run longer than i
+    start = drawn = 0
+    for m, c in runs:
+        first += [start] * (m - len(first))
+        draws[:m, start : start + c] = z[drawn : drawn + m * c].reshape(c, m).T
+        start += c
+        drawn += m * c
+    idx = np.empty((n, count), dtype=np.uint8)
+    idx[:] = np.arange(n, dtype=np.uint8)[:, None]
+    flat = idx.reshape(-1)
+    columns = np.arange(count)
+    for i, lo in enumerate(first):
+        bound = n - i  # randrange(n - i) for the i-th swap
+        col = draws[i, lo:]
+        if int(col.max()) >= _reject_from(bound):
             return None
-    draws %= np.array(bounds, dtype=np.uint64)
-    idx = np.empty((count, n), dtype=np.uint8)
-    idx[:] = np.arange(n, dtype=np.uint8)
-    rows = np.arange(count)
-    for i in range(m):
-        j = draws[:, i].astype(np.intp) + i
-        picked = idx[rows, j]
-        idx[rows, j] = idx[:, i]
-        idx[:, i] = picked
-    bits = np.left_shift(_U_ONE, idx[:, :m].astype(np.uint64))
-    return np.bitwise_or.reduce(bits, axis=1).tolist()
+        j = (col % np.uint64(bound)).astype(np.intp)
+        j += i
+        j *= count
+        j += columns[lo:]  # flat index of row i + draw, column t
+        picked = flat[j]
+        flat[j] = idx[i, lo:]
+        idx[i, lo:] = picked
+    taken = np.arange(width)[:, None] < np.repeat([m for m, _ in runs], [c for _, c in runs])
+    bits = np.zeros((width, count), dtype=np.uint64)
+    np.left_shift(_U_ONE, idx[:width], out=bits, where=taken, dtype=np.uint64)
+    return bits.sum(axis=0).tolist()  # distinct bits: the sum is the OR
+
+
+def sample_mask_runs(n: int, runs: Iterable[tuple[int, int]], rng: SplitMix64) -> Iterator[int]:
+    """``sample_mask(n, m, rng)`` ``count`` times for each (m, count) of
+    ``runs`` in order, as one stream.
+
+    The runs are checked at the call. For n <= 64 the masks are drawn
+    BLOCK at a time by ``_mask_block`` as they are taken, and a block may
+    span runs; a block that meets a rejection is redrawn by the scalar code
+    from the same state, and larger grounds always use it. Once every mask
+    is taken, ``rng`` is where the scalar calls would leave it.
+    """
+    runs = list(runs)
+    for m, count in runs:
+        if not 0 <= m <= n:
+            raise ValueError(f"cannot sample {m} of {n} positions")
+        if not (_is_int(count) and count >= 0):
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    return _mask_stream(n, runs, rng)
 
 
 def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
-    """``sample_mask(n, m, rng)`` ``count`` times, as a stream.
-
-    The arguments are checked at the call. For n <= 64 the masks are drawn
-    BLOCK at a time by ``_mask_block`` as they are taken; a block that meets
-    a rejection is redrawn by the scalar code from the same state, and
-    larger grounds always use it. Once every mask is taken, ``rng`` is where
-    ``count`` scalar calls would leave it.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"cannot sample {m} of {n} positions")
-    if not (_is_int(count) and count >= 0):
-        raise ValueError(f"count must be an integer >= 0, got {count!r}")
-    return _mask_stream(n, m, count, rng)
+    """``sample_mask(n, m, rng)`` ``count`` times, as a stream: the one-run
+    case of ``sample_mask_runs``, with its checks at the call."""
+    return sample_mask_runs(n, [(m, count)], rng)
 
 
-def _mask_stream(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
-    for start in range(0, count, BLOCK):
-        size = min(BLOCK, count - start)
-        block = _mask_block(n, m, size, rng.state) if n <= 64 else None
-        if block is None:
-            block = [sample_mask(n, m, rng) for _ in range(size)]
+def _blocks(runs: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
+    """``runs`` cut into blocks of BLOCK masks (the last may be shorter),
+    each a list of runs with no count 0."""
+    block, room = [], BLOCK
+    for m, count in runs:
+        while count:
+            take = min(count, room)
+            block.append((m, take))
+            count -= take
+            room -= take
+            if not room:
+                yield block
+                block, room = [], BLOCK
+    if block:
+        yield block
+
+
+def _mask_stream(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> Iterator[int]:
+    for block in _blocks(runs):
+        masks = _mask_block(n, block, rng.state) if n <= 64 else None
+        if masks is None:
+            masks = [sample_mask(n, m, rng) for m, count in block for _ in range(count)]
         else:
-            rng.state = (rng.state + size * m * _GAMMA) & _MASK64
-        yield from block
+            rng.state = (rng.state + sum(m * c for m, c in block) * _GAMMA) & _MASK64
+        yield from masks

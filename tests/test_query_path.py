@@ -1,4 +1,4 @@
-"""Batched query path: block draws, evaluate_many and evaluated.
+"""Batched query path: block draws, evaluate_many and best_of.
 
 Each batched route is compared with the scalar code it replaces: the same
 masks, the same final generator state, the same values, the same call
@@ -21,10 +21,17 @@ from xosmax import (
 )
 from xosmax.algorithms import SamplingParams, solve_random_sampling
 from xosmax.cli import SOLVERS, _solver
-from xosmax.core import BLOCK, INT64_MAX, INT64_MIN, evaluated, first_max
-from xosmax.hardness import NeedleInstance, uniform_size_probe
+from xosmax.core import BLOCK, INT64_MAX, INT64_MIN, best_of, first_max
+from xosmax.hardness import HardGeneralInstance, NeedleInstance, uniform_size_probe
 from xosmax.instances import InstanceHandle
-from xosmax.rng import SplitMix64, sample_mask, sample_masks, sample_positions
+from xosmax.rng import (
+    SplitMix64,
+    _mask_block,
+    sample_mask,
+    sample_mask_runs,
+    sample_masks,
+    sample_positions,
+)
 
 from helpers import maximizer_indices
 
@@ -60,6 +67,52 @@ def test_sample_masks_redraws_a_block_with_a_rejection():
     assert _draws_between(seed, scalar.state) == 31
     assert list(sample_masks(24, 6, 5, batched)) == expected
     assert batched.state == scalar.state
+
+
+def _scalar_runs(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> list[int]:
+    """The reference: one ``sample_mask`` call per mask, run after run."""
+    return [sample_mask(n, m, rng) for m, count in runs for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [22, 63, 64, 65])
+def test_mask_runs_match_scalar_draws(n):
+    # Sizes up and down, runs of count 0 and of size 0 between them, and
+    # runs longer than a block, so blocks start and end inside runs.
+    runs = [(3, 700), (n, 5), (0, 40), (1, 0), (n // 2, 1500), (2, 1), (0, 0), (n - 1, 300), (1, 24)]
+    for seed in (n, _MASK64 - n):
+        scalar, batched = SplitMix64(seed), SplitMix64(seed)
+        expected = _scalar_runs(n, runs, scalar)
+        assert list(sample_mask_runs(n, runs, batched)) == expected, seed
+        assert batched.state == scalar.state, seed
+    for runs in ([(0, 5)], [(0, 3), (4, 0)], []):
+        rng = SplitMix64(n)
+        assert list(sample_mask_runs(n, runs, rng)) == [0] * sum(c for _, c in runs)
+        assert rng.state == n
+
+
+def test_mask_runs_redraw_a_block_that_crosses_a_round():
+    # The 9th word of this stream is 2^64 - 1. After the first run's 2 masks
+    # of 3 draws it is the third draw of the first size-6 mask, randrange(22),
+    # so the first block, which spans three runs, meets a rejection and is
+    # redrawn by the scalar code; the second block is drawn in one piece.
+    seed = 4586561260770644227
+    runs = [(3, 2), (6, 5), (4, 1500)]
+    first_block = [(3, 2), (6, 5), (4, BLOCK - 7)]
+    assert _mask_block(24, first_block, seed) is None
+    scalar, batched = SplitMix64(seed), SplitMix64(seed)
+    expected = _scalar_runs(24, runs, scalar)
+    assert _draws_between(seed, scalar.state) == 6 + 31 + 4 * 1500
+    assert list(sample_mask_runs(24, runs, batched)) == expected
+    assert batched.state == scalar.state
+
+
+def test_mask_runs_check_every_run_at_the_call():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="cannot sample 25 of 24 positions"):
+        sample_mask_runs(24, [(3, 10), (25, 1)], rng)
+    with pytest.raises(ValueError, match="count must be an integer >= 0"):
+        sample_mask_runs(24, [(3, 10), (4, -1)], rng)
+    assert rng.state == 5
 
 
 def test_sample_masks_rejects_impossible_sizes():
@@ -239,14 +292,44 @@ def test_evaluate_many_closure_counts_the_same():
     "bad, error", [(True, TypeError), (-1, ValueError), (1 << 10, ValueError)]
 )
 def test_evaluate_many_rejects_masks_like_evaluate(bad, error):
+    # The hidden families answer blocks through their bound evaluate, so
+    # their batch route checks the block as the explicit one does.
     rep = random_explicit(10, 2, -5, 5, seed=1)
     closure = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
-    for oracle in (CountingOracle.for_representation(rep), closure):
+    hidden = (NeedleInstance(10, 5, 2, 4).oracle(), HardGeneralInstance(10, 2, 4).oracle())
+    for oracle in (CountingOracle.for_representation(rep), closure, *hidden):
         with pytest.raises(error) as scalar_exc:
             oracle.evaluate(bad)
         with pytest.raises(error) as batch_exc:
             oracle.evaluate_many([1, bad])
         assert str(batch_exc.value) == str(scalar_exc.value)
+
+
+def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
+    class Watched(CountingOracle):
+        """Overrides evaluate, as a tracing oracle does: sees every mask."""
+
+        def __init__(self, ground, func):
+            super().__init__(ground, func)
+            self.seen = []
+
+        def evaluate(self, mask):
+            self.seen.append(mask)
+            return super().evaluate(mask)
+
+    for hidden in (NeedleInstance(24, 12, 3, 9), HardGeneralInstance(24, 3, 9),
+                   HardGeneralInstance(24, 3, 9, remark=True)):
+        # Random masks, their parts inside the planted set, and the empty set.
+        masks = _random_masks(24, 300, seed=6)
+        masks += [hidden.planted & m for m in masks]
+        batched, scalar = hidden.oracle(), hidden.oracle()
+        expected = [scalar.evaluate(m) for m in masks]
+        assert len(set(expected)) > 1
+        assert batched.evaluate_many(masks) == expected
+        assert batched.calls == scalar.calls == len(masks)
+        watched = Watched(hidden.ground, hidden.evaluate)
+        assert watched.evaluate_many(masks) == expected
+        assert watched.seen == masks and watched.calls == len(masks)
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(2)])
@@ -271,20 +354,35 @@ def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
         assert reports[0] == reports[1], algo
 
 
-def test_evaluated_hands_out_blocks_in_order():
+def test_best_of_hands_out_blocks_in_order():
     class Recorder:
-        def __init__(self):
+        def __init__(self, value):
+            self.value = value
             self.blocks = []
 
         def evaluate_many(self, masks):
-            self.blocks.append(len(masks))
-            return [2 * m for m in masks]
+            self.blocks.append(masks)
+            return [self.value(m) for m in masks]
 
-    oracle = Recorder()
-    pairs = list(evaluated(oracle, iter(range(2 * BLOCK + 452))))
-    assert pairs == [(m, 2 * m) for m in range(2 * BLOCK + 452)]
-    assert oracle.blocks == [BLOCK, BLOCK, 452]
-    assert list(evaluated(oracle, [])) == []
+    count = 2 * BLOCK + 452
+
+    def best(value, masks=range(count)):
+        """best_of over ``masks``, checked against first_max of the pairs."""
+        oracle = Recorder(value)
+        got = best_of(oracle, iter(masks))
+        assert got == first_max((m, value(m)) for m in masks)
+        return got, oracle.blocks
+
+    got, blocks = best(lambda m: 2 * m)
+    assert got == (count - 1, 2 * (count - 1))
+    assert [len(b) for b in blocks] == [BLOCK, BLOCK, 452]
+    assert [m for b in blocks for m in b] == list(range(count))
+    # A tie across block boundaries: the first of the tied masks wins.
+    tied = {BLOCK - 1, BLOCK, 2 * BLOCK + 3}
+    assert best(lambda m: 5 if m in tied else m % 5)[0] == (BLOCK - 1, 5)
+    # All values negative: the largest still wins, here in the second block.
+    assert best(lambda m: -abs(m - 1500) - 1)[0] == (1500, -1)
+    assert best(lambda m: 2 * m, [])[0] == (0, 0)
 
 
 def test_sampling_solver_matches_a_scalar_reference():
@@ -312,6 +410,43 @@ def test_sampling_solver_matches_a_scalar_reference():
     assert oracle.calls == report.oracle_calls
 
 
+def _recording_oracle(rep: XosRepresentation) -> tuple[CountingOracle, list[int]]:
+    """An oracle whose closure value function records every query in order."""
+    seen = []
+
+    def value(mask):
+        seen.append(mask)
+        return rep.evaluate(mask)
+
+    return CountingOracle(rep.ground, value), seen
+
+
+@pytest.mark.parametrize(
+    "low, per_round", [(-40, 1500), (1, 40), (-40, 40)], ids=["lift-1500", "all-40", "lift-40"]
+)
+def test_sampling_solver_queries_the_scalar_sequence(low, per_round):
+    # Every query, singletons first, equals the per-query scalar loop. With
+    # low < 0 some singletons are dropped and positions go through
+    # core.lift; 1500 per round makes a block straddle rounds and 40 puts
+    # many rounds in one block.
+    n = 30
+    rep = random_explicit(n, 3, low, 60, seed=8)
+    oracle, seen = _recording_oracle(rep)
+    report = solve_random_sampling(oracle, SamplingParams(1, seed=77, sample_budget_override=per_round))
+    elems = [v for v in range(n) if rep.evaluate(1 << v) > 0]
+    assert (len(elems) < n) == (low < 0)
+    rounds, rest = divmod(report.oracle_calls - n, per_round)
+    assert rounds > 1 and rest == 0
+    rng = SplitMix64(77)
+    expected = [1 << v for v in range(n)] + [
+        sum(1 << elems[p] for p in sample_positions(len(elems), m, rng))
+        for m in range(1, rounds + 1)
+        for _ in range(per_round)
+    ]
+    assert seen == expected
+    assert report.oracle_calls == oracle.calls == len(expected)
+
+
 def _peak_bytes(run) -> int:
     tracemalloc.start()
     try:
@@ -335,6 +470,17 @@ def test_sample_masks_holds_one_block():
     # block of BLOCK masks however many are taken.
     def take():
         for _ in sample_masks(24, 6, 300_000, SplitMix64(11)):
+            pass
+
+    peak = _peak_bytes(take)
+    assert peak < 1 << 20, peak
+
+
+def test_mask_runs_hold_one_block():
+    # 13 rounds of 25000 masks, one stream: as one list they would take about
+    # 12 MiB; the stream holds one block, which may span two rounds.
+    def take():
+        for _ in sample_mask_runs(24, [(m, 25_000) for m in range(1, 14)], SplitMix64(11)):
             pass
 
     peak = _peak_bytes(take)
