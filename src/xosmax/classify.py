@@ -53,16 +53,13 @@ class DenseFunction:
         vals = list(values)
         if len(vals) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(vals)}")
-        table = None
-        if all(type(v) is int for v in vals):
-            try:
-                table = np.array(vals, dtype=np.int64)
-            except OverflowError:
-                pass
-        if table is None:  # the first bad value raises check_value's error
-            for v in vals:
-                check_value(v)
+        if not all(type(v) is int for v in vals):
+            vals = [check_value(v) for v in vals]  # raises at the first bad value
+        try:
             table = np.array(vals, dtype=np.int64)
+        except OverflowError:  # a plain int outside int64
+            for v in vals:
+                check_value(v)  # raises at the first such int
         self.n = n
         self.values = _exact_table(table)
 
@@ -109,16 +106,9 @@ def materialize(
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
-    """Max of the per-component subset sums, read from ``rep._byte_tables``.
-
-    A component whose subset sums leave int64 has no byte tables and raises,
-    as ``rep.evaluate`` does on the mask that reaches that sum.
-    """
+    """Max of the per-component subset sums, read from ``rep._byte_tables``
+    (n <= MATERIALIZE_CAP, so the tables exist and every sum is an int64)."""
     tables = rep._byte_tables
-    if tables is None:
-        for comp in rep.components:
-            check_value(sum(w for w in comp.weights if w < 0), "component sum")
-            check_value(sum(w for w in comp.weights if w > 0), "component sum")
     table = None
     for i in range(rep.width):
         sums = tables[0][:, i]

@@ -13,12 +13,16 @@ Conventions used throughout the package:
 
 * Subsets are plain ``int`` bitmasks of any length. Bit ``v`` set means
   element ``v`` is in the subset. Ground sizes are limited to
-  1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound.
+  1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound
+  and which masks are subsets: ``validate_subset`` one mask at a time,
+  ``validate_block`` one list at a time.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
-  Arithmetic is checked: a weight or an evaluated component sum outside
-  [-2^63, 2^63 - 1] raises :class:`ValueOverflowError`, never wraps.
+  A weight outside [-2^63, 2^63 - 1], or a component whose positive weights
+  sum above 2^63 - 1 or whose negative weights sum below -2^63, is refused
+  with :class:`ValueOverflowError` when the component is built. After that
+  no subset sum can leave the range, so no evaluation checks or wraps one.
 * The canonical enumeration order of subsets is ascending cardinality, then
   ascending numeric mask value. Argmax scans keep the first maximizer:
   ``first_max`` over (mask, value) pairs, or ``best_of`` over masks that do
@@ -62,7 +66,8 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 
 
 class ValueOverflowError(OverflowError):
-    """A value or component sum left the signed 64-bit range."""
+    """A value, weight or component's positive or negative weight sum lies
+    outside the signed 64-bit range."""
 
 
 class InstanceFormatError(ValueError):
@@ -213,11 +218,23 @@ class GroundSet:
         return (1 << self.n) - 1
 
     def validate_subset(self, mask: int) -> int:
+        """The one mask rule: an int (not a bool) with no bit outside {0..n-1}."""
         if isinstance(mask, bool) or not isinstance(mask, int):
             raise TypeError("subset must be an int bitmask")
         if mask < 0 or mask >> self.n:
             raise ValueError(f"mask {mask:#x} is not a subset of a ground set of size {self.n}")
         return mask
+
+    def validate_block(self, masks: list[int]) -> None:
+        """``validate_subset`` for every mask in ``masks``, in one test of the list.
+
+        A list of plain ints with min >= 0 and max below 2^n passes at once.
+        Any other list, the empty one included, is checked mask by mask, so
+        its first invalid mask raises ``validate_subset``'s error.
+        """
+        if not (set(map(type, masks)) == {int} and min(masks) >= 0 and not max(masks) >> self.n):
+            for m in masks:
+                self.validate_subset(m)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +243,12 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class AdditiveFunction:
-    """Additive set function given by one weight per element."""
+    """Additive set function given by one weight per element.
+
+    Built only when every weight is an int64 and so are the sum of its
+    positive weights and the sum of its negative ones; every subset sum lies
+    between those two, so none can leave int64.
+    """
 
     weights: tuple[int, ...]
 
@@ -236,13 +258,16 @@ class AdditiveFunction:
             raise InstanceFormatError("additive function needs at least one weight")
         for w in self.weights:
             check_value(w, "weight")
+        positive = self.positive_part_sum()
+        check_value(positive, "component's positive weight sum")
+        check_value(sum(self.weights) - positive, "component's negative weight sum")
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
     def evaluate(self, mask: int) -> int:
-        """Sum of weights over the set bits of ``mask`` (checked)."""
+        """Sum of weights over the set bits of ``mask``, a subset of {0..n-1}."""
         s = 0
         w = self.weights
         m = mask
@@ -250,16 +275,11 @@ class AdditiveFunction:
             low = m & -m
             s += w[low.bit_length() - 1]
             m ^= low
-        if not INT64_MIN <= s <= INT64_MAX:
-            raise ValueOverflowError(f"component sum {s} outside signed 64-bit range")
         return s
 
     def positive_part_sum(self) -> int:
         """sum_v max(w(v), 0); the maximum of this additive function over all subsets."""
-        s = sum(w for w in self.weights if w > 0)
-        if s > INT64_MAX:
-            raise ValueOverflowError("positive part sum outside signed 64-bit range")
-        return s
+        return sum(w for w in self.weights if w > 0)
 
 
 @dataclass(frozen=True)
@@ -301,31 +321,20 @@ class XosRepresentation:
     def evaluate(self, mask: int) -> int:
         """f(mask) = max over components. f(empty) = 0 since every sum is 0.
 
-        With byte tables, one packed row per mask byte is summed and the
-        largest lane, less the offsets, is the value; an out-of-ground mask
-        raises ``GroundSet.validate_subset``'s error. Otherwise each
-        component sums the set bits of ``mask`` (checked).
+        A mask that is not a plain int, or has a bit outside the ground set,
+        raises ``GroundSet.validate_subset``'s error before any route runs.
+        When n <= 64, one packed row per mask byte is summed and the largest
+        lane, less the offsets, is the value; otherwise each component sums
+        the set bits of ``mask``.
         """
+        if type(mask) is not int or mask >> self.ground.n:
+            self.ground.validate_subset(mask)  # raises unless an int subclass inside the ground
         packed = self._packed_tables
         if packed is None:
             return max(comp.evaluate(mask) for comp in self.components)
         rows, lanes, offset = packed
-        if mask >> self.ground.n:  # negative, or bits outside the ground set
-            self.ground.validate_subset(mask)  # raises
         total = sum(map(getitem, rows, mask.to_bytes(len(rows), "little")))
         return max([total >> s & _LANE_MASK for s in lanes]) - offset
-
-    def _tables_fit(self) -> bool:
-        """True when n <= 64 and no component has a subset sum outside int64
-        (its positive weights sum above INT64_MAX or its negative ones below
-        INT64_MIN): the condition for byte tables, packed or not."""
-        if self.n > 64:
-            return False
-        for comp in self.components:
-            w = comp.weights
-            if sum(x for x in w if x > 0) > INT64_MAX or sum(x for x in w if x < 0) < INT64_MIN:
-                return False
-        return True
 
     @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
@@ -334,10 +343,10 @@ class XosRepresentation:
 
         Table b holds, for each value x of mask bits 8b..8b+7, every
         component's sum over those bits: shape (2^bits, k), int64. None
-        unless ``_tables_fit``; every partial sum of a table lookup is a
-        subset sum, so otherwise nothing can wrap.
+        when n > 64. Every partial sum of a table lookup is a subset sum,
+        which ``AdditiveFunction`` keeps inside int64, so nothing can wrap.
         """
-        if not self._tables_fit():
+        if self.n > 64:
             return None
         columns = np.array([comp.weights for comp in self.components], dtype=np.int64).T
         tables = []
@@ -357,10 +366,11 @@ class XosRepresentation:
         bits [72i, 72i + 72). A mask's sum over its ceil(n/8) bytes holds at
         most 8 entries per lane, each below 2^64, so no lane carries into the
         next, and each lane less ceil(n/8)·2^63 is that component's sum.
-        Returns (rows per byte, lane shifts, that offset); None unless
-        ``_tables_fit``. Built in plain ints, so no dtype can wrap.
+        Each entry lies in int64 because every subset sum does (see
+        ``AdditiveFunction``). Returns (rows per byte, lane shifts, that
+        offset); None when n > 64. Built in plain ints, so no dtype can wrap.
         """
-        if not self._tables_fit():
+        if self.n > 64:
             return None
         lanes = range(0, _LANE_BITS * self.width, _LANE_BITS)
         empty = sum(1 << (63 + s) for s in lanes)
@@ -383,34 +393,15 @@ class XosRepresentation:
     def evaluate_many(self, masks: list[int]) -> list[int]:
         """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
 
-        Sums one table row per mask byte, then takes each row's maximum. A
-        mask outside the ground set raises ``GroundSet.validate_subset``'s
-        error for the first such mask, as ``evaluate`` does; one array test
-        per call finds it. Representations without byte tables run
-        ``evaluate``, which raises ``ValueOverflowError`` on a sum outside
-        int64.
+        ``GroundSet.validate_block`` checks the masks first, so the first
+        invalid one raises ``evaluate``'s error. Then each mask, as uint64,
+        sums one table row per byte, and each row's maximum is its value.
         """
+        self.ground.validate_block(masks)
         tables = self._byte_tables
         if tables is None:
             return [self.evaluate(m) for m in masks]
-        if not masks:
-            return []
-        try:
-            if self.n < 64:
-                # int64 holds every valid mask and a negative one exactly,
-                # and a mask outside the ground set keeps bits above n - 1.
-                arr = np.array(masks, dtype="<i8")
-                inside = not (arr >> self.n).any()
-            else:
-                # Some NumPy releases wrap a negative int to uint64 instead
-                # of raising, so the list is tested first.
-                inside = min(masks) >= 0
-                arr = np.array(masks, dtype="<u8") if inside else None
-        except OverflowError:  # an int too wide for the dtype
-            inside = False
-        if not inside:
-            for m in masks:
-                self.ground.validate_subset(m)  # raises at the first mask outside
+        arr = np.array(masks, dtype="<u8")
         mask_bytes = arr.view(np.uint8).reshape(len(masks), 8)
         sums = tables[0][mask_bytes[:, 0]]
         for b in range(1, len(tables)):
@@ -465,26 +456,28 @@ class CountingOracle:
         """``[self.evaluate(m) for m in masks]``: same checks, same count.
 
         When the value function is its owner's bound ``evaluate`` and this
-        class does not override ``evaluate``, the block is checked once (all
-        plain ints, none negative, none above the ground) and counted in
-        one step, then answered by the owner's ``evaluate_many`` if it has
-        one, else by mapping the value function. A block that fails the
-        test is checked mask by mask, so it raises ``evaluate``'s error for
-        its first invalid mask, before any of it is counted. Any other
-        value function, or an overridden ``evaluate``, is called mask by
-        mask through ``self.evaluate``.
+        class does not override ``evaluate``, the block is counted in one
+        step. An owner with ``evaluate_many`` on this oracle's ground set
+        checks and answers the block, and the count follows its return.
+        Otherwise ``GroundSet.validate_block`` checks the block, then it is
+        counted and the value function mapped over it. Either way the first
+        invalid mask raises ``evaluate``'s error before any of the block is
+        counted. Any other value function, or an overridden ``evaluate``, is
+        called mask by mask through ``self.evaluate``.
         """
         func = self._func
         owner = getattr(func, "__self__", None)
         overridden = type(self).evaluate is not CountingOracle.evaluate
         if overridden or func != getattr(owner, "evaluate", None):
             return [self.evaluate(m) for m in masks]
-        if not (set(map(type, masks)) == {int} and min(masks) >= 0 and not max(masks) >> self.n):
-            for m in masks:
-                self.ground.validate_subset(m)
-        self.calls += len(masks)
         batch = getattr(owner, "evaluate_many", None)
-        return batch(masks) if batch is not None else list(map(func, masks))
+        if batch is not None and getattr(owner, "ground", None) == self.ground:
+            values = batch(masks)
+            self.calls += len(masks)
+            return values
+        self.ground.validate_block(masks)
+        self.calls += len(masks)
+        return list(map(func, masks))
 
     def peek(self, mask: int) -> int:
         """Uncounted evaluation; verification only."""
@@ -562,8 +555,8 @@ def parse_explicit(doc: dict) -> XosRepresentation:
     """Parse {"type": "explicit", "n": ..., "weights": [[...], ...]}.
 
     ``GroundSet`` rejects an out-of-range n, ``AdditiveFunction`` a
-    non-integer or out-of-range weight, and ``XosRepresentation`` a row
-    whose length is not n.
+    non-integer or out-of-range weight or weight sum, and
+    ``XosRepresentation`` a row whose length is not n.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be an object")

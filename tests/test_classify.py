@@ -109,23 +109,24 @@ def test_materialize_cap():
 
 
 def test_materialize_component_overflow():
-    # a component whose subset sum leaves int64 raises, as rep.evaluate does,
-    # whether or not it is the maximal one there
+    # a component with a subset sum outside int64 is refused when the
+    # representation is built, whether or not it would be the maximal one
+    # at that subset, so materialize never meets one
     half = 1 << 62
-    for weights, mask in (
-        ([[1, 1], [half, half]], 3),  # 2^63
-        ([[0, 0], [-half, -half - 1]], 3),  # -2^63 - 1, below the max 0
-        ([[0, 0, 0], [-half, 5, -half - 1]], 5),  # only mask 5 leaves
+    for weights, sum_text in (
+        ([[1, 1], [half, half]], f"positive weight sum {1 << 63}"),
+        ([[0, 0], [-half, -half - 1]], f"negative weight sum {-(1 << 63) - 1}"),  # max 0
+        ([[0, 0, 0], [-half, 5, -half - 1]], f"negative weight sum {-(1 << 63) - 1}"),
     ):
-        rep = XosRepresentation.from_weights(weights)
-        with pytest.raises(ValueOverflowError):
-            rep.evaluate(mask)
-        with pytest.raises(ValueOverflowError):
-            materialize(rep)
+        with pytest.raises(ValueOverflowError, match=f"{sum_text} outside signed 64-bit range"):
+            XosRepresentation.from_weights(weights)
     # every component at the edge, both ways, but inside the range
     rep = XosRepresentation.from_weights([[INT64_MIN + 1, -1], [INT64_MAX - 1, 1]])
     f = materialize(rep)
     assert [f[m] for m in range(4)] == [0, INT64_MAX - 1, 1, INT64_MAX]
+    assert [f[m] for m in range(4)] == [rep.evaluate(m) for m in range(4)]
+    assert rep.evaluate_many(list(range(4))) == [f[m] for m in range(4)]
+    assert [comp.evaluate(3) for comp in rep.components] == [INT64_MIN, INT64_MAX]
 
 
 def test_materialize_large_weights_with_small_sums():

@@ -346,6 +346,27 @@ def test_a_refused_run_prints_the_same_at_0_and_1_trials(tmp_path, capsys, doc, 
     assert oracle.calls == 0
 
 
+@pytest.mark.parametrize("weights, sign, total", [
+    ([[-(1 << 62)] * 3, [1, 1, 1]], "negative", -3 << 62),
+    ([[1 << 62, 1 << 62, 1], [1, 1, 1]], "positive", (1 << 63) + 1),
+], ids=["negative", "positive"])
+def test_overflow_capable_weights_exit_3_at_load(tmp_path, capsys, weights, sign, total):
+    # A component whose subset sums could leave int64 is refused when the
+    # instance loads: every solver and verify print the same line and exit
+    # 3, at 0 trials as at 1, whichever solver would have reached the sum.
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps({"type": "explicit", "n": 3, "weights": weights}))
+    want = f"instance error: component's {sign} weight sum {total} outside signed 64-bit range\n"
+    commands = [["verify"]] + [
+        ["solve", "--algo", algo, "--epsilon", "1", "--trials", trials]
+        for algo in ALGORITHMS if algo != "probe" for trials in ("0", "1")
+    ]
+    for command in commands:
+        assert main([*command, "--instance", str(p)]) == 3, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", want), command
+
+
 def test_sampling_schedule_work_is_bounded(tmp_path, capsys):
     # r^(p+q) and its exact p-th root: a p near 10^5 costs a few powers, a
     # tiny epsilon is refused on a lower bound, and terms too large exit 2

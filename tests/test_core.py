@@ -91,10 +91,17 @@ def test_additive_function_and_overflow():
     assert g.evaluate(0) == 0
     assert g.evaluate(0b111) == 4
     assert g.positive_part_sum() == 5
-    big = AdditiveFunction((INT64_MAX, 1))
-    assert big.evaluate(0b01) == INT64_MAX
-    with pytest.raises(ValueOverflowError):
-        big.evaluate(0b11)
+    # A component whose subset sums could leave int64 is refused when built,
+    # with the sum in the message; one whose sums reach the edges exactly
+    # is kept, and every subset sum lies between them.
+    with pytest.raises(ValueOverflowError, match=f"positive weight sum {INT64_MAX + 1} outside"):
+        AdditiveFunction((INT64_MAX, 1))
+    with pytest.raises(ValueOverflowError, match=f"negative weight sum {INT64_MIN - 1} outside"):
+        AdditiveFunction((INT64_MIN, -1, INT64_MAX))
+    big = AdditiveFunction((INT64_MAX - 1, 1, INT64_MIN + 1, -1))
+    assert big.evaluate(0b0011) == big.positive_part_sum() == INT64_MAX
+    assert big.evaluate(0b1100) == INT64_MIN
+    assert big.evaluate(0b1111) == -1
 
 
 def test_representation_basics():

@@ -10,10 +10,12 @@ from __future__ import annotations
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xosmax import (
     CountingOracle,
+    GroundSet,
     ValueOverflowError,
     XosRepresentation,
     random_explicit,
@@ -133,7 +135,7 @@ def test_sample_masks_checks_count_at_the_call(count):
 
 def _edge_rows(n: int) -> list[list[int]]:
     """Rows whose positive weights sum to exactly INT64_MAX, or negative
-    ones to exactly INT64_MIN: the widest a table may be and stay batched."""
+    ones to exactly INT64_MIN: the widest components that may be built."""
     top = [INT64_MAX - (n - 1)] + [1] * (n - 1)
     bottom = [INT64_MIN + (n - 1)] + [-1] * (n - 1)
     mixed = [INT64_MAX // n if v % 2 else INT64_MIN // n for v in range(n)]
@@ -153,7 +155,7 @@ def _random_masks(n: int, count: int, seed: int) -> list[int]:
 
 
 def _bit_loop(rep: XosRepresentation, mask: int) -> int:
-    """The reference: each component's checked sum over the set bits."""
+    """The reference: each component's sum over the set bits."""
     return max(comp.evaluate(mask) for comp in rep.components)
 
 
@@ -217,7 +219,8 @@ def test_single_queries_reject_masks_outside_the_ground(n, bad):
     assert rep._packed_tables is not None
     with pytest.raises(ValueError, match="is not a subset of a ground set"):
         rep.evaluate(bad(n))
-    assert rep.evaluate(True) == rep.evaluate(1)
+    with pytest.raises(TypeError, match="subset must be an int bitmask"):
+        rep.evaluate(True)
 
 
 @pytest.mark.parametrize("n", [13, 16, 64])
@@ -240,22 +243,27 @@ def test_evaluate_many_rejects_masks_outside_the_ground(n):
 
 
 def test_evaluate_many_overflow_raises_like_evaluate():
-    rep = XosRepresentation.from_weights([[2**62, 2**62]])
-    assert rep._byte_tables is None
-    with pytest.raises(ValueOverflowError):
-        CountingOracle.for_representation(rep).evaluate(0b11)
-    with pytest.raises(ValueOverflowError):
-        CountingOracle.for_representation(rep).evaluate_many([0b01, 0b11])
-    assert CountingOracle.for_representation(rep).evaluate_many([0b01, 0b10]) == [2**62, 2**62]
-    # One past the widest batched rows: the top row's sum is INT64_MAX + 1
-    # and the bottom row's INT64_MIN - 1, so neither has tables.
+    # Weights whose subset sums could leave int64 never reach a query
+    # route: the representation is refused when built, naming the sum.
+    with pytest.raises(ValueOverflowError, match=f"positive weight sum {1 << 63} outside"):
+        XosRepresentation.from_weights([[2**62, 2**62]])
+    # One past the widest rows: the top row's sum is INT64_MAX + 1 and the
+    # bottom row's INT64_MIN - 1.
     top, bottom, _ = _edge_rows(64)
-    for row, delta in ((top, 1), (bottom, -1)):
-        rep = XosRepresentation.from_weights([[row[0] + delta, *row[1:]]])
-        assert rep._packed_tables is None
-        with pytest.raises(ValueOverflowError):
-            rep.evaluate((1 << 64) - 1)
-        assert rep.evaluate((1 << 64) - 2) == 63 * delta
+    for row, delta, sign in ((top, 1, "positive"), (bottom, -1, "negative")):
+        edge = (INT64_MAX if delta > 0 else INT64_MIN) + delta
+        with pytest.raises(ValueOverflowError, match=f"{sign} weight sum {edge} outside"):
+            XosRepresentation.from_weights([[row[0] + delta, *row[1:]]])
+    # The rows themselves are kept, and every route gives the edge sums.
+    full = (1 << 64) - 1
+    masks = [full, full - 1, 1, 0]
+    for row, edge in ((top, INT64_MAX), (bottom, INT64_MIN)):
+        rep = XosRepresentation.from_weights([row])
+        expected = [edge, edge - row[0], row[0], 0]
+        assert [rep.evaluate(m) for m in masks] == expected
+        assert rep.evaluate_many(masks) == expected
+        assert [_bit_loop(rep, m) for m in masks] == expected
+        assert CountingOracle.for_representation(rep).evaluate_many(masks) == expected
 
 
 def test_evaluate_many_closure_counts_the_same():
@@ -303,6 +311,46 @@ def test_evaluate_many_rejects_masks_like_evaluate(bad, error):
         with pytest.raises(error) as batch_exc:
             oracle.evaluate_many([1, bad])
         assert str(batch_exc.value) == str(scalar_exc.value)
+
+
+@pytest.mark.parametrize("n", [13, 64, 65, 200])
+def test_one_mask_rule_on_every_route(n):
+    # Single and batched, on the representation and through the oracle,
+    # explicit and hidden, with byte tables (n <= 64) and without: a mask
+    # that GroundSet.validate_subset refuses raises its error, type and
+    # message, before anything is counted; a mask it accepts gets one value.
+    rep = random_explicit(n, 3, -9, 9, seed=n)
+    hidden = [NeedleInstance(n, 5, 2, n)] + ([HardGeneralInstance(n, 2, n)] if n % 2 == 0 else [])
+
+    def oracles():
+        return [CountingOracle(owner.ground, owner.evaluate) for owner in (rep, *hidden)]
+
+    for mask in (True, 1.5, "3", np.int64(3), -1, 1 << n, (1 << 64) | 1):
+        try:
+            rep.ground.validate_subset(mask)
+        except (TypeError, ValueError) as exc:
+            routes = [(rep.evaluate, None), (lambda m: rep.evaluate_many([1, m]), None)]
+            for oracle in oracles():
+                routes += [(oracle.evaluate, oracle),
+                           (lambda m, o=oracle: o.evaluate_many([1, m]), oracle)]
+            for route, oracle in routes:
+                with pytest.raises(type(exc)) as got:
+                    route(mask)
+                assert str(got.value) == str(exc), (mask, route)
+                assert oracle is None or oracle.calls == 0
+            continue
+        # Bit 64 inside a ground of 65 or more.
+        value = _bit_loop(rep, mask)
+        assert rep.evaluate(mask) == value
+        assert rep.evaluate_many([1, mask]) == [rep.evaluate(1), value]
+        for oracle in oracles():
+            assert oracle.evaluate_many([1, mask]) == [oracle.evaluate(1), oracle.evaluate(mask)]
+            assert oracle.calls == 4
+    # An oracle on a smaller ground than its owner's keeps its own rule.
+    narrow = CountingOracle(GroundSet(n - 1), rep.evaluate)
+    with pytest.raises(ValueError, match=f"not a subset of a ground set of size {n - 1}$"):
+        narrow.evaluate_many([1, 1 << (n - 1)])
+    assert narrow.calls == 0
 
 
 def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
