@@ -60,13 +60,12 @@ from .core import (
     _is_int,
     best_of,
     first_max,
+    ints_of,
     iter_bits,
-    iter_masks_by_card,
-    lift,
-    masks_of_card,
+    subset_blocks,
 )
 # sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
-from .rng import SplitMix64, check_seed, sample_mask_runs, sample_positions  # noqa: F401
+from .rng import SplitMix64, check_seed, sample_blocks, sample_positions  # noqa: F401
 
 # Below this approximation factor the sampling analysis needs more samples
 # than brute force would cost, so the solver enumerates instead.
@@ -207,8 +206,7 @@ def _exhaustive(oracle: CountingOracle, retained: int, cap: int) -> tuple[int, i
     Every subset, the empty set included, is evaluated exactly once, in
     canonical order.
     """
-    masks = iter_masks_by_card(retained.bit_count(), cap)
-    return best_of(oracle, lift(masks, retained))
+    return best_of(oracle, subset_blocks(retained, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +318,8 @@ def solve_random_sampling(oracle: CountingOracle, params: SamplingParams) -> Sol
     run.phase(rounds * per_round, "rounds")
 
     rng = SplitMix64(params.seed)
-    draws = sample_mask_runs(r, [(m, per_round) for m in range(1, rounds + 1)], rng)
-    return run.report(best_of(oracle, lift(draws, retained)))
+    draws = sample_blocks(retained, [(m, per_round) for m in range(1, rounds + 1)], rng)
+    return run.report(best_of(oracle, draws))
 
 
 def solve_exact_2xos(oracle: CountingOracle) -> SolveReport:
@@ -432,7 +430,7 @@ def _maximal_cliques(run: Run) -> tuple[tuple[int, int], ...]:
     for card in range(1, r + 1):
         count = math.comb(r, card) * (r - card + (card > 1))
         run.phase(count, f"round {card}")
-        for actual in lift(masks_of_card(r, card), retained):
+        for actual in ints_of(subset_blocks(retained, card, card)):
             ssum = sum(singles[v] for v in iter_bits(actual))
             if card > 1 and oracle.evaluate(actual) != ssum:
                 continue

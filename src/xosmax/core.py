@@ -11,11 +11,15 @@ record.
 
 Conventions used throughout the package:
 
-* Subsets are plain ``int`` bitmasks of any length. Bit ``v`` set means
-  element ``v`` is in the subset. Ground sizes are limited to
+* Subsets are plain ``int`` bitmasks of any length at every API boundary.
+  Bit ``v`` set means element ``v`` is in the subset. Inside the query path
+  a block of masks over elements below 64 is one 1-D ``np.uint64`` array
+  from the producer that makes it (``subset_blocks``,
+  ``rng.sample_blocks``) to the table that answers it; only the reported
+  maximizer becomes an int. Ground sizes are limited to
   1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound
   and which masks are subsets: ``validate_subset`` one mask at a time,
-  ``validate_block`` one list at a time.
+  ``validate_block`` one list or array at a time.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
@@ -24,20 +28,20 @@ Conventions used throughout the package:
   with :class:`ValueOverflowError` when the component is built. After that
   no subset sum can leave the range, so no evaluation checks or wraps one.
 * The canonical enumeration order of subsets is ascending cardinality, then
-  ascending numeric mask value. Argmax scans keep the first maximizer:
-  ``first_max`` over (mask, value) pairs, or ``best_of`` over masks that do
-  not depend on earlier answers, asked a block at a time through
-  ``CountingOracle.evaluate_many``. So every tie-break in the package is
-  deterministic.
+  ascending numeric mask value (``subset_blocks``). Argmax scans keep the
+  first maximizer: ``first_max`` over (mask, value) pairs, or ``best_of``
+  over blocks of masks that do not depend on earlier answers, each asked
+  through ``CountingOracle.evaluate_many``. So every tie-break in the
+  package is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, repeat
 from operator import getitem
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +67,14 @@ MAX_QUERIES = 1 << 21
 # 2^63, into one int, one lane each; a lane holds the sum of up to 8 of them.
 _LANE_BITS = 72
 _LANE_MASK = (1 << _LANE_BITS) - 1
+
+# numpy operands of the array route; each is an explicit uint64 so that no
+# shift or mask is promoted to int64 or float64 on any numpy version.
+_U_ONE = np.uint64(1)
+_U56 = np.uint64(56)
+_U_BYTE_SUM = np.uint64(0x0101010101010101)
+# Set bits of each byte value, for ``bit_counts``.
+_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 class ValueOverflowError(OverflowError):
@@ -115,6 +127,24 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def bit_counts(masks: np.ndarray) -> np.ndarray:
+    """The number of set bits of each mask of a uint64 array, as int64.
+
+    One lookup per byte in a 256-entry table, since numpy 1.24 has no
+    ``bitwise_count``; multiplying a word's eight byte counts by
+    0x0101010101010101 sums them into its top byte.
+    """
+    per_byte = _BYTE_BITS[np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)]
+    return ((per_byte.view("<u8") * _U_BYTE_SUM) >> _U56).astype(np.int64)
+
+
+def _elements(universe: int) -> Sequence[int]:
+    """The elements of ``universe`` in ascending order; a range when it is {0..r-1}."""
+    if universe & (universe + 1) == 0:
+        return range(universe.bit_length())
+    return elements_of(universe)
+
+
 def _translate(sub: int, elems: tuple[int, ...]) -> int:
     """Map a mask over positions to a mask over ``elems[position]``."""
     actual = 0
@@ -155,14 +185,81 @@ def masks_of_card(n: int, c: int) -> Iterator[int]:
         x = v | (((x ^ v) // u) >> 2)
 
 
-def iter_masks_by_card(n: int, max_card: int | None = None) -> Iterator[int]:
-    """Subsets of {0..n-1} in canonical order: ascending cardinality, then mask.
+@cache
+def _binomials() -> np.ndarray:
+    """C(p, i) at [i, p] for 0 <= i, p <= 64, read-only. Row i is the
+    running sum of row i-1 (C(p, i) = sum_{q<p} C(q, i-1)), and every
+    entry is at most C(64, 32) < 2^63, so int64 holds it exactly."""
+    table = np.zeros((65, 65), dtype=np.int64)
+    table[0] = 1
+    for i in range(1, 65):
+        table[i, 1:] = np.cumsum(table[i - 1, :-1])
+    table.flags.writeable = False
+    return table
 
-    ``max_card`` truncates the enumeration; the empty set is always first.
+
+def _unrank(binom: np.ndarray, bits: np.ndarray, c: int, lo: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the c-subsets of colex ranks lo, lo+1, ... as masks.
+
+    Position p stands for the element mask ``bits[p]``, and row i of
+    ``binom`` holds C(p, i) for every position p. Colex order of c-subsets
+    is ascending mask order. The subset of rank R has as its largest
+    position the last p with C(p, c) <= R, and the rest is the (c-1)-subset
+    of rank R - C(p, c): one ``searchsorted`` per element, and C(p, 1) = p
+    needs none.
     """
-    top = n if max_card is None else min(max_card, n)
-    for c in range(top + 1):
-        yield from masks_of_card(n, c)
+    rank = np.arange(lo, lo + len(out), dtype=np.int64)
+    out[:] = 0
+    for i in range(c, 1, -1):
+        row = binom[i]
+        p = row.searchsorted(rank, side="right") - 1
+        rank -= row[p]
+        out |= bits[p]
+    if c:
+        out |= bits[rank]
+
+
+def subset_blocks(universe: int, cap: int, least: int = 0) -> Iterator[np.ndarray | list[int]]:
+    """The subsets of ``universe`` with ``least`` to ``cap`` elements, in
+    canonical order, at most BLOCK masks a block.
+
+    With the default ``least`` the empty set comes first. When every
+    element is below 64 a block is a uint64 array: size class c is the
+    c-subsets of colex ranks 0 .. C(r, c)-1, each unranked on its own
+    (``_unrank``), so a block may span size classes and only one block is
+    held, however large a class is. A larger universe gives lists of ints,
+    from ``masks_of_card`` through ``lift``.
+    """
+    elems = _elements(universe)
+    r = len(elems)
+    top = min(cap, r)
+    if universe >> 64:
+        masks = lift((m for c in range(least, top + 1) for m in masks_of_card(r, c)), universe)
+        while block := list(islice(masks, BLOCK)):
+            yield block
+        return
+    binom = _binomials()
+    rows = binom[:, :r]
+    bits = _U_ONE << np.array(elems, dtype=np.uint64)
+    out, fill = np.empty(BLOCK, dtype=np.uint64), 0
+    for c in range(least, top + 1):
+        lo, total = 0, int(binom[c, r])
+        while lo < total:
+            hi = min(total, lo + BLOCK - fill)
+            _unrank(rows, bits, c, lo, out[fill : fill + hi - lo])
+            fill += hi - lo
+            lo = hi
+            if fill == BLOCK:
+                yield out
+                out, fill = np.empty(BLOCK, dtype=np.uint64), 0
+    if fill:
+        yield out[:fill]
+
+
+def ints_of(blocks: Iterable[np.ndarray | list[int]]) -> Iterator[int]:
+    """The masks of ``blocks``, one at a time, as plain ints."""
+    for block in blocks:
+        yield from block.tolist() if isinstance(block, np.ndarray) else block
 
 
 def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -179,24 +276,29 @@ def first_max(candidates: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return best
 
 
-def best_of(oracle: "CountingOracle", masks: Iterable[int]) -> tuple[int, int]:
-    """``first_max`` of the (mask, oracle value) pairs in the order of ``masks``.
+def best_of(
+    oracle: "CountingOracle", blocks: Iterable[np.ndarray | list[int]]
+) -> tuple[int, int]:
+    """``first_max`` of the (mask, oracle value) pairs of ``blocks`` in order.
 
-    For queries that do not depend on earlier answers: masks are taken
-    BLOCK at a time and each block is one ``evaluate_many`` call, so at
-    most one block is held however long ``masks`` is. Each block's first
-    maximizer is found by ``max`` and ``list.index``, and a later block
-    replaces the kept pair only when it is strictly larger. No masks gives
-    (0, 0).
+    For queries that do not depend on earlier answers: each nonempty block,
+    a uint64 array or a list of ints, is one ``evaluate_many`` call, so a
+    search holds one block however many it asks. A block's first maximizer
+    is found by ``argmax`` on an array of values, or ``max`` and
+    ``list.index`` on a list, and a later block replaces the kept pair only
+    when it is strictly larger. The pair is returned as plain ints; no
+    blocks give (0, 0).
     """
     best = None
-    it = iter(masks)
-    while block := list(islice(it, BLOCK)):
+    for block in blocks:
         values = oracle.evaluate_many(block)
-        top = max(values)
-        if best is None or top > best[1]:
-            best = block[values.index(top)], top
-    return (0, 0) if best is None else best
+        if isinstance(values, np.ndarray):
+            i = int(values.argmax())
+        else:
+            i = values.index(max(values))
+        if best is None or values[i] > best[1]:
+            best = block[i], values[i]
+    return (0, 0) if best is None else (int(best[0]), int(best[1]))
 
 
 @dataclass(frozen=True)
@@ -225,13 +327,26 @@ class GroundSet:
             raise ValueError(f"mask {mask:#x} is not a subset of a ground set of size {self.n}")
         return mask
 
-    def validate_block(self, masks: list[int]) -> None:
-        """``validate_subset`` for every mask in ``masks``, in one test of the list.
+    def validate_block(self, masks: list[int] | np.ndarray) -> None:
+        """``validate_subset`` for every mask in ``masks``, in one test of the block.
 
-        A list of plain ints with min >= 0 and max below 2^n passes at once.
+        A 1-D uint64 array passes when no mask has a bit at or above n (any
+        array does when n >= 64); otherwise its first such mask raises
+        ``validate_subset``'s error. Any other array raises TypeError. A
+        list of plain ints with min >= 0 and max below 2^n passes at once.
         Any other list, the empty one included, is checked mask by mask, so
         its first invalid mask raises ``validate_subset``'s error.
         """
+        if isinstance(masks, np.ndarray):
+            if masks.dtype != np.uint64 or masks.ndim != 1:
+                raise TypeError(
+                    f"a block of masks must be a 1-D uint64 array, got {masks.ndim}-D {masks.dtype}"
+                )
+            if self.n < 64:
+                outside = masks >> np.uint64(self.n)
+                if outside.any():
+                    self.validate_subset(int(masks[np.flatnonzero(outside)[0]]))
+            return
         if not (set(map(type, masks)) == {int} and min(masks) >= 0 and not max(masks) >> self.n):
             for m in masks:
                 self.validate_subset(m)
@@ -390,23 +505,27 @@ class XosRepresentation:
             rows.append(table)
         return rows, lanes, len(rows) << 63
 
-    def evaluate_many(self, masks: list[int]) -> list[int]:
+    def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
 
+        ``masks`` is a list of ints, answered by a list, or a 1-D uint64
+        array, answered by an int64 array when n <= 64.
         ``GroundSet.validate_block`` checks the masks first, so the first
         invalid one raises ``evaluate``'s error. Then each mask, as uint64,
         sums one table row per byte, and each row's maximum is its value.
         """
         self.ground.validate_block(masks)
+        array = isinstance(masks, np.ndarray)
         tables = self._byte_tables
         if tables is None:
-            return [self.evaluate(m) for m in masks]
-        arr = np.array(masks, dtype="<u8")
-        mask_bytes = arr.view(np.uint8).reshape(len(masks), 8)
+            return [self.evaluate(m) for m in (masks.tolist() if array else masks)]
+        words = np.ascontiguousarray(masks, dtype="<u8")
+        mask_bytes = words.view(np.uint8).reshape(len(words), 8)
         sums = tables[0][mask_bytes[:, 0]]
         for b in range(1, len(tables)):
             sums += tables[b][mask_bytes[:, b]]
-        return sums.max(axis=1).tolist()
+        values = sums.max(axis=1)
+        return values if array else values.tolist()
 
     def singleton_value(self, v: int) -> int:
         return max(comp.weights[v] for comp in self.components)
@@ -452,23 +571,28 @@ class CountingOracle:
         self.calls += 1
         return self._func(mask)
 
-    def evaluate_many(self, masks: list[int]) -> list[int]:
+    def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``: same checks, same count.
 
-        When the value function is its owner's bound ``evaluate`` and this
-        class does not override ``evaluate``, the block is counted in one
-        step. An owner with ``evaluate_many`` on this oracle's ground set
-        checks and answers the block, and the count follows its return.
-        Otherwise ``GroundSet.validate_block`` checks the block, then it is
-        counted and the value function mapped over it. Either way the first
-        invalid mask raises ``evaluate``'s error before any of the block is
-        counted. Any other value function, or an overridden ``evaluate``, is
-        called mask by mask through ``self.evaluate``.
+        ``masks`` is a list of ints or a 1-D uint64 array. When the value
+        function is its owner's bound ``evaluate`` and this class does not
+        override ``evaluate``, the block is counted in one step. An owner
+        with ``evaluate_many`` on this oracle's ground set checks and
+        answers the block, and the count follows its return. Otherwise
+        ``GroundSet.validate_block`` checks the block, then it is counted
+        and the value function mapped over it. Either way the first invalid
+        mask raises ``evaluate``'s error before any of the block is counted.
+        Any other value function, or an overridden ``evaluate``, is called
+        mask by mask through ``self.evaluate``; an array is checked whole
+        first and its masks handed over as plain ints.
         """
         func = self._func
         owner = getattr(func, "__self__", None)
         overridden = type(self).evaluate is not CountingOracle.evaluate
         if overridden or func != getattr(owner, "evaluate", None):
+            if isinstance(masks, np.ndarray):
+                self.ground.validate_block(masks)
+                masks = masks.tolist()
             return [self.evaluate(m) for m in masks]
         batch = getattr(owner, "evaluate_many", None)
         if batch is not None and getattr(owner, "ground", None) == self.ground:
@@ -477,7 +601,7 @@ class CountingOracle:
             return values
         self.ground.validate_block(masks)
         self.calls += len(masks)
-        return list(map(func, masks))
+        return list(map(func, masks.tolist() if isinstance(masks, np.ndarray) else masks))
 
     def peek(self, mask: int) -> int:
         """Uncounted evaluation; verification only."""

@@ -31,7 +31,9 @@ and the document writer. ``FAMILIES`` maps each document type to its class;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import ClassVar
+
+import numpy as np
 
 from .core import (
     INT64_MAX,
@@ -44,9 +46,10 @@ from .core import (
     XosRepresentation,
     _is_int,
     best_of,
+    bit_counts,
     iter_bits,
 )
-from .rng import SplitMix64, check_seed, sample_mask, sample_masks
+from .rng import SplitMix64, check_seed, sample_blocks, sample_mask
 
 
 class _HiddenFamily:
@@ -56,7 +59,8 @@ class _HiddenFamily:
     ``__post_init__`` calls ``_check_params`` before its range checks and
     builds its ``ground`` before any per-element work, so ``GroundSet``
     bounds n. The planted set is a maximizer unless a family overrides
-    ``planted_is_optimal``.
+    ``planted_is_optimal``. ``evaluate_many`` answers a uint64 array over
+    n <= 64 in one numpy pass (``_values``, from ``core.bit_counts``).
     """
 
     params: ClassVar[tuple[str, ...]] = ()
@@ -70,6 +74,16 @@ class _HiddenFamily:
 
     def oracle(self) -> CountingOracle:
         return CountingOracle(self.ground, self.evaluate)
+
+    def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
+        """``[self.evaluate(m) for m in masks]`` after ``GroundSet.validate_block``;
+        an int64 array of values for a uint64 array when n <= 64."""
+        self.ground.validate_block(masks)
+        if isinstance(masks, np.ndarray):
+            if self.n <= 64:
+                return self._values(masks)
+            masks = masks.tolist()
+        return list(map(self.evaluate, masks))
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,6 +126,10 @@ class NeedleInstance(_HiddenFamily):
         if mask & ~self.planted:
             return 0
         return 1 if mask.bit_count() >= self.t else 0
+
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        inside = (masks & ~np.uint64(self.planted)) == 0
+        return (inside & (bit_counts(masks) >= self.t)).astype(np.int64)
 
     def planted_optimum(self) -> tuple[int, int]:
         return self.planted, 1
@@ -161,6 +179,15 @@ class HardGeneralInstance(_HiddenFamily):
         outside = mask.bit_count() - inside
         return max(inside - self.n * outside, self.tau)
 
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        planted = np.uint64(self.planted)
+        inside = bit_counts(masks & planted)
+        outside = bit_counts(masks & ~planted)
+        values = np.maximum(inside - self.n * outside, self.tau)
+        if not self.remark:
+            values[masks == 0] = 0
+        return values
+
     def planted_optimum(self) -> tuple[int, int]:
         return self.planted, self.n // 2
 
@@ -187,8 +214,12 @@ class HardGeneralInstance(_HiddenFamily):
 class HardKxosInstance(_HiddenFamily):
     """Width-k blocked construction with a planted high-value set.
 
-    ``terms`` is the weight table both ``evaluate`` and ``representation``
-    read: per component, (element mask, weight) pairs over disjoint masks.
+    ``terms`` is the weight table ``evaluate``, ``_values`` and
+    ``representation`` read: per component, (element mask, weight) pairs
+    over disjoint masks. Values stay in int64 on every route: the ground's
+    nt + ... + nt^(k-1) <= 4096 elements give nt^(k-1) <= 2^12 and, as
+    k >= 3, nt^2 <= 2^12, so every weight is at most nt^(k+1) <= 2^24 in
+    size and |f| is below 2^24 * 4096 = 2^36.
     """
 
     k: int
@@ -259,6 +290,13 @@ class HardKxosInstance(_HiddenFamily):
                 best = value
         return best
 
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        best = np.zeros(len(masks), dtype=np.int64)
+        for comp in self.terms:
+            value = sum(np.int64(weight) * bit_counts(masks & np.uint64(part)) for part, weight in comp)
+            np.maximum(best, value, out=best)
+        return best
+
     @property
     def planted_is_optimal(self) -> bool:
         """Planted value >= every per-component maximum n_tilde^k."""
@@ -288,7 +326,11 @@ class HardKxosInstance(_HiddenFamily):
         return XosRepresentation(self.ground, tuple(comps))
 
 
-HiddenInstance = Union[NeedleInstance, HardGeneralInstance, HardKxosInstance]
+# A PEP 604 union, not typing.Union: typing caches Union[...] by its
+# arguments for the life of the process, which would keep every class
+# here, and through their methods the whole package, alive after a
+# re-import.
+HiddenInstance = NeedleInstance | HardGeneralInstance | HardKxosInstance
 
 # Document type -> (family class, fixed constructor keywords).
 FAMILIES: dict[str, tuple[type, dict]] = {
@@ -332,7 +374,7 @@ def uniform_size_probe(oracle: CountingOracle, size: int, queries: int, seed: in
     run = Run(oracle, "probe", seed=seed)
     probe_phase(run, queries)
     rng = SplitMix64(seed)
-    return run.report(best_of(oracle, sample_masks(n, size, queries, rng)))
+    return run.report(best_of(oracle, sample_blocks(oracle.ground.full_mask, [(size, queries)], rng)))
 
 
 def probe_phase(run: Run, queries: int) -> None:

@@ -8,19 +8,23 @@ regression tests pin known-answer vectors, so the stream will not change
 across versions. Bounded draws use rejection sampling, which keeps them
 exactly uniform, and fixed-size subsets come from a partial Fisher-Yates
 shuffle, which makes every m-element subset exactly equally likely.
-``sample_mask_runs`` streams many subsets given as runs of (size, count),
-``sample_masks`` one run of them: the masks are drawn BLOCK at a time with
-numpy, a block may span runs, one block is held, and the stream is exactly
-what the scalar sampler would yield.
+``sample_blocks`` streams many subsets of a universe, given as runs of
+(size, count), BLOCK masks at a time: uint64 arrays when every element is
+below 64, drawn with numpy, and lists of ints from the scalar sampler
+otherwise. A block may span runs, one block is held, and each mask is built
+from its elements' bits, so no position is mapped to an element afterwards.
+``sample_mask_runs`` (and ``sample_masks``, its one-run case) yields the
+same stream over {0..n-1} as ints. Either stream is exactly what the
+scalar sampler would yield.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import BLOCK, _is_int
+from .core import BLOCK, _elements, _is_int, ints_of
 
 # A seed is the generator's whole state: a plain int in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
@@ -35,6 +39,7 @@ _U_GAMMA = np.uint64(_GAMMA)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U_ONE = np.uint64(1)
+_U_ZERO = np.uint64(0)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
@@ -93,8 +98,7 @@ def sample_positions(n: int, m: int, rng: SplitMix64) -> list[int]:
     i-permutation, so the returned prefix hits every m-subset with equal
     probability.
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"cannot sample {m} of {n} positions")
+    _check_size(n, m)
     idx = list(range(n))
     for i in range(m):
         j = i + rng.randrange(n - i)
@@ -104,14 +108,20 @@ def sample_positions(n: int, m: int, rng: SplitMix64) -> list[int]:
 
 def sample_mask(n: int, m: int, rng: SplitMix64) -> int:
     """Uniform size-m subset of {0..n-1} as a bitmask."""
-    out = 0
-    for p in sample_positions(n, m, rng):
-        out |= 1 << p
-    return out
+    return _scalar_mask(range(n), m, rng)
 
 
-def _mask_block(n: int, runs: list[tuple[int, int]], state: int) -> list[int] | None:
-    """The masks of ``runs`` over n <= 64 drawn from ``state``, or None.
+def _check_size(n: int, m) -> None:
+    """The one size check of the samplers: an int (not a bool) in [0, n]."""
+    if not _is_int(m):
+        raise ValueError(f"size must be an integer, got {m!r}")
+    if not 0 <= m <= n:
+        raise ValueError(f"cannot sample {m} of {n} positions")
+
+
+def _mask_block(elems: np.ndarray, runs: list[tuple[int, int]], state: int) -> np.ndarray | None:
+    """The masks of ``runs`` over the r <= 64 elements ``elems`` (a uint64
+    array, ascending) drawn from ``state``, as a uint64 array, or None.
 
     ``runs`` holds (size m, count) pairs in stream order, at most BLOCK
     masks in all, none of count 0. Output t of the stream is
@@ -119,9 +129,11 @@ def _mask_block(n: int, runs: list[tuple[int, int]], state: int) -> list[int] | 
     expression. Mask t's m draws, then zeros, fill column t of the draw
     grid, and position i of every mask is row i of ``idx``. A zero draw
     swaps position i with itself, so swap i touches only the masks from the
-    first run longer than i onward. None when any draw would be rejected by
-    ``randrange``: the caller then redraws the block with the scalar code.
+    first run longer than i onward. Each taken position adds its element's
+    bit. None when any draw would be rejected by ``randrange``: the caller
+    then redraws the block with the scalar code.
     """
+    r = len(elems)
     width = max(m for m, _ in runs)
     count = sum(c for _, c in runs)
     z = np.arange(1, sum(m * c for m, c in runs) + 1, dtype=np.uint64)
@@ -140,12 +152,12 @@ def _mask_block(n: int, runs: list[tuple[int, int]], state: int) -> list[int] | 
         draws[:m, start : start + c] = z[drawn : drawn + m * c].reshape(c, m).T
         start += c
         drawn += m * c
-    idx = np.empty((n, count), dtype=np.uint8)
-    idx[:] = np.arange(n, dtype=np.uint8)[:, None]
+    idx = np.empty((r, count), dtype=np.uint8)
+    idx[:] = np.arange(r, dtype=np.uint8)[:, None]
     flat = idx.reshape(-1)
     columns = np.arange(count)
     for i, lo in enumerate(first):
-        bound = n - i  # randrange(n - i) for the i-th swap
+        bound = r - i  # randrange(r - i) for the i-th swap
         col = draws[i, lo:]
         if int(col.max()) >= _reject_from(bound):
             return None
@@ -157,28 +169,44 @@ def _mask_block(n: int, runs: list[tuple[int, int]], state: int) -> list[int] | 
         flat[j] = idx[i, lo:]
         idx[i, lo:] = picked
     taken = np.arange(width)[:, None] < np.repeat([m for m, _ in runs], [c for _, c in runs])
-    bits = np.zeros((width, count), dtype=np.uint64)
-    np.left_shift(_U_ONE, idx[:width], out=bits, where=taken, dtype=np.uint64)
-    return bits.sum(axis=0).tolist()  # distinct bits: the sum is the OR
+    bits = np.where(taken, (_U_ONE << elems)[idx[:width]], _U_ZERO)
+    return bits.sum(axis=0)  # distinct bits: the sum is the OR
+
+
+def _checked_runs(n: int, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    runs = list(runs)
+    for m, count in runs:
+        _check_size(n, m)
+        if not (_is_int(count) and count >= 0):
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    return runs
+
+
+def sample_blocks(
+    universe: int, runs: Iterable[tuple[int, int]], rng: SplitMix64
+) -> Iterator[np.ndarray | list[int]]:
+    """For each (m, count) of ``runs`` in order, ``count`` uniform m-subsets
+    of the elements of ``universe``, as one stream of blocks of at most
+    BLOCK masks.
+
+    Position i of the scalar sampler stands for the i-th smallest element,
+    so the masks are ``sample_mask(r, m, rng)`` with each position replaced
+    by its element. The runs are checked at the call. When every element
+    is below 64 a block is a uint64 array drawn by ``_mask_block`` when it
+    is taken, and may span runs; a block that meets a rejection is redrawn
+    by the scalar code from the same state. A larger universe always uses
+    the scalar code and gives lists of ints. Once every block is taken,
+    ``rng`` is where the scalar calls would leave it.
+    """
+    elems = _elements(universe)
+    return _block_stream(elems, _checked_runs(len(elems), runs), rng)
 
 
 def sample_mask_runs(n: int, runs: Iterable[tuple[int, int]], rng: SplitMix64) -> Iterator[int]:
     """``sample_mask(n, m, rng)`` ``count`` times for each (m, count) of
-    ``runs`` in order, as one stream.
-
-    The runs are checked at the call. For n <= 64 the masks are drawn
-    BLOCK at a time by ``_mask_block`` as they are taken, and a block may
-    span runs; a block that meets a rejection is redrawn by the scalar code
-    from the same state, and larger grounds always use it. Once every mask
-    is taken, ``rng`` is where the scalar calls would leave it.
-    """
-    runs = list(runs)
-    for m, count in runs:
-        if not 0 <= m <= n:
-            raise ValueError(f"cannot sample {m} of {n} positions")
-        if not (_is_int(count) and count >= 0):
-            raise ValueError(f"count must be an integer >= 0, got {count!r}")
-    return _mask_stream(n, runs, rng)
+    ``runs`` in order, as one stream of ints: ``sample_blocks`` over
+    {0..n-1}, with its checks at the call."""
+    return ints_of(_block_stream(range(n), _checked_runs(n, runs), rng))
 
 
 def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
@@ -204,11 +232,26 @@ def _blocks(runs: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
         yield block
 
 
-def _mask_stream(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> Iterator[int]:
+def _scalar_mask(elems: Sequence[int], m: int, rng: SplitMix64) -> int:
+    """A uniform m-subset of ``elems`` as a bitmask: ``sample_positions``
+    over len(elems) positions, position p standing for ``elems[p]``."""
+    out = 0
+    for p in sample_positions(len(elems), m, rng):
+        out |= 1 << elems[p]
+    return out
+
+
+def _block_stream(
+    elems: Sequence[int], runs: list[tuple[int, int]], rng: SplitMix64
+) -> Iterator[np.ndarray | list[int]]:
+    wide = len(elems) > 0 and elems[-1] >= 64
+    table = None if wide else np.array(elems, dtype=np.uint64)
     for block in _blocks(runs):
-        masks = _mask_block(n, block, rng.state) if n <= 64 else None
+        masks = None if wide else _mask_block(table, block, rng.state)
         if masks is None:
-            masks = [sample_mask(n, m, rng) for m, count in block for _ in range(count)]
+            masks = [_scalar_mask(elems, m, rng) for m, count in block for _ in range(count)]
+            if not wide:
+                masks = np.array(masks, dtype=np.uint64)
         else:
             rng.state = (rng.state + sum(m * c for m, c in block) * _GAMMA) & _MASK64
-        yield from masks
+        yield masks

@@ -5,18 +5,21 @@ enumeration and evaluation helpers (itertools.combinations instead of bit
 tricks, direct row sums instead of AdditiveFunction) so that agreement
 between a solver and a reference is evidence, not tautology.
 
-Three white-box routes only tests use live here too and do read the
+Four white-box routes only tests use live here too and do read the
 package's values: ``maximizer_indices`` and ``clique_of`` on a
-representation, and ``check_submodular_marginal`` on a dense table, the
-pure-Python second route to the submodular verdict.
+representation, ``check_submodular_marginal`` on a dense table, the
+pure-Python second route to the submodular verdict, and
+``iter_masks_by_card``, the scalar canonical enumeration.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 from xosmax import XosRepresentation, random_explicit
 from xosmax.classify import DenseFunction, Witness
+from xosmax.core import masks_of_card
 from xosmax.rng import SplitMix64
 
 # The cli name each algorithm's trial calls; perfbench captures every
@@ -50,6 +53,15 @@ def canonical_masks(n: int) -> list[int]:
         masks = [sum(1 << v for v in combo) for combo in combinations(range(n), c)]
         out.extend(sorted(masks))
     return out
+
+
+def iter_masks_by_card(n: int, max_card: int | None = None) -> Iterator[int]:
+    """Subsets of {0..n-1} in canonical order, truncated at ``max_card``,
+    from ``masks_of_card`` (Gosper's hack): the scalar enumeration that
+    ``core.subset_blocks`` replaces for universes below 64 elements."""
+    top = n if max_card is None else min(max_card, n)
+    for c in range(top + 1):
+        yield from masks_of_card(n, c)
 
 
 def ref_brute_max(evaluate, n: int) -> tuple[int, int]:

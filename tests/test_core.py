@@ -27,9 +27,10 @@ from xosmax.core import (
     Run,
     check_value,
     first_max,
-    iter_masks_by_card,
+    ints_of,
     lift,
     masks_of_card,
+    subset_blocks,
 )
 
 from helpers import canonical_masks, clique_of, maximizer_indices, random_rep, rep_as_lists
@@ -62,9 +63,9 @@ def test_masks_of_card_matches_itertools():
 
 def test_canonical_order():
     n = 5
-    assert list(iter_masks_by_card(n)) == canonical_masks(n)
+    assert list(ints_of(subset_blocks((1 << n) - 1, n))) == canonical_masks(n)
     # truncated at a cardinality cap
-    assert list(iter_masks_by_card(3, 1)) == [0, 1, 2, 4]
+    assert list(ints_of(subset_blocks(0b111, 1))) == [0, 1, 2, 4]
 
 
 def test_first_max_keeps_first_of_tied_maxima():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
+import sys
 import time
+import weakref
 
 import pytest
 
@@ -314,3 +318,26 @@ def test_planted_optimum_dispatcher():
     # a loaded document reaches the family's own planted_optimum
     inst = HardGeneralInstance(8, 2, seed=1)
     assert instance_from_dict(inst.to_json_dict()).planted() == inst.planted_optimum()
+
+
+def test_a_reimported_package_is_collected():
+    # Importing the package again and dropping the copy must free it: no
+    # process-wide cache (such as typing's cache of Union[...] by its
+    # arguments) may keep the copy's classes, and with them every module
+    # of the copy, alive.
+    saved = {name: mod for name, mod in sys.modules.items()
+             if name == "xosmax" or name.startswith("xosmax.")}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        copy = importlib.import_module("xosmax.hardness")
+        assert copy is not saved["xosmax.hardness"]
+        classes = [weakref.ref(cls) for cls, _ in copy.FAMILIES.values()]
+        del copy
+    finally:
+        for name in [n for n in sys.modules if n == "xosmax" or n.startswith("xosmax.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in classes] == [None] * len(classes)
+

@@ -1,12 +1,16 @@
-"""Batched query path: block draws, evaluate_many and best_of.
+"""Batched query path: block draws, block enumeration, evaluate_many and best_of.
 
 Each batched route is compared with the scalar code it replaces: the same
 masks, the same final generator state, the same values, the same call
-counts and the same errors.
+counts and the same errors. Over elements below 64 the blocks are uint64
+arrays, compared with the int route that closures and grounds above 64
+elements take.
 """
 
 from __future__ import annotations
 
+import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,13 +22,36 @@ from xosmax import (
     GroundSet,
     ValueOverflowError,
     XosRepresentation,
+    core,
     random_explicit,
     solve_brute_force,
 )
-from xosmax.algorithms import SamplingParams, solve_random_sampling
+from xosmax.algorithms import (
+    EnumParams,
+    SamplingParams,
+    solve_enum_small_sets,
+    solve_exact_star,
+    solve_random_sampling,
+)
 from xosmax.cli import SOLVERS, _solver
-from xosmax.core import BLOCK, INT64_MAX, INT64_MIN, best_of, first_max
-from xosmax.hardness import HardGeneralInstance, NeedleInstance, uniform_size_probe
+from xosmax.core import (
+    BLOCK,
+    INT64_MAX,
+    INT64_MIN,
+    CapExceededError,
+    best_of,
+    bit_counts,
+    first_max,
+    ints_of,
+    lift,
+    subset_blocks,
+)
+from xosmax.hardness import (
+    HardGeneralInstance,
+    HardKxosInstance,
+    NeedleInstance,
+    uniform_size_probe,
+)
 from xosmax.instances import InstanceHandle
 from xosmax.rng import (
     SplitMix64,
@@ -35,7 +62,7 @@ from xosmax.rng import (
     sample_positions,
 )
 
-from helpers import maximizer_indices
+from helpers import iter_masks_by_card, maximizer_indices
 
 _MASK64 = (1 << 64) - 1
 _INV_GAMMA = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
@@ -100,7 +127,7 @@ def test_mask_runs_redraw_a_block_that_crosses_a_round():
     seed = 4586561260770644227
     runs = [(3, 2), (6, 5), (4, 1500)]
     first_block = [(3, 2), (6, 5), (4, BLOCK - 7)]
-    assert _mask_block(24, first_block, seed) is None
+    assert _mask_block(np.arange(24, dtype=np.uint64), first_block, seed) is None
     scalar, batched = SplitMix64(seed), SplitMix64(seed)
     expected = _scalar_runs(24, runs, scalar)
     assert _draws_between(seed, scalar.state) == 6 + 31 + 4 * 1500
@@ -122,6 +149,20 @@ def test_sample_masks_rejects_impossible_sizes():
         sample_masks(4, 5, 3, SplitMix64(0))
     with pytest.raises(ValueError):
         sample_masks(4, -1, 3, SplitMix64(0))
+
+
+@pytest.mark.parametrize("n", [10, 70])
+@pytest.mark.parametrize("m", [True, False, 1.5, 2.0, "3", np.int64(3)])
+def test_samplers_check_the_size_at_the_call(n, m):
+    # A size that is not a plain int fails when called, before any draw, on
+    # the block route (n <= 64) and the scalar one alike.
+    rng = SplitMix64(5)
+    calls = [lambda: sample_masks(n, m, 3, rng), lambda: sample_mask_runs(n, [(2, 1), (m, 2)], rng),
+             lambda: sample_mask(n, m, rng), lambda: sample_positions(n, m, rng)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"size must be an integer, got {m!r}")):
+            call()
+        assert rng.state == 5
 
 
 @pytest.mark.parametrize("count", [-1, True, 1.5, "3"])
@@ -387,7 +428,8 @@ def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
 def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
     # The closure oracle has no evaluate_many owner and no tables, so every
     # query it answers runs the bit loop. The last two instances drop
-    # singletons below retained elements, so core.lift translates masks.
+    # singletons below retained elements, so sampled and enumerated
+    # positions stand for other elements.
     rep = random_explicit(*args)
     retained = sum(1 << v for v in range(rep.n) if rep.singleton_value(v) > 0)
     assert (retained & (retained + 1) == 0) == (len(args) == 6)
@@ -404,22 +446,33 @@ def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
 
 def test_best_of_hands_out_blocks_in_order():
     class Recorder:
-        def __init__(self, value):
+        def __init__(self, value, array):
             self.value = value
+            self.array = array
             self.blocks = []
 
         def evaluate_many(self, masks):
             self.blocks.append(masks)
-            return [self.value(m) for m in masks]
+            values = [self.value(m) for m in ints_of([masks])]
+            return np.array(values, dtype=np.int64) if self.array else values
 
     count = 2 * BLOCK + 452
 
     def best(value, masks=range(count)):
-        """best_of over ``masks``, checked against first_max of the pairs."""
-        oracle = Recorder(value)
-        got = best_of(oracle, iter(masks))
-        assert got == first_max((m, value(m)) for m in masks)
-        return got, oracle.blocks
+        """best_of over ``masks`` cut into BLOCK-mask blocks, as lists and
+        as uint64 arrays, checked against first_max of the pairs."""
+        results = []
+        for array in (False, True):
+            blocks = [list(masks[lo : lo + BLOCK]) for lo in range(0, len(masks), BLOCK)]
+            if array:
+                blocks = [np.array(b, dtype=np.uint64) for b in blocks]
+            oracle = Recorder(value, array)
+            got = best_of(oracle, iter(blocks))
+            assert got == first_max((m, value(m)) for m in masks)
+            assert type(got[0]) is int and type(got[1]) is int
+            results.append((got, [list(ints_of([b])) for b in oracle.blocks]))
+        assert results[0] == results[1]
+        return results[0]
 
     got, blocks = best(lambda m: 2 * m)
     assert got == (count - 1, 2 * (count - 1))
@@ -428,8 +481,12 @@ def test_best_of_hands_out_blocks_in_order():
     # A tie across block boundaries: the first of the tied masks wins.
     tied = {BLOCK - 1, BLOCK, 2 * BLOCK + 3}
     assert best(lambda m: 5 if m in tied else m % 5)[0] == (BLOCK - 1, 5)
+    # A tie inside a block: the first of the tied masks wins there too.
+    tied = {BLOCK + 7, BLOCK + 9, 2 * BLOCK - 1}
+    assert best(lambda m: 5 if m in tied else m % 5)[0] == (BLOCK + 7, 5)
     # All values negative: the largest still wins, here in the second block.
     assert best(lambda m: -abs(m - 1500) - 1)[0] == (1500, -1)
+    # No blocks.
     assert best(lambda m: 2 * m, [])[0] == (0, 0)
 
 
@@ -474,9 +531,9 @@ def _recording_oracle(rep: XosRepresentation) -> tuple[CountingOracle, list[int]
 )
 def test_sampling_solver_queries_the_scalar_sequence(low, per_round):
     # Every query, singletons first, equals the per-query scalar loop. With
-    # low < 0 some singletons are dropped and positions go through
-    # core.lift; 1500 per round makes a block straddle rounds and 40 puts
-    # many rounds in one block.
+    # low < 0 ("lift" in the id) some singletons are dropped and positions
+    # stand for other elements; 1500 per round makes a block straddle
+    # rounds and 40 puts many rounds in one block.
     n = 30
     rep = random_explicit(n, 3, low, 60, seed=8)
     oracle, seen = _recording_oracle(rep)
@@ -505,11 +562,16 @@ def _peak_bytes(run) -> int:
 
 
 def test_query_path_memory_stays_bounded():
+    # At n=20 the largest size class holds C(20,10) = 184756 masks, 1.4 MB
+    # as uint64, so an enumerator that built a whole class would fail here.
     rep = random_explicit(16, 3, -20, 40, seed=5)
+    rep20 = random_explicit(20, 3, -20, 40, seed=5)
     needle = NeedleInstance(24, 12, 6, 9)
     brute = _peak_bytes(lambda: solve_brute_force(CountingOracle.for_representation(rep)))
+    brute20 = _peak_bytes(lambda: solve_brute_force(CountingOracle.for_representation(rep20)))
     probe = _peak_bytes(lambda: uniform_size_probe(needle.oracle(), 6, 20000, 3))
     assert brute < 1 << 20, brute
+    assert brute20 < 1 << 20, brute20
     assert probe < 1 << 20, probe
 
 
@@ -533,3 +595,222 @@ def test_mask_runs_hold_one_block():
 
     peak = _peak_bytes(take)
     assert peak < 1 << 20, peak
+
+
+def _universe(n: int, r: int) -> int:
+    """r of the n elements, always the last (bit n-1), the rest seeded."""
+    rest = random.Random(f"universe/{n}/{r}").sample(range(n - 1), r - 1)
+    return sum(1 << v for v in rest) | 1 << (n - 1)
+
+
+# (n, r, cap); at (40, 23, 4) the sizes <= 3 fill exactly two blocks, and at
+# (11, 11, 5) the sizes <= 5 exactly one, so a size class ends on a block
+# boundary.
+@pytest.mark.parametrize(
+    "n, r, cap", [(30, 30, 3), (40, 30, 3), (64, 64, 2), (20, 10, 4), (64, 64, 0),
+                  (40, 23, 4), (11, 11, 5), (70, 40, 2)]
+)
+def test_subset_blocks_match_the_scalar_enumeration(n, r, cap):
+    universe = _universe(n, r)
+    assert universe.bit_count() == r
+    expected = list(lift(iter_masks_by_card(r, cap), universe))
+    blocks = list(subset_blocks(universe, cap))
+    # Every block but the last is full, and arrays come exactly when every
+    # element is below 64.
+    assert all(len(b) == BLOCK for b in blocks[:-1]) and 0 < len(blocks[-1]) <= BLOCK
+    for b in blocks:
+        if n <= 64:
+            assert isinstance(b, np.ndarray) and b.dtype == np.uint64 and b.ndim == 1
+        else:
+            assert type(b) is list
+    assert list(ints_of(blocks)) == expected
+    # One size class alone.
+    top = min(cap, r)
+    assert list(ints_of(subset_blocks(universe, top, top))) == [
+        m for m in expected if m.bit_count() == top
+    ]
+
+
+def test_popcount_matches_int_bit_count():
+    words = [0, (1 << 64) - 1, *(1 << v for v in range(64))]
+    g = SplitMix64(12)
+    words += [g.next_u64() for _ in range(3000)]
+    words += [w >> (w % 64) for w in words[66:]]  # sparse high bytes too
+    got = bit_counts(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [w.bit_count() for w in words]
+
+
+def _hidden_families() -> list:
+    return [
+        NeedleInstance(24, 12, 6, 9), NeedleInstance(64, 40, 3, 2),
+        HardGeneralInstance(22, 3, 5), HardGeneralInstance(64, 4, 6),
+        HardGeneralInstance(22, 3, 5, remark=True), HardGeneralInstance(64, 4, 6, remark=True),
+        HardKxosInstance(3, 4, 1, 8), HardKxosInstance(3, 7, 2, 1), HardKxosInstance(4, 2, 1, 3),
+    ]
+
+
+@pytest.mark.parametrize("family", _hidden_families(), ids=lambda f: f"{f.kind}{f.n}")
+def test_hidden_array_batches_match_evaluate(family):
+    n = family.n
+    masks = _random_masks(n, 500, seed=n)
+    masks += [family.planted & m for m in masks] + [family.planted]
+    masks += [1 << v for v in range(n)]
+    if isinstance(family, HardKxosInstance):
+        masks += [b | family.planted for b in family.blocks] + [s for s in family.s_masks]
+    expected = [family.evaluate(m) for m in masks]
+    assert len(set(expected)) > 1
+    got = family.evaluate_many(np.array(masks, dtype=np.uint64))
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == expected
+    assert family.evaluate_many(masks) == expected
+    # f(empty) is 0, except tau in the remark variant.
+    assert got[0] == expected[0] == (family.tau if getattr(family, "remark", False) else 0)
+
+
+@pytest.mark.parametrize("n", [13, 63, 64])
+def test_mask_rule_on_arrays(n):
+    # A uint64 array is tested whole: the first mask with a bit at or above
+    # n raises validate_subset's ValueError, any other array a TypeError,
+    # and nothing is counted, on every route.
+    rep = random_explicit(n, 3, -9, 9, seed=n)
+    hidden = NeedleInstance(n, 5, 2, n)
+
+    class Overriding(CountingOracle):
+        def evaluate(self, mask):
+            return super().evaluate(mask)
+
+    def oracles():
+        return [CountingOracle.for_representation(rep), hidden.oracle(),
+                CountingOracle(rep.ground, lambda m: rep.evaluate(m)),
+                Overriding(rep.ground, rep.evaluate)]
+
+    full = (1 << n) - 1
+    good = np.array([0, 1, full], dtype=np.uint64)
+    for oracle in oracles():
+        assert list(oracle.evaluate_many(good)) == [oracle.peek(int(m)) for m in good]
+        assert oracle.calls == 3
+    if n < 64:
+        bads = [1 << n, (1 << 64) - 1, 1 << 63]
+        for first, second in ((bads[0], bads[1]), (bads[2], bads[0])):
+            block = np.array([1, 3, first, second], dtype=np.uint64)
+            with pytest.raises(ValueError) as want:
+                rep.ground.validate_subset(first)
+            for route in (rep.evaluate_many, hidden.evaluate_many, *(o.evaluate_many for o in oracles())):
+                with pytest.raises(ValueError) as got:
+                    route(block)
+                assert str(got.value) == str(want.value)
+    for bad in (np.array([1, 2], dtype=np.int64), np.array([1.0, 2.0]),
+                np.array([[1, 2]], dtype=np.uint64), np.array([1, 2], dtype=np.uint32)):
+        for oracle in oracles():
+            with pytest.raises(TypeError, match="1-D uint64 array"):
+                oracle.evaluate_many(bad)
+            assert oracle.calls == 0
+        with pytest.raises(TypeError, match="1-D uint64 array"):
+            rep.evaluate_many(bad)
+
+
+def _dropping_rep(n: int, keep_top: bool = True) -> XosRepresentation:
+    """Width 3, weights in [-40, 60]; every fourth element has no positive
+    weight, so it is dropped, and the last element is kept or dropped."""
+    rng = random.Random(f"dropping/{n}")
+    rows = [[rng.randint(-40, 60) for _ in range(n)] for _ in range(3)]
+    for v in range(0, n, 4):
+        for row in rows:
+            row[v] = -rng.randint(0, 40)
+    for i, row in enumerate(rows):
+        row[n - 1] = 45 if keep_top and i == 1 else -5
+    return XosRepresentation.from_weights(rows)
+
+
+_REJECTED = 4586561260770644227  # the 9th word of its stream is 2^64 - 1
+
+
+def _non_adaptive_runs(n: int):
+    """(name, solver on an oracle) of every non-adaptive solver that fits n."""
+    runs = [
+        ("enum-1/2", lambda o: solve_enum_small_sets(o, EnumParams(Fraction(1, 2)))),
+        ("sample-1-200", lambda o: solve_random_sampling(o, SamplingParams(1, 3, 200))),
+        ("sample-1/2-40-hp", lambda o: solve_random_sampling(o, SamplingParams("1/2", 4, 40, True))),
+        ("sample-rejected", lambda o: solve_random_sampling(o, SamplingParams(1, _REJECTED, 300))),
+        ("sample-2", lambda o: solve_random_sampling(o, SamplingParams(2, 5))),
+    ]
+    if n <= 16:
+        runs.append(("brute", solve_brute_force))
+    return runs
+
+
+@pytest.mark.parametrize("n, top", [(1, True), (8, True), (30, True), (63, True), (64, True),
+                                    (64, False), (65, True), (70, True)])
+def test_array_route_reports_equal_the_int_route(n, top):
+    # The representation answers blocks from its tables (arrays when every
+    # element is below 64); a closure oracle takes the int route, mask by
+    # mask. Reports and counts must be equal, and the reported pair ints.
+    rep = _dropping_rep(n, top) if n > 1 else XosRepresentation.from_weights([[-3]])
+    assert ((rep.singleton_value(n - 1) > 0) == top) or n == 1
+    for name, solve in _non_adaptive_runs(n):
+        table = CountingOracle.for_representation(rep)
+        closure = CountingOracle(rep.ground, lambda m: _bit_loop(rep, m))
+        got, want = solve(table), solve(closure)
+        assert got == want, (name, got, want)
+        assert table.calls == closure.calls == got.oracle_calls, name
+        assert type(got.output) is int and type(got.value) is int, name
+    for needle in (NeedleInstance(n, max(1, n // 2), 1, n),) if n > 1 else ():
+        for seed in (3, _REJECTED):
+            batched, closure = needle.oracle(), CountingOracle(needle.ground, lambda m: needle.evaluate(m))
+            got = uniform_size_probe(batched, 2, 3000, seed)
+            assert got == uniform_size_probe(closure, 2, 3000, seed)
+            assert type(got.output) is int and type(got.value) is int
+
+
+# hard_kxos(3,4,1) is left out: at n=20 sample's fallback asks 2^20 masks.
+@pytest.mark.parametrize("family", [f for f in _hidden_families() if f.n != 20],
+                         ids=lambda f: f"{f.kind}{f.n}")
+def test_hidden_array_route_reports_equal_the_int_route(family):
+    for name, solve in _non_adaptive_runs(family.n):
+        batched = family.oracle()
+        closure = CountingOracle(family.ground, lambda m: family.evaluate(m))
+        got, want = solve(batched), solve(closure)
+        assert got == want and batched.calls == closure.calls, name
+        assert type(got.output) is int and type(got.value) is int, name
+
+
+def _star_rep(n: int) -> XosRepresentation:
+    """Width 2 under the star condition: element v peaks on row v mod 2 and is
+    nonpositive elsewhere; every fourth element is nonpositive in both rows."""
+    rng = random.Random(f"star/{n}")
+    rows = [[-rng.randint(0, 30) for _ in range(n)] for _ in range(2)]
+    for v in range(n):
+        if v % 4:
+            rows[v % 2][v] = rng.randint(1, 50)
+    rows[(n - 1) % 2][n - 1] = 7
+    return XosRepresentation.from_weights(rows)
+
+
+@pytest.mark.parametrize("n", [8, 30, 64])
+def test_no_mask_is_translated_below_64_elements(n, monkeypatch):
+    # With singletons dropped, no route over elements below 64 maps
+    # positions to elements after the fact or runs Gosper's enumeration.
+    def boom(*args):
+        raise AssertionError("scalar route reached below 64 elements")
+
+    monkeypatch.setattr(core, "_translate", boom)
+    monkeypatch.setattr(core, "masks_of_card", boom)
+    rep = _dropping_rep(n)
+    retained = sum(1 << v for v in range(n) if rep.singleton_value(v) > 0)
+    assert retained & (retained + 1)  # not {0..r-1}
+    for name, solve in _non_adaptive_runs(n):
+        report = solve(CountingOracle.for_representation(rep))
+        assert report.oracle_calls > n, name
+    # sample's exhaustive fallback: r <= 6 retained elements, rho below the threshold.
+    small = XosRepresentation.from_weights([[5 if v in (1, 3, 4, 6) else -1 for v in range(n)]])
+    report = solve_random_sampling(CountingOracle.for_representation(small), SamplingParams(1, 0))
+    assert report.oracle_calls == n + 16 and report.value == 20
+    if n > 16:
+        with pytest.raises(CapExceededError):
+            solve_brute_force(CountingOracle.for_representation(rep))
+    star = _star_rep(n)
+    want = max(sum(w for w in row if w > 0) for row in (c.weights for c in star.components))
+    assert solve_exact_star(CountingOracle.for_representation(star)).value == want
+    needle = NeedleInstance(n, n // 2, 2, n)
+    assert uniform_size_probe(needle.oracle(), 2, 2000, _REJECTED).oracle_calls == 2000
