@@ -37,7 +37,9 @@ All solvers except brute force start by querying the n singleton values and
 retaining only elements with strictly positive value; dropped elements can
 never help a maximizer because removing one never lowers the max-of-sums.
 The retained singleton values are cached, so additivity tests of the form
-f(X + u) = f(X) + f(u) cost one query each. An empty retained set yields
+f(X + u) = f(X) + f(u) cost one query each. Every such set-plus-one query
+(the singleton scan, closure growth, improving expansions and bridges) is
+one ``CountingOracle.evaluate_plus`` call. An empty retained set yields
 (empty set, 0).
 
 Determinism: every tie is broken by keeping the first maximizer in a fixed
@@ -53,6 +55,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     CountingOracle,
     Run,
@@ -60,7 +64,6 @@ from .core import (
     _is_int,
     best_of,
     first_max,
-    ints_of,
     iter_bits,
     subset_blocks,
 )
@@ -146,7 +149,7 @@ def _scan_singletons(oracle: CountingOracle) -> tuple[int, list[int]]:
     singles = [0] * n
     retained = 0
     for v in range(n):
-        val = oracle.evaluate(1 << v)
+        val = oracle.evaluate_plus(0, v)
         singles[v] = val
         if val > 0:
             retained |= 1 << v
@@ -180,7 +183,7 @@ def _grow_from(
     what makes the width-2 solver exact.
     """
     for u in iter_bits(universe & ~cur):
-        t = oracle.evaluate(cur | (1 << u))
+        t = oracle.evaluate_plus(cur, u)
         if t == cur_val + singles[u]:
             cur |= 1 << u
             cur_val = t
@@ -193,7 +196,7 @@ def _expand_improving(
     """Adjoin every v outside ``base`` with f(base + v) > f(base), then evaluate."""
     out = base
     for v in iter_bits(universe & ~base):
-        if oracle.evaluate(base | (1 << v)) > base_val:
+        if oracle.evaluate_plus(base, v) > base_val:
             out |= 1 << v
     if out == base:
         return base, base_val
@@ -403,8 +406,7 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
                     if bit == low:
                         yield union, oracle.evaluate(union)
                     elif not union & bit:
-                        z = union | bit
-                        yield z, oracle.evaluate(z)
+                        yield union | bit, oracle.evaluate_plus(union, v)
 
     return run.report(first_max(candidates()))
 
@@ -413,12 +415,14 @@ def _maximal_cliques(run: Run) -> tuple[tuple[int, int], ...]:
     """Shared core of enumerate_maximal_cliques / solve_exact_star.
 
     Scans the singletons, then round c tests every retained c-subset X for
-    additivity (f(X) = sum of singleton values; free for c = 1) and grows
-    the additive closure of each additive X. Every closure is a maximal clique, and once
-    the family size equals the round number the family is complete: a
-    missing clique would contain, for each found clique, an element outside
-    it, and those fingerprint elements form an additive set of size at most
-    the family size whose closure would have been found in an earlier round.
+    additivity (f(X) = sum of singleton values; free for c = 1), one
+    ``subset_blocks`` block per ``evaluate_many`` call, and grows the
+    additive closure of each additive X of the block in canonical order.
+    Every closure is a maximal clique, and once the family size equals the
+    round number the family is complete: a missing clique would contain,
+    for each found clique, an element outside it, and those fingerprint
+    elements form an additive set of size at most the family size whose
+    closure would have been found in an earlier round.
     Round c costs at most C(r, c) * (r - c + [c > 1]) queries and is refused
     before it starts when that would reach the limit.
     """
@@ -430,14 +434,21 @@ def _maximal_cliques(run: Run) -> tuple[tuple[int, int], ...]:
     for card in range(1, r + 1):
         count = math.comb(r, card) * (r - card + (card > 1))
         run.phase(count, f"round {card}")
-        for actual in ints_of(subset_blocks(retained, card, card)):
-            ssum = sum(singles[v] for v in iter_bits(actual))
-            if card > 1 and oracle.evaluate(actual) != ssum:
-                continue
-            clique, cval = _grow_from(oracle, actual, ssum, retained, singles)
-            if clique not in seen:
-                seen.add(clique)
-                found.append((clique, cval))
+        for block in subset_blocks(retained, card, card):
+            masks = block.tolist() if isinstance(block, np.ndarray) else block
+            sums = [sum(singles[v] for v in iter_bits(m)) for m in masks]
+            if card > 1:
+                values = oracle.evaluate_many(block)
+                if isinstance(values, np.ndarray):
+                    values = values.tolist()
+                additive = [(m, s) for m, s, val in zip(masks, sums, values) if val == s]
+            else:
+                additive = zip(masks, sums)
+            for actual, ssum in additive:
+                clique, cval = _grow_from(oracle, actual, ssum, retained, singles)
+                if clique not in seen:
+                    seen.add(clique)
+                    found.append((clique, cval))
         if len(found) == card:
             break
         # For a non-XOS oracle the size condition may never fire; stop once

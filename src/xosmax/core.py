@@ -17,9 +17,15 @@ Conventions used throughout the package:
   from the producer that makes it (``subset_blocks``,
   ``rng.sample_blocks``) to the table that answers it; only the reported
   maximizer becomes an int. Ground sizes are limited to
-  1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound
-  and which masks are subsets: ``validate_subset`` one mask at a time,
+  1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound,
+  which masks are subsets and which ints are elements: ``validate_subset``
+  one mask at a time, ``validate_element`` one element,
   ``validate_block`` one list or array at a time.
+* An adaptive query for a set plus one element is
+  ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
+  explicit representation the oracle answers it, and ``evaluate``, from
+  the component sums of the last set it answered, moved by the elements
+  that differ; other value functions get the mask ``base | 1 << u``.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
@@ -40,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice, repeat
-from operator import getitem
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,11 +68,6 @@ BLOCK = 1024
 # needs exponentially many queries already at width 3, so a run that would
 # reach the limit is refused before it starts the phase that would cross it.
 MAX_QUERIES = 1 << 21
-
-# XosRepresentation.evaluate packs a byte table row's k sums, each plus
-# 2^63, into one int, one lane each; a lane holds the sum of up to 8 of them.
-_LANE_BITS = 72
-_LANE_MASK = (1 << _LANE_BITS) - 1
 
 # numpy operands of the array route; each is an explicit uint64 so that no
 # shift or mask is promoted to int64 or float64 on any numpy version.
@@ -327,6 +328,18 @@ class GroundSet:
             raise ValueError(f"mask {mask:#x} is not a subset of a ground set of size {self.n}")
         return mask
 
+    def validate_element(self, u: int) -> int:
+        """The one element rule: an int (not a bool) in {0..n-1}.
+
+        It raises ``validate_subset``'s error types: TypeError for anything
+        but an int, ValueError for an int outside the ground set.
+        """
+        if isinstance(u, bool) or not isinstance(u, int):
+            raise TypeError("element must be an int")
+        if not 0 <= u < self.n:
+            raise ValueError(f"element {u} is not in a ground set of size {self.n}")
+        return u
+
     def validate_block(self, masks: list[int] | np.ndarray) -> None:
         """``validate_subset`` for every mask in ``masks``, in one test of the block.
 
@@ -437,19 +450,18 @@ class XosRepresentation:
         """f(mask) = max over components. f(empty) = 0 since every sum is 0.
 
         A mask that is not a plain int, or has a bit outside the ground set,
-        raises ``GroundSet.validate_subset``'s error before any route runs.
-        When n <= 64, one packed row per mask byte is summed and the largest
-        lane, less the offsets, is the value; otherwise each component sums
-        the set bits of ``mask``.
+        raises ``GroundSet.validate_subset``'s error; then each component
+        sums the set bits of ``mask``. A counted oracle answers from
+        ``columns`` instead (``CountingOracle.evaluate_plus``).
         """
         if type(mask) is not int or mask >> self.ground.n:
             self.ground.validate_subset(mask)  # raises unless an int subclass inside the ground
-        packed = self._packed_tables
-        if packed is None:
-            return max(comp.evaluate(mask) for comp in self.components)
-        rows, lanes, offset = packed
-        total = sum(map(getitem, rows, mask.to_bytes(len(rows), "little")))
-        return max([total >> s & _LANE_MASK for s in lanes]) - offset
+        return max(comp.evaluate(mask) for comp in self.components)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Element v's k weights, one per component, at index v; built once."""
+        return tuple(zip(*(comp.weights for comp in self.components)))
 
     @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
@@ -463,7 +475,7 @@ class XosRepresentation:
         """
         if self.n > 64:
             return None
-        columns = np.array([comp.weights for comp in self.components], dtype=np.int64).T
+        columns = np.array(self.columns, dtype=np.int64)
         tables = []
         for lo in range(0, self.n, 8):
             rows = columns[lo : lo + 8]
@@ -472,38 +484,6 @@ class XosRepresentation:
                 table[1 << bit : 2 << bit] = table[: 1 << bit] + row
             tables.append(table)
         return tables
-
-    @cached_property
-    def _packed_tables(self) -> tuple[list[list[int]], range, int] | None:
-        """The byte tables with each row packed into one int, for ``evaluate``.
-
-        Entry i of a row, plus 2^63 so that it is nonnegative, fills lane i,
-        bits [72i, 72i + 72). A mask's sum over its ceil(n/8) bytes holds at
-        most 8 entries per lane, each below 2^64, so no lane carries into the
-        next, and each lane less ceil(n/8)·2^63 is that component's sum.
-        Each entry lies in int64 because every subset sum does (see
-        ``AdditiveFunction``). Returns (rows per byte, lane shifts, that
-        offset); None when n > 64. Built in plain ints, so no dtype can wrap.
-        """
-        if self.n > 64:
-            return None
-        lanes = range(0, _LANE_BITS * self.width, _LANE_BITS)
-        empty = sum(1 << (63 + s) for s in lanes)
-        # Each element's k weights shifted into their lanes. The int of a
-        # negative weight is negative, but ints add exactly and every lane of
-        # a row or of a query's total lies in [0, 2^72), so the base-2^72
-        # digits of the result are still the lanes.
-        columns = [
-            sum(w << s for w, s in zip(column, lanes))
-            for column in zip(*(comp.weights for comp in self.components))
-        ]
-        rows = []
-        for lo in range(0, self.n, 8):
-            table = [empty]
-            for column in columns[lo : lo + 8]:
-                table += [row + column for row in table]
-            rows.append(table)
-        return rows, lanes, len(rows) << 63
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
@@ -543,20 +523,37 @@ class XosRepresentation:
 
 
 class CountingOracle:
-    """Value oracle wrapper that counts every ``evaluate`` call.
+    """Value oracle wrapper that counts every query: each ``evaluate`` and
+    ``evaluate_plus`` call, and each mask of an ``evaluate_many`` block.
 
     The counter is the query-complexity measure reported by all solvers.
     ``peek`` evaluates without counting and exists for verification and
     tests only; library algorithms never call it. Instances are cheap and
     single-threaded; use one oracle per trial.
+
+    When the value function is the bound ``evaluate`` of an owner on the
+    same ground set that exposes per-element ``columns`` (an
+    ``XosRepresentation``), and this class does not override ``evaluate``,
+    the oracle keeps the k component sums of the last set it answered:
+    ``evaluate`` and ``evaluate_plus`` move them to the asked set by the
+    elements that differ, in O(k) per element. Decided once, here.
     """
 
-    __slots__ = ("ground", "calls", "_func")
+    __slots__ = ("ground", "calls", "_func", "_overridden", "_columns", "_base", "_sums")
 
     def __init__(self, ground: GroundSet, func: Callable[[int], int]):
         self.ground = ground
         self.calls = 0
         self._func = func
+        self._overridden = type(self).evaluate is not CountingOracle.evaluate
+        owner = getattr(func, "__self__", None)
+        columns = None
+        if (not self._overridden and func == getattr(owner, "evaluate", None)
+                and getattr(owner, "ground", None) == ground):
+            columns = getattr(owner, "columns", None)
+        self._columns = columns
+        self._base = 0
+        self._sums = None if columns is None else [0] * len(columns[0])
 
     @classmethod
     def for_representation(cls, rep: XosRepresentation) -> "CountingOracle":
@@ -569,7 +566,58 @@ class CountingOracle:
     def evaluate(self, mask: int) -> int:
         self.ground.validate_subset(mask)
         self.calls += 1
-        return self._func(mask)
+        if self._columns is None:
+            return self._func(mask)
+        if mask != self._base:
+            self._rebase(mask)
+        return max(self._sums)
+
+    def evaluate_plus(self, base: int, u: int) -> int:
+        """f(base | 1 << u) as exactly one counted query; ``u`` may be in ``base``.
+
+        ``base`` must pass ``GroundSet.validate_subset`` and ``u``
+        ``GroundSet.validate_element``; either error is raised before
+        anything is counted. With cached component sums (see the class) the
+        answer is the largest of ``base``'s k sums, each plus u's weight in
+        that component: O(k) once the cache sits on ``base``. Otherwise an
+        overriding class gets the mask through ``self.evaluate``, and any
+        other value function is called on it directly.
+        """
+        ground = self.ground
+        n = ground.n
+        if type(base) is not int or base >> n:
+            ground.validate_subset(base)
+        if type(u) is not int or not 0 <= u < n:
+            ground.validate_element(u)
+        columns = self._columns
+        if columns is None:
+            if self._overridden:
+                return self.evaluate(base | 1 << u)
+            self.calls += 1
+            return self._func(base | 1 << u)
+        self.calls += 1
+        if base != self._base:
+            self._rebase(base)
+        if base >> u & 1:
+            return max(self._sums)
+        return max(map(add, self._sums, columns[u]))
+
+    def _rebase(self, mask: int) -> None:
+        """Move the cached sums to ``mask``: one added element in one step,
+        otherwise element by element over the symmetric difference, or over
+        ``mask`` from the empty set when that has fewer elements."""
+        columns = self._columns
+        diff = mask ^ self._base
+        if diff & mask == diff and not diff & (diff - 1):
+            sums = list(map(add, self._sums, columns[diff.bit_length() - 1]))
+        else:
+            sums = self._sums
+            if diff.bit_count() > mask.bit_count():
+                sums, diff = [0] * len(sums), mask
+            for v in iter_bits(diff):
+                sums = list(map(add if mask >> v & 1 else sub, sums, columns[v]))
+        self._base = mask
+        self._sums = sums
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``: same checks, same count.
@@ -588,8 +636,7 @@ class CountingOracle:
         """
         func = self._func
         owner = getattr(func, "__self__", None)
-        overridden = type(self).evaluate is not CountingOracle.evaluate
-        if overridden or func != getattr(owner, "evaluate", None):
+        if self._overridden or func != getattr(owner, "evaluate", None):
             if isinstance(masks, np.ndarray):
                 self.ground.validate_block(masks)
                 masks = masks.tolist()

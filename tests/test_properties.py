@@ -53,7 +53,7 @@ def test_construction_and_every_route_agree(rows, data):
     rep = XosRepresentation.from_weights(rows)
     full = (1 << n) - 1
     masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=30))
-    single = CountingOracle.for_representation(rep)  # packed tables when n <= 64
+    single = CountingOracle.for_representation(rep)  # cached component sums
     batch = CountingOracle.for_representation(rep)  # numpy tables when n <= 64
     bit_loop = CountingOracle(rep.ground, lambda m: max(c.evaluate(m) for c in rep.components))
     values = [single.evaluate(m) for m in masks]
@@ -61,5 +61,23 @@ def test_construction_and_every_route_agree(rows, data):
     assert bit_loop.evaluate_many(masks) == values
     assert single.calls == batch.calls == bit_loop.calls == len(masks)
     assert all(INT64_MIN <= v <= INT64_MAX for v in values)
+    # evaluate_plus from cached sums: bases that grow by one element, move
+    # by many, shrink or stay, and elements drawn inside them too.
+    plus = CountingOracle.for_representation(rep)
+    base = 0
+    for step, other, u in data.draw(st.lists(
+        st.tuples(st.sampled_from(["one", "many", "shrink", "inside"]),
+                  st.integers(0, full), st.integers(0, n - 1)), max_size=30)):
+        if step == "one":
+            base |= 1 << other % n
+        elif step == "many":
+            base ^= other
+        elif step == "shrink":
+            base &= other
+        elif base:
+            u = (base & -base).bit_length() - 1
+        got = plus.evaluate_plus(base, u)
+        assert got == bit_loop.evaluate_plus(base, u) == single.evaluate(base | 1 << u)
+    assert plus.calls == bit_loop.calls - len(masks) == single.calls - len(masks)
     if n <= 12:
         assert rep.exact_maximum() == materialize(rep).max_value()

@@ -29,8 +29,11 @@ from xosmax import (
 from xosmax.algorithms import (
     EnumParams,
     SamplingParams,
+    enumerate_maximal_cliques,
     solve_enum_small_sets,
+    solve_exact_2xos,
     solve_exact_star,
+    solve_k_minus_1,
     solve_random_sampling,
 )
 from xosmax.cli import SOLVERS, _solver
@@ -237,31 +240,38 @@ def test_evaluate_many_agrees_with_evaluate(n):
 
 @pytest.mark.parametrize("n", _TABLE_SIZES)
 def test_single_queries_read_the_packed_tables(n):
-    # Every single-element and co-single-element mask, plus random ones:
-    # each byte's table is read with one bit set and with all but one.
+    # Every single-element and co-single-element mask, plus random ones,
+    # asked one at a time of a counted oracle: its cached component sums
+    # move from each mask to the next, by one element, by many, or from
+    # the empty set, and must give the bit loop's value every time.
     full = (1 << n) - 1
     masks = _random_masks(n, 100, seed=n + 1)
     masks += [1 << v for v in range(n)] + [full ^ (1 << v) for v in range(n)]
     for rep in _table_reps(n):
-        assert (rep._packed_tables is None) == (n > 64)
-        assert [rep.evaluate(m) for m in masks] == [_bit_loop(rep, m) for m in masks]
-    edge = XosRepresentation.from_weights(_edge_rows(n)[:2])
+        oracle = CountingOracle.for_representation(rep)
+        assert [oracle.evaluate(m) for m in masks] == [_bit_loop(rep, m) for m in masks]
+        assert oracle.calls == len(masks)
+    edge = CountingOracle.for_representation(XosRepresentation.from_weights(_edge_rows(n)[:2]))
     assert edge.evaluate(full) == INT64_MAX
-    assert XosRepresentation.from_weights(_edge_rows(n)[1:2]).evaluate(full) == INT64_MIN
+    bottom = XosRepresentation.from_weights(_edge_rows(n)[1:2])
+    assert CountingOracle.for_representation(bottom).evaluate(full) == INT64_MIN
 
 
 @pytest.mark.parametrize("n", [13, 64])
 @pytest.mark.parametrize("bad", [lambda n: -1, lambda n: 1 << n, lambda n: (1 << 64) | 1],
                          ids=["negative", "bit-n", "bit-64"])
 def test_single_queries_reject_masks_outside_the_ground(n, bad):
-    # A byte lookup reads only the low ceil(n/8) bytes of a mask, so the
-    # table route checks the mask first instead of ignoring the rest.
+    # The cached sums read one weight column per element of a mask, so the
+    # counted route checks the mask first instead of indexing past the
+    # ground, and counts nothing.
     rep = random_explicit(n, 3, -5, 5, seed=n)
-    assert rep._packed_tables is not None
-    with pytest.raises(ValueError, match="is not a subset of a ground set"):
-        rep.evaluate(bad(n))
-    with pytest.raises(TypeError, match="subset must be an int bitmask"):
-        rep.evaluate(True)
+    oracle = CountingOracle.for_representation(rep)
+    for route in (oracle.evaluate, lambda m: oracle.evaluate_plus(m, 0)):
+        with pytest.raises(ValueError, match="is not a subset of a ground set"):
+            route(bad(n))
+        with pytest.raises(TypeError, match="subset must be an int bitmask"):
+            route(True)
+    assert oracle.calls == 0
 
 
 @pytest.mark.parametrize("n", [13, 16, 64])
@@ -354,6 +364,76 @@ def test_evaluate_many_rejects_masks_like_evaluate(bad, error):
         assert str(batch_exc.value) == str(scalar_exc.value)
 
 
+def _plus_queries(n: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """(base, u) pairs whose bases move by one element, by many, shrink, or
+    stay, with u drawn from the ground and sometimes already in the base."""
+    rng = random.Random(f"plus/{n}/{seed}")
+    base, pairs = 0, []
+    for _ in range(count):
+        step = rng.randrange(5)
+        if step == 0:
+            base |= 1 << rng.randrange(n)
+        elif step == 1:
+            base ^= rng.getrandbits(n)
+        elif step == 2:
+            base &= rng.getrandbits(n)
+        u = rng.randrange(n)
+        if step == 3 and base:
+            u = rng.choice([v for v in range(n) if base >> v & 1])
+        pairs.append((base, u))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [13, 64, 65])
+def test_evaluate_plus_checks_base_and_element_first(n):
+    # A base that validate_subset refuses, or an element that
+    # validate_element refuses, raises that rule's error, type and message,
+    # before anything is counted, on the cached, direct and overriding routes.
+    rep = random_explicit(n, 3, -9, 9, seed=n)
+
+    def oracles():
+        return [CountingOracle.for_representation(rep), NeedleInstance(n, 5, 2, n).oracle(),
+                CountingOracle(rep.ground, lambda m: rep.evaluate(m)),
+                _Watched(rep.ground, rep.evaluate)]
+
+    bad_masks = (True, False, 1.5, "3", np.int64(3), -1, 1 << n, (1 << 70) | 1)
+    bad_elements = (True, False, 1.5, "3", np.int64(3), -1, n, 1 << 64)
+    cases = [(m, rep.ground.validate_subset, (m, 0)) for m in bad_masks]
+    cases += [(u, rep.ground.validate_element, (1, u)) for u in bad_elements]
+    for bad, rule, args in cases:
+        with pytest.raises((TypeError, ValueError)) as want:
+            rule(bad)
+        for oracle in oracles():
+            with pytest.raises(type(want.value)) as got:
+                oracle.evaluate_plus(*args)
+            assert str(got.value) == str(want.value), (bad, oracle)
+            assert oracle.calls == 0
+    assert str(want.value) == f"element {1 << 64} is not in a ground set of size {n}"
+    for oracle in oracles():
+        assert oracle.evaluate_plus(0, n - 1) == oracle.evaluate_plus(1 << (n - 1), n - 1)
+        assert oracle.calls == 2
+
+
+def test_evaluate_plus_hands_overriding_classes_and_closures_each_mask():
+    # An oracle class that overrides evaluate, and a closure value function,
+    # see every evaluate_plus query as the mask base | 1 << u, in order;
+    # the cached route gives the same values, and every route counts one
+    # call per query.
+    for n in (20, 70):
+        rep = random_explicit(n, 3, -9, 9, seed=n)
+        pairs = _plus_queries(n, 300, seed=1)
+        masks = [base | 1 << u for base, u in pairs]
+        seen = []
+        closure = CountingOracle(rep.ground, lambda m: seen.append(m) or _bit_loop(rep, m))
+        watched = _Watched(rep.ground, rep.evaluate)
+        cached = CountingOracle.for_representation(rep)
+        expected = [_bit_loop(rep, m) for m in masks]
+        for oracle in (cached, watched, closure):
+            assert [oracle.evaluate_plus(base, u) for base, u in pairs] == expected
+            assert oracle.calls == len(pairs)
+        assert watched.seen == seen == masks
+
+
 @pytest.mark.parametrize("n", [13, 64, 65, 200])
 def test_one_mask_rule_on_every_route(n):
     # Single and batched, on the representation and through the oracle,
@@ -394,18 +474,21 @@ def test_one_mask_rule_on_every_route(n):
     assert narrow.calls == 0
 
 
+class _Watched(CountingOracle):
+    """Overrides evaluate, as a tracing oracle does: sees every mask."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, ground, func):
+        super().__init__(ground, func)
+        self.seen = []
+
+    def evaluate(self, mask):
+        self.seen.append(mask)
+        return super().evaluate(mask)
+
+
 def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
-    class Watched(CountingOracle):
-        """Overrides evaluate, as a tracing oracle does: sees every mask."""
-
-        def __init__(self, ground, func):
-            super().__init__(ground, func)
-            self.seen = []
-
-        def evaluate(self, mask):
-            self.seen.append(mask)
-            return super().evaluate(mask)
-
     for hidden in (NeedleInstance(24, 12, 3, 9), HardGeneralInstance(24, 3, 9),
                    HardGeneralInstance(24, 3, 9, remark=True)):
         # Random masks, their parts inside the planted set, and the empty set.
@@ -416,7 +499,7 @@ def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
         assert len(set(expected)) > 1
         assert batched.evaluate_many(masks) == expected
         assert batched.calls == scalar.calls == len(masks)
-        watched = Watched(hidden.ground, hidden.evaluate)
+        watched = _Watched(hidden.ground, hidden.evaluate)
         assert watched.evaluate_many(masks) == expected
         assert watched.seen == masks and watched.calls == len(masks)
 
@@ -442,6 +525,68 @@ def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
             reports.append(SOLVERS[algo](oracle, 7, _solver(handle, algo, epsilon=epsilon)))
             assert oracle.calls == reports[-1].oracle_calls
         assert reports[0] == reports[1], algo
+
+
+def _sparse_rep(n: int, k: int) -> XosRepresentation:
+    """Width k, weights in [-40, 60], with at most 12 elements spread over
+    the ground kept by the singleton scan (all others are nonpositive in
+    every row), so star's rounds stay small at any n."""
+    rng = random.Random(f"sparse/{n}/{k}")
+    kept = set(range(0, n, max(1, n // 12)))
+    rows = [[rng.randint(-40, 60) if v in kept else -rng.randint(0, 40) for v in range(n)]
+            for _ in range(k)]
+    return XosRepresentation.from_weights(rows)
+
+
+_ADAPTIVE = {
+    "exact2": solve_exact_2xos,
+    "kminus1": solve_k_minus_1,
+    "star": solve_exact_star,
+    "cliques": enumerate_maximal_cliques,
+}
+
+
+def _adaptive_outcome(solve, oracle):
+    """(report or clique family, calls), or the refusal's message and calls."""
+    try:
+        got = solve(oracle)
+    except CapExceededError as exc:
+        got = str(exc)
+    return got, oracle.calls
+
+
+@pytest.mark.parametrize("n", [5, 40, 63, 64, 65, 200])
+def test_adaptive_solvers_report_the_same_from_cached_sums_and_the_bit_loop(n):
+    # The representation's oracle answers set-plus-one queries from cached
+    # component sums; the closure runs the bit loop on every mask. Outputs,
+    # values and calls must be equal, also when a mask passes bit 64.
+    for k in range(1, 5):
+        dense = random_explicit(n, k, -40, 60, seed=n + k)
+        cases = [(dense, name) for name in ("exact2", "kminus1")]
+        cases += [(_sparse_rep(n, k), name) for name in _ADAPTIVE]
+        for rep, name in cases:
+            cached = CountingOracle.for_representation(rep)
+            closure = CountingOracle(rep.ground, lambda m: _bit_loop(rep, m))
+            got = _adaptive_outcome(_ADAPTIVE[name], cached)
+            assert got == _adaptive_outcome(_ADAPTIVE[name], closure), (k, name)
+            assert not isinstance(got[0], str), (k, name)
+    hidden = HardKxosInstance(3, 4, 1, 0)
+    explicit = hidden.representation()
+    for name, solve in _ADAPTIVE.items():
+        for fast, slow in ((hidden.oracle(), CountingOracle(hidden.ground, lambda m: hidden.evaluate(m))),
+                           (CountingOracle.for_representation(explicit),
+                            CountingOracle(hidden.ground, lambda m: _bit_loop(explicit, m)))):
+            assert _adaptive_outcome(solve, fast) == _adaptive_outcome(solve, slow), name
+
+
+def test_exact2_is_exact_at_4000_elements():
+    # Width 2 at the ground-size cap's order: growth, expansion and the
+    # final evaluations all ask masks thousands of bits wide.
+    rep = random_explicit(4000, 2, -40, 60, seed=11)
+    oracle = CountingOracle.for_representation(rep)
+    report = solve_exact_2xos(oracle)
+    assert report.value == rep.exact_maximum() == _bit_loop(rep, report.output)
+    assert report.oracle_calls == oracle.calls <= 6 * 4000 + 10
 
 
 def test_best_of_hands_out_blocks_in_order():
@@ -527,11 +672,11 @@ def _recording_oracle(rep: XosRepresentation) -> tuple[CountingOracle, list[int]
 
 
 @pytest.mark.parametrize(
-    "low, per_round", [(-40, 1500), (1, 40), (-40, 40)], ids=["lift-1500", "all-40", "lift-40"]
+    "low, per_round", [(-40, 1500), (1, 40), (-40, 40)], ids=["dropped-1500", "all-40", "dropped-40"]
 )
 def test_sampling_solver_queries_the_scalar_sequence(low, per_round):
     # Every query, singletons first, equals the per-query scalar loop. With
-    # low < 0 ("lift" in the id) some singletons are dropped and positions
+    # low < 0 ("dropped" in the id) some singletons are dropped and positions
     # stand for other elements; 1500 per round makes a block straddle
     # rounds and 40 puts many rounds in one block.
     n = 30
