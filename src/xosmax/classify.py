@@ -19,14 +19,18 @@ values whatever the width. Every check has one vectorized implementation,
 exact on either dtype. Fast routes decide the two pair classes:
 submodularity through diminishing marginals in O(n^2 2^n), subadditivity
 through a walk over the rows X in O(3^n) that stops at the first failing
-row. A failure's witness is still the pair scans': the submodular route
-hands a failure to the scan, and the subadditive walk finds the scan's first
-failing row, whose first Y one vectorized row gives. The 4^n pair scans
+row. The walk's lowest eight levels run as one vectorized block per node,
+in bounded chunks, so at n = 16 the walk makes 256 Python-level visits, not
+65536. A failure's witness is still the pair scans': the submodular route
+hands a failure to the scan, and the subadditive walk, blocks included,
+tests the rows in ascending order, so it finds the scan's first failing
+row, whose first Y one vectorized row gives. The 4^n pair scans
 (vectorized per row) remain the reference the routes are tested against.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
@@ -196,6 +200,67 @@ def _marginals_diminish(f: DenseFunction) -> bool:
     return True
 
 
+# The walk's lowest _LEAF levels run as one vectorized block per node. A
+# block holds at most _BLOCK_BUDGET expanded entries (256 KiB as int64) at a
+# time, so its memory does not grow with n.
+_LEAF = 8
+_BLOCK_BUDGET = 1 << 15
+
+
+@cache  # built on first use: an import allocates no arrays
+def _digit_indices() -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each digit d < _LEAF, two arrays over the 3^d ternary indices t of
+    the digits below d (digit j of t is 0: j not in Z, 1: j in Z, 2: j in L):
+    the row {d} | L and the table column {d} | Z | L."""
+    rows = cols = np.zeros(1, dtype=np.intp)
+    out = []
+    for d in range(_LEAF):
+        bit = 1 << d
+        out.append((bit | rows, bit | cols))
+        rows = np.concatenate([rows, rows, rows | bit])
+        cols = np.concatenate([cols, cols | bit, cols | bit])
+    return out
+
+
+def _first_block_row(m: np.ndarray, g: np.ndarray, leaf: int) -> int | None:
+    """First nonempty L below 2^leaf (ascending) whose row x | L fails, given
+    node x's m and g, or None.
+
+    Each of the R = len(m) / 2^leaf leading rows of m and g holds the subsets
+    of [0, leaf) in its low bits. Those bits of m are expanded into ternary
+    digits one at a time, from bit 0 up: digit 2 (j in L) is the min of the
+    two halves, so m becomes the min over W inside x | L. Row x | L fails at
+    an entry iff f(x | L) + m < g, with g read at the column where every bit
+    of Z | L is set. After digit d only the new entries, the rows whose L has
+    top bit d, are tested, so the first failing row is found in ascending
+    order. The R rows go in chunks of at most _BLOCK_BUDGET expanded entries;
+    once one chunk finds a failing row, later ones test only smaller rows.
+    """
+    size = 1 << leaf
+    m, g = m.reshape(-1, size), g.reshape(-1, size)
+    f_rows = g[0]  # f(x | L) at column L
+    step = _BLOCK_BUDGET // 3**leaf
+    best = size
+    for start in range(0, len(m), step):
+        mc, gc = m[start:start + step], g[start:start + step]
+        for d, (rows, cols) in enumerate(_digit_indices()[:leaf]):
+            if 1 << d >= best:
+                break
+            halves = mc.reshape(len(mc), size >> d + 1, 2, 3**d)
+            low = np.minimum(halves[:, :, 0], halves[:, :, 1])
+            gap = gc.reshape(len(gc), size >> d + 1, 2 << d)[..., cols]
+            gap -= low  # exact: |values| < 2^62, or Python ints
+            bad = gap.max(axis=(0, 1)) > f_rows[rows]
+            if bad.any():
+                best = min(best, int(rows[bad].min()))
+                break
+            if d + 1 < leaf:
+                mc = np.concatenate([halves, low[:, :, None]], axis=2)
+        if best == 1:  # row x itself passed, so no smaller row is left
+            break
+    return None if best == size else best
+
+
 def _first_subadditive_row(f: DenseFunction) -> int | None:
     """First X (ascending) with f(X) + f(Y) < f(X | Y) for some Y, in O(3^n).
 
@@ -206,12 +271,22 @@ def _first_subadditive_row(f: DenseFunction) -> int | None:
     X's lowest: its m is the min of the two b-halves of X's m, and its g the
     half with b set. A preorder walk with b ascending visits X in ascending
     order, so the first row it flags is the pair scan's first failing row.
+
+    The walk visits only the root and the nodes X whose lowest element is at
+    least _LEAF. The rows X | L with L inside [0, l), l = min(lowest, _LEAF),
+    are the part of X's subtree below l: one ascending range of rows, whose L
+    are the l low bits of X's m and g. :func:`_first_block_row` tests them as
+    one block, in the walk's order, before the children b in [l, lowest).
     """
 
     def visit(x: int, low: int, m: np.ndarray, g: np.ndarray) -> int | None:
         if (g[0] + m < g).any():  # g[0] = f(x)
             return x
-        for b in range(low):
+        leaf = min(low, _LEAF)
+        hit = _first_block_row(m, g, leaf)
+        if hit is not None:
+            return x | hit
+        for b in range(leaf, low):
             half = 1 << b
             m2 = m.reshape(-1, 2 * half)
             g2 = g.reshape(-1, 2 * half)

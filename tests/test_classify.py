@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from xosmax import (
     check_submodular,
     materialize,
 )
-from xosmax.classify import _SAFE_SUM_BOUND, _pair_scan
+from xosmax.classify import _BLOCK_BUDGET, _LEAF, _SAFE_SUM_BOUND, _pair_scan
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
@@ -419,3 +422,136 @@ def test_routes_match_pair_scans():
         for name in ("check_submodular", "check_subadditive"):
             for ok in (True, False):
                 assert {(kind, name, ok), (kind, name, ok, "scaled")} <= seen, (kind, name, ok)
+
+
+# The subadditive walk runs its lowest _LEAF levels as one block per node, in
+# chunks of _CHUNK leading rows; the root block has 2^(n - _LEAF) of them.
+_CHUNK = _BLOCK_BUDGET // 3**_LEAF
+_DELTA = 4
+
+
+def _planted(n, rng, plants):
+    """A table whose first subadditivity failure is planted: (X0, H) for the
+    plant with the smallest X0, the pair scan's first pair.
+
+    The base is U(S) + a(S) with U(S) the max of u_v over S and a additive,
+    u, a >= 0. For nonempty X and Y its slack f(X) + f(Y) - f(X | Y) is
+    min(U(X), U(Y)) + a(X & Y) >= 0, so it is subadditive. u_v is light
+    (< _DELTA) on the elements of every H and heavy elsewhere. Raising f(X0 | H) by _DELTA breaks only pairs that
+    cover X0 | H; with every light element above every X0, row X0 is the
+    first such row and Y = H its only failing Y.
+    """
+    light = 0
+    for x0, h in plants:
+        light |= h
+    assert all(x0 and h and x0.bit_length() <= (light & -light).bit_length() - 1
+               for x0, h in plants)
+    u = np.array([rng.randint(0, _DELTA - 1) if light >> v & 1 else rng.randint(_DELTA, 40)
+                  for v in range(n)])
+    a = np.array([rng.randint(0, 9) for _ in range(n)])
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    values = (member * u).max(axis=1) + member @ a
+    for x0, h in plants:
+        values[x0 | h] += _DELTA
+    x0, h = min(plants)
+    return DenseFunction(n, values.tolist()), (x0, h)
+
+
+def _bits(rng, low, high):
+    """A random nonempty mask over the elements low..high-1."""
+    return (1 + rng.randrange((1 << (high - low)) - 1)) << low
+
+
+def _block_plants(n, rng):
+    """Plants that put the first failing row past the first block, on a
+    block's top digit, and, where the root block has more than one chunk,
+    in a later chunk only."""
+    top = 1 << _LEAF - 1
+    plants = [
+        # on the root block's top digit
+        [(top | rng.randrange(top), _bits(rng, _LEAF, n))],
+        [(top, 1 << n - 1)],
+        # two failing rows on one digit of one chunk
+        [(0b1001, 1 << _LEAF), (0b1100, 1 << _LEAF)],
+    ]
+    if n >= _LEAF + 2:
+        # just past the root block: x = {_LEAF}, L below _LEAF
+        plants.append([(1 << _LEAF | _bits(rng, 0, _LEAF), _bits(rng, _LEAF + 1, n))])
+    if n >= _LEAF + 3:
+        # node x = {_LEAF + 1}, on its block's top digit, and its row x itself
+        x = 1 << _LEAF + 1
+        plants.append([(x | top | rng.randrange(top), _bits(rng, _LEAF + 2, n))])
+        plants.append([(x, _bits(rng, _LEAF + 2, n))])
+    if 1 << n - _LEAF > _CHUNK > 1:
+        # a row whose only failing Y lies in the root block's row _CHUNK is
+        # found by the second chunk only; the first (Y in block row 1) finds
+        # a larger row X1 before it, or a smaller one the second must keep
+        late = _CHUNK << _LEAF
+        for x0, x1 in ((0b110, 0b100001), (0b1001, 0b1100), (0b11, top | 0b11)):
+            plants.append([(x0, late)])
+            plants.append([(x0, late), (x1, 1 << _LEAF)])
+            plants.append([(x0, 1 << _LEAF), (x1, late)])
+    return plants
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_subadditive_blocks_match_pair_scan(n):
+    # Past n = _LEAF the walk has several nodes, each with its block, and at
+    # n = 12 the root block has more than one chunk; the walk must still find
+    # the scan's first pair. A positive factor keeps every pair inequality,
+    # so the scaled object twin must find it too.
+    if n == 12:
+        assert 1 << n - _LEAF > _CHUNK > 1  # the later-chunk plants run
+    rng = SplitMix64(900 + n)
+    tables = [(plant, *_planted(n, rng, plant)) for plant in _block_plants(n, rng)]
+    for k in (1, 3):
+        rep = random_rep(n=n, k=k, seed=n * 10 + k, low=0, high=8)
+        tables.append(("xos", materialize(rep), None))
+    # budget-additive, then 0 at V minus its top element: every earlier row
+    # is a subset of it, so it is the first failing row, with Y = {top}
+    late = [min(n // 2, m.bit_count()) for m in range(1 << n)]
+    late[(1 << n - 1) - 1] = 0
+    tables.append(("late", DenseFunction(n, late), ((1 << n - 1) - 1, 1 << n - 1)))
+    tables.append(("mixed", DenseFunction(n, [rng.randint(-8, 8) for _ in range(1 << n)]), None))
+    for label, f, planted in tables:
+        got = check_subadditive(f)
+        assert got == _pair_scan(f, submodular=False), (label, n)
+        if planted is not None:
+            assert got == (False, planted), (label, n)
+        elif label == "xos":
+            assert got == (True, None)
+        assert check_subadditive(_scale_to_edge(f)) == got, (label, n, "scaled")
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_subadditive_route_memory_is_bounded(n):
+    # The block route holds one bounded chunk at a time, so its transient
+    # memory does not grow with the block (2^5 and 2^6 rows at the root here).
+    f = materialize(XosRepresentation.from_weights([[v % 7 + 1 for v in range(n)]]))
+    tracemalloc.start()
+    try:
+        assert check_subadditive(f) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+
+
+def test_subadditive_failure_at_row_1_exits_early():
+    # f({0}) < 0 fails at row 1 with Y = {0}; the planted table fails at row
+    # 1 too, but only with a Y in the last chunk of the root block.
+    n = 16
+    rng = SplitMix64(16)
+    mixed = XosRepresentation.from_weights(
+        [[-1000] + [rng.randint(-1000, 1000) for _ in range(n - 1)] for _ in range(2)]
+    )
+    last = (((1 << n - _LEAF) - 1) // _CHUNK * _CHUNK) << _LEAF
+    planted, witness = _planted(n, rng, [(1, last)])
+    for f, expected in ((materialize(mixed), (1, 1)), (planted, witness)):
+        assert _pair_scan(f, submodular=False) == (False, expected)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert check_subadditive(f) == (False, expected)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1, elapsed
