@@ -35,7 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import CapExceededError, XosRepresentation, check_value
+from .core import CapExceededError, InstanceFormatError, XosRepresentation, _is_int, check_value
 
 MATERIALIZE_CAP = 16
 
@@ -52,8 +52,7 @@ class DenseFunction:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values) -> None:
-        if not 1 <= n <= MATERIALIZE_CAP:
-            raise CapExceededError(f"dense tables support 1 <= n <= {MATERIALIZE_CAP}, got {n}")
+        _check_size(n, "dense tables support")
         vals = list(values)
         if len(vals) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(vals)}")
@@ -77,6 +76,14 @@ class DenseFunction:
         return int(self.values.max())
 
 
+def _check_size(n, supports: str) -> None:
+    """``GroundSet``'s integer rule for ``n``, then the table cap."""
+    if not _is_int(n):
+        raise InstanceFormatError("ground size must be an integer")
+    if not 1 <= n <= MATERIALIZE_CAP:
+        raise CapExceededError(f"{supports} 1 <= n <= {MATERIALIZE_CAP}, got {n}")
+
+
 def _exact_table(table: np.ndarray) -> np.ndarray:
     """The dtype rule for a table of int64-range values: int64 when every
     |value| < 2^62, otherwise an object array of Python ints."""
@@ -94,7 +101,8 @@ def materialize(
     Representations are read from their byte tables; a callable is called
     once per mask, 2^n calls (pass ``oracle.evaluate, oracle.n`` to count
     them). Anything else, a ``CountingOracle`` included, raises TypeError.
-    The cap is checked before any evaluation.
+    ``n`` must be a plain int (InstanceFormatError) within the cap
+    (CapExceededError), checked before any evaluation.
     """
     if isinstance(source, XosRepresentation):
         n = source.n
@@ -102,8 +110,7 @@ def materialize(
         raise TypeError(f"cannot materialize {type(source).__name__}")
     elif n is None:
         raise ValueError("materialize(callable) needs the ground size n")
-    if not 1 <= n <= MATERIALIZE_CAP:
-        raise CapExceededError(f"materialize supports 1 <= n <= {MATERIALIZE_CAP}, got {n}")
+    _check_size(n, "materialize supports")
     if isinstance(source, XosRepresentation):
         return _dense_from_representation(source)
     return DenseFunction(n, [source(mask) for mask in range(1 << n)])

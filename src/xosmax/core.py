@@ -21,6 +21,12 @@ Conventions used throughout the package:
   which masks are subsets and which ints are elements: ``validate_subset``
   one mask at a time, ``validate_element`` one element,
   ``validate_block`` one list or array at a time.
+* A value source (``XosRepresentation``, a hidden family) exposes only
+  ``evaluate(mask)``, plus ``_values`` on a uint64 array when n <= 64,
+  plus per-element ``columns`` when it has cached sums. A
+  :class:`CountingOracle` picks which of them answers its queries once,
+  when it is built, and ``CountingOracle.evaluate_many`` is the one route
+  that answers a block.
 * An adaptive query for a set plus one element is
   ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
   explicit representation the oracle answers it, and ``evaluate``, from
@@ -465,7 +471,7 @@ class XosRepresentation:
 
     @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
-        """Per-byte subset-sum tables for ``evaluate_many`` and
+        """Per-byte subset-sum tables for ``_values`` and
         ``classify.materialize``, built once.
 
         Table b holds, for each value x of mask bits 8b..8b+7, every
@@ -485,27 +491,17 @@ class XosRepresentation:
             tables.append(table)
         return tables
 
-    def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
-        """``[self.evaluate(m) for m in masks]``, in one numpy pass when n <= 64.
-
-        ``masks`` is a list of ints, answered by a list, or a 1-D uint64
-        array, answered by an int64 array when n <= 64.
-        ``GroundSet.validate_block`` checks the masks first, so the first
-        invalid one raises ``evaluate``'s error. Then each mask, as uint64,
-        sums one table row per byte, and each row's maximum is its value.
-        """
-        self.ground.validate_block(masks)
-        array = isinstance(masks, np.ndarray)
+    def _values(self, masks: np.ndarray) -> np.ndarray:
+        """``evaluate`` of each mask of a checked uint64 array, n <= 64, in
+        one numpy pass: each mask sums one table row per byte, and each
+        row's maximum is its value."""
         tables = self._byte_tables
-        if tables is None:
-            return [self.evaluate(m) for m in (masks.tolist() if array else masks)]
         words = np.ascontiguousarray(masks, dtype="<u8")
         mask_bytes = words.view(np.uint8).reshape(len(words), 8)
         sums = tables[0][mask_bytes[:, 0]]
         for b in range(1, len(tables)):
             sums += tables[b][mask_bytes[:, b]]
-        values = sums.max(axis=1)
-        return values if array else values.tolist()
+        return sums.max(axis=1)
 
     def singleton_value(self, v: int) -> int:
         return max(comp.weights[v] for comp in self.components)
@@ -531,27 +527,33 @@ class CountingOracle:
     tests only; library algorithms never call it. Instances are cheap and
     single-threaded; use one oracle per trial.
 
-    When the value function is the bound ``evaluate`` of an owner on the
-    same ground set that exposes per-element ``columns`` (an
-    ``XosRepresentation``), and this class does not override ``evaluate``,
-    the oracle keeps the k component sums of the last set it answered:
-    ``evaluate`` and ``evaluate_plus`` move them to the asked set by the
-    elements that differ, in O(k) per element. Decided once, here.
+    Which code answers a query is decided once, here. The oracle keeps the
+    value function's owner when the function is that object's own bound
+    ``evaluate``, the owner is on the same ground set, and this class does
+    not override ``evaluate``. An owner is a value source: ``evaluate(mask)``,
+    plus ``_values`` (a checked uint64 array to an int64 array of values)
+    when n <= 64, plus per-element ``columns`` (an ``XosRepresentation``)
+    when it has cached sums. With ``columns`` the oracle keeps the k
+    component sums of the last set it answered: ``evaluate`` and
+    ``evaluate_plus`` move them to the asked set by the elements that
+    differ, in O(k) per element. With no owner (a closure, another bound
+    method, an overriding class) every query goes through ``self.evaluate``.
     """
 
-    __slots__ = ("ground", "calls", "_func", "_overridden", "_columns", "_base", "_sums")
+    __slots__ = ("ground", "calls", "_func", "_owner", "_values", "_columns", "_base", "_sums")
 
     def __init__(self, ground: GroundSet, func: Callable[[int], int]):
         self.ground = ground
         self.calls = 0
         self._func = func
-        self._overridden = type(self).evaluate is not CountingOracle.evaluate
         owner = getattr(func, "__self__", None)
-        columns = None
-        if (not self._overridden and func == getattr(owner, "evaluate", None)
-                and getattr(owner, "ground", None) == ground):
-            columns = getattr(owner, "columns", None)
-        self._columns = columns
+        if (type(self).evaluate is not CountingOracle.evaluate
+                or func != getattr(owner, "evaluate", None)
+                or getattr(owner, "ground", None) != ground):
+            owner = None
+        self._owner = owner
+        self._values = getattr(owner, "_values", None) if ground.n <= 64 else None
+        self._columns = columns = getattr(owner, "columns", None)
         self._base = 0
         self._sums = None if columns is None else [0] * len(columns[0])
 
@@ -579,9 +581,9 @@ class CountingOracle:
         ``GroundSet.validate_element``; either error is raised before
         anything is counted. With cached component sums (see the class) the
         answer is the largest of ``base``'s k sums, each plus u's weight in
-        that component: O(k) once the cache sits on ``base``. Otherwise an
-        overriding class gets the mask through ``self.evaluate``, and any
-        other value function is called on it directly.
+        that component: O(k) once the cache sits on ``base``. Otherwise the
+        owner's ``evaluate`` gets the mask, or ``self.evaluate`` when there
+        is no owner.
         """
         ground = self.ground
         n = ground.n
@@ -591,7 +593,7 @@ class CountingOracle:
             ground.validate_element(u)
         columns = self._columns
         if columns is None:
-            if self._overridden:
+            if self._owner is None:
                 return self.evaluate(base | 1 << u)
             self.calls += 1
             return self._func(base | 1 << u)
@@ -620,35 +622,26 @@ class CountingOracle:
         self._sums = sums
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
-        """``[self.evaluate(m) for m in masks]``: same checks, same count.
+        """``[self.evaluate(m) for m in masks]``: same values, same count.
 
-        ``masks`` is a list of ints or a 1-D uint64 array. When the value
-        function is its owner's bound ``evaluate`` and this class does not
-        override ``evaluate``, the block is counted in one step. An owner
-        with ``evaluate_many`` on this oracle's ground set checks and
-        answers the block, and the count follows its return. Otherwise
-        ``GroundSet.validate_block`` checks the block, then it is counted
-        and the value function mapped over it. Either way the first invalid
+        ``masks`` is a list of ints or a 1-D uint64 array.
+        ``GroundSet.validate_block`` checks it first, so its first invalid
         mask raises ``evaluate``'s error before any of the block is counted.
-        Any other value function, or an overridden ``evaluate``, is called
-        mask by mask through ``self.evaluate``; an array is checked whole
-        first and its masks handed over as plain ints.
+        Then an array goes whole to the owner's ``_values`` when it has one,
+        and is answered by an int64 array; any other block is answered by a
+        list, mask by mask as plain ints: by the owner's ``evaluate``,
+        counted in one step, or with no owner by ``self.evaluate``.
         """
-        func = self._func
-        owner = getattr(func, "__self__", None)
-        if self._overridden or func != getattr(owner, "evaluate", None):
-            if isinstance(masks, np.ndarray):
-                self.ground.validate_block(masks)
-                masks = masks.tolist()
-            return [self.evaluate(m) for m in masks]
-        batch = getattr(owner, "evaluate_many", None)
-        if batch is not None and getattr(owner, "ground", None) == self.ground:
-            values = batch(masks)
-            self.calls += len(masks)
-            return values
         self.ground.validate_block(masks)
+        if isinstance(masks, np.ndarray):
+            if self._values is not None:
+                self.calls += len(masks)
+                return self._values(masks)
+            masks = masks.tolist()
+        if self._owner is None:
+            return [self.evaluate(m) for m in masks]
         self.calls += len(masks)
-        return list(map(func, masks.tolist() if isinstance(masks, np.ndarray) else masks))
+        return list(map(self._func, masks))
 
     def peek(self, mask: int) -> int:
         """Uncounted evaluation; verification only."""

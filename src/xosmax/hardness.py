@@ -59,8 +59,10 @@ class _HiddenFamily:
     ``__post_init__`` calls ``_check_params`` before its range checks and
     builds its ``ground`` before any per-element work, so ``GroundSet``
     bounds n. The planted set is a maximizer unless a family overrides
-    ``planted_is_optimal``. ``evaluate_many`` answers a uint64 array over
-    n <= 64 in one numpy pass (``_values``, from ``core.bit_counts``).
+    ``planted_is_optimal``. Each family is a value source for
+    ``CountingOracle``: ``evaluate`` on one int mask, and ``_values`` on a
+    checked uint64 array over n <= 64, one numpy pass from
+    ``core.bit_counts``.
     """
 
     params: ClassVar[tuple[str, ...]] = ()
@@ -74,16 +76,6 @@ class _HiddenFamily:
 
     def oracle(self) -> CountingOracle:
         return CountingOracle(self.ground, self.evaluate)
-
-    def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
-        """``[self.evaluate(m) for m in masks]`` after ``GroundSet.validate_block``;
-        an int64 array of values for a uint64 array when n <= 64."""
-        self.ground.validate_block(masks)
-        if isinstance(masks, np.ndarray):
-            if self.n <= 64:
-                return self._values(masks)
-            masks = masks.tolist()
-        return list(map(self.evaluate, masks))
 
     def to_json_dict(self) -> dict:
         return {

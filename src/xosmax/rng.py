@@ -13,9 +13,8 @@ shuffle, which makes every m-element subset exactly equally likely.
 below 64, drawn with numpy, and lists of ints from the scalar sampler
 otherwise. A block may span runs, one block is held, and each mask is built
 from its elements' bits, so no position is mapped to an element afterwards.
-``sample_mask_runs`` (and ``sample_masks``, its one-run case) yields the
-same stream over {0..n-1} as ints. Either stream is exactly what the
-scalar sampler would yield.
+``sample_masks`` yields its one-run stream over {0..n-1} as ints. Either
+stream is exactly what the scalar sampler would yield.
 """
 
 from __future__ import annotations
@@ -202,17 +201,10 @@ def sample_blocks(
     return _block_stream(elems, _checked_runs(len(elems), runs), rng)
 
 
-def sample_mask_runs(n: int, runs: Iterable[tuple[int, int]], rng: SplitMix64) -> Iterator[int]:
-    """``sample_mask(n, m, rng)`` ``count`` times for each (m, count) of
-    ``runs`` in order, as one stream of ints: ``sample_blocks`` over
-    {0..n-1}, with its checks at the call."""
-    return ints_of(_block_stream(range(n), _checked_runs(n, runs), rng))
-
-
 def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
-    """``sample_mask(n, m, rng)`` ``count`` times, as a stream: the one-run
-    case of ``sample_mask_runs``, with its checks at the call."""
-    return sample_mask_runs(n, [(m, count)], rng)
+    """``sample_mask(n, m, rng)`` ``count`` times, as a stream of ints:
+    ``sample_blocks`` over {0..n-1}, with its checks at the call."""
+    return ints_of(sample_blocks((1 << n) - 1, [(m, count)], rng))
 
 
 def _blocks(runs: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:

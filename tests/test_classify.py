@@ -111,6 +111,18 @@ def test_materialize_cap():
     assert oracle.calls == 0
 
 
+@pytest.mark.parametrize("n", [True, 2.0, np.int64(3)], ids=["bool", "float", "int64"])
+def test_dense_tables_refuse_a_ground_size_that_is_not_an_int(n):
+    # GroundSet's rule: a bool, a float or a numpy integer is refused
+    # before any table is built or any value asked.
+    oracle = CountingOracle.for_representation(EXAMPLE)
+    with pytest.raises(InstanceFormatError, match="^ground size must be an integer$"):
+        materialize(oracle.evaluate, n)
+    assert oracle.calls == 0
+    with pytest.raises(InstanceFormatError, match="^ground size must be an integer$"):
+        DenseFunction(n, [0, 1])
+
+
 def test_materialize_component_overflow():
     # a component with a subset sum outside int64 is refused when the
     # representation is built, whether or not it would be the maximal one
@@ -128,7 +140,7 @@ def test_materialize_component_overflow():
     f = materialize(rep)
     assert [f[m] for m in range(4)] == [0, INT64_MAX - 1, 1, INT64_MAX]
     assert [f[m] for m in range(4)] == [rep.evaluate(m) for m in range(4)]
-    assert rep.evaluate_many(list(range(4))) == [f[m] for m in range(4)]
+    assert rep._values(np.arange(4, dtype=np.uint64)).tolist() == [f[m] for m in range(4)]
     assert [comp.evaluate(3) for comp in rep.components] == [INT64_MIN, INT64_MAX]
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import xosmax
 from xosmax import (
     AdditiveFunction,
     CountingOracle,
@@ -34,6 +35,13 @@ from xosmax.core import (
 )
 
 from helpers import canonical_masks, clique_of, maximizer_indices, random_rep, rep_as_lists
+
+
+def test_every_export_is_an_attribute():
+    # A name left in __all__ after its object is removed would break
+    # ``from xosmax import *`` and mislead readers of the API.
+    assert len(set(xosmax.__all__)) == len(xosmax.__all__)
+    assert [name for name in xosmax.__all__ if not hasattr(xosmax, name)] == []
 
 
 def test_mask_roundtrip():

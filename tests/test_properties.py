@@ -8,6 +8,7 @@ query routes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,10 +55,11 @@ def test_construction_and_every_route_agree(rows, data):
     full = (1 << n) - 1
     masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=30))
     single = CountingOracle.for_representation(rep)  # cached component sums
-    batch = CountingOracle.for_representation(rep)  # numpy tables when n <= 64
+    batch = CountingOracle.for_representation(rep)  # numpy tables on arrays, n <= 64
     bit_loop = CountingOracle(rep.ground, lambda m: max(c.evaluate(m) for c in rep.components))
     values = [single.evaluate(m) for m in masks]
-    assert batch.evaluate_many(masks) == values
+    block = np.array(masks, dtype=np.uint64) if n <= 64 else masks
+    assert list(map(int, batch.evaluate_many(block))) == values
     assert bit_loop.evaluate_many(masks) == values
     assert single.calls == batch.calls == bit_loop.calls == len(masks)
     assert all(INT64_MIN <= v <= INT64_MAX for v in values)

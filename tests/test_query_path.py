@@ -1,9 +1,11 @@
-"""Batched query path: block draws, block enumeration, evaluate_many and best_of.
+"""Batched query path: block draws, block enumeration, the one block route
+``CountingOracle.evaluate_many``, and best_of.
 
 Each batched route is compared with the scalar code it replaces: the same
 masks, the same final generator state, the same values, the same call
 counts and the same errors. Over elements below 64 the blocks are uint64
-arrays, compared with the int route that closures and grounds above 64
+arrays, answered by the owner's ``_values`` (byte tables or bit counts)
+and compared with the int route that lists, closures and grounds above 64
 elements take.
 """
 
@@ -59,8 +61,8 @@ from xosmax.instances import InstanceHandle
 from xosmax.rng import (
     SplitMix64,
     _mask_block,
+    sample_blocks,
     sample_mask,
-    sample_mask_runs,
     sample_masks,
     sample_positions,
 )
@@ -110,15 +112,16 @@ def _scalar_runs(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> list[i
 def test_mask_runs_match_scalar_draws(n):
     # Sizes up and down, runs of count 0 and of size 0 between them, and
     # runs longer than a block, so blocks start and end inside runs.
+    full = (1 << n) - 1
     runs = [(3, 700), (n, 5), (0, 40), (1, 0), (n // 2, 1500), (2, 1), (0, 0), (n - 1, 300), (1, 24)]
     for seed in (n, _MASK64 - n):
         scalar, batched = SplitMix64(seed), SplitMix64(seed)
         expected = _scalar_runs(n, runs, scalar)
-        assert list(sample_mask_runs(n, runs, batched)) == expected, seed
+        assert list(ints_of(sample_blocks(full, runs, batched))) == expected, seed
         assert batched.state == scalar.state, seed
     for runs in ([(0, 5)], [(0, 3), (4, 0)], []):
         rng = SplitMix64(n)
-        assert list(sample_mask_runs(n, runs, rng)) == [0] * sum(c for _, c in runs)
+        assert list(ints_of(sample_blocks(full, runs, rng))) == [0] * sum(c for _, c in runs)
         assert rng.state == n
 
 
@@ -134,16 +137,16 @@ def test_mask_runs_redraw_a_block_that_crosses_a_round():
     scalar, batched = SplitMix64(seed), SplitMix64(seed)
     expected = _scalar_runs(24, runs, scalar)
     assert _draws_between(seed, scalar.state) == 6 + 31 + 4 * 1500
-    assert list(sample_mask_runs(24, runs, batched)) == expected
+    assert list(ints_of(sample_blocks((1 << 24) - 1, runs, batched))) == expected
     assert batched.state == scalar.state
 
 
 def test_mask_runs_check_every_run_at_the_call():
     rng = SplitMix64(5)
     with pytest.raises(ValueError, match="cannot sample 25 of 24 positions"):
-        sample_mask_runs(24, [(3, 10), (25, 1)], rng)
+        sample_blocks((1 << 24) - 1, [(3, 10), (25, 1)], rng)
     with pytest.raises(ValueError, match="count must be an integer >= 0"):
-        sample_mask_runs(24, [(3, 10), (4, -1)], rng)
+        sample_blocks((1 << 24) - 1, [(3, 10), (4, -1)], rng)
     assert rng.state == 5
 
 
@@ -160,7 +163,8 @@ def test_samplers_check_the_size_at_the_call(n, m):
     # A size that is not a plain int fails when called, before any draw, on
     # the block route (n <= 64) and the scalar one alike.
     rng = SplitMix64(5)
-    calls = [lambda: sample_masks(n, m, 3, rng), lambda: sample_mask_runs(n, [(2, 1), (m, 2)], rng),
+    calls = [lambda: sample_masks(n, m, 3, rng),
+             lambda: sample_blocks((1 << n) - 1, [(2, 1), (m, 2)], rng),
              lambda: sample_mask(n, m, rng), lambda: sample_positions(n, m, rng)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"size must be an integer, got {m!r}")):
@@ -226,7 +230,8 @@ _TABLE_SIZES = [1, 8, 9, 13, 63, 64, 65, 200]
 def test_evaluate_many_agrees_with_evaluate(n):
     masks = _random_masks(n, 300, seed=n)
     for rep in _table_reps(n):
-        # n <= 64 takes the table route; wider grounds take evaluate.
+        # A uint64 array over n <= 64 takes the table route; lists, and
+        # every block of a wider ground, take evaluate mask by mask.
         assert (rep._byte_tables is None) == (n > 64)
         batched = CountingOracle.for_representation(rep)
         scalar = CountingOracle.for_representation(rep)
@@ -236,6 +241,12 @@ def test_evaluate_many_agrees_with_evaluate(n):
         assert batched.calls == scalar.calls == len(masks)
         assert batched.evaluate_many([]) == []
         assert batched.calls == len(masks)
+        if n <= 64:
+            got = batched.evaluate_many(np.array(masks, dtype=np.uint64))
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.tolist() == expected
+            assert batched.evaluate_many(np.array([], dtype=np.uint64)).tolist() == []
+            assert batched.calls == 2 * len(masks)
 
 
 @pytest.mark.parametrize("n", _TABLE_SIZES)
@@ -277,20 +288,25 @@ def test_single_queries_reject_masks_outside_the_ground(n, bad):
 @pytest.mark.parametrize("n", [13, 16, 64])
 def test_evaluate_many_rejects_masks_outside_the_ground(n):
     # The byte tables read only the low ceil(n/8) bytes of a mask, so the
-    # batch tests the masks as evaluate does instead of reading part of one.
+    # counted batch tests the masks as evaluate does before any route reads
+    # one, and counts nothing.
     rep = random_explicit(n, 2, 1, 9, 0)
     assert rep._byte_tables is not None
+    oracle = CountingOracle.for_representation(rep)
     bads = [-1, 1 << n, (1 << 64) | 1] + ([1 << 40, (1 << 40) | 1] if n < 40 else [])
     for bad in bads:
         with pytest.raises(ValueError) as scalar_exc:
             rep.evaluate(bad)
         for masks in ([bad], [1, bad]):
             with pytest.raises(ValueError) as batch_exc:
-                rep.evaluate_many(masks)
+                oracle.evaluate_many(masks)
             assert type(batch_exc.value) is type(scalar_exc.value), (bad, masks)
             assert str(batch_exc.value) == str(scalar_exc.value), (bad, masks)
+    assert oracle.calls == 0
     full = (1 << n) - 1
-    assert rep.evaluate_many([0, 1, full]) == [rep.evaluate(m) for m in (0, 1, full)]
+    expected = [rep.evaluate(m) for m in (0, 1, full)]
+    assert oracle.evaluate_many([0, 1, full]) == expected
+    assert oracle.evaluate_many(np.array([0, 1, full], dtype=np.uint64)).tolist() == expected
 
 
 def test_evaluate_many_overflow_raises_like_evaluate():
@@ -312,7 +328,7 @@ def test_evaluate_many_overflow_raises_like_evaluate():
         rep = XosRepresentation.from_weights([row])
         expected = [edge, edge - row[0], row[0], 0]
         assert [rep.evaluate(m) for m in masks] == expected
-        assert rep.evaluate_many(masks) == expected
+        assert rep._values(np.array(masks, dtype=np.uint64)).tolist() == expected
         assert [_bit_loop(rep, m) for m in masks] == expected
         assert CountingOracle.for_representation(rep).evaluate_many(masks) == expected
 
@@ -332,10 +348,12 @@ def test_evaluate_many_closure_counts_the_same():
     assert seen == masks
     # A bound method other than evaluate never reaches the owner's batch.
     class Owner:
+        ground = rep.ground
+
         def evaluate(self, mask):
             raise AssertionError("evaluate is not the value function")
 
-        def evaluate_many(self, masks):
+        def _values(self, masks):
             raise AssertionError("the batch must not reach the owner")
 
         def maximizer_indices(self, mask):
@@ -345,23 +363,28 @@ def test_evaluate_many_closure_counts_the_same():
     other = CountingOracle(rep.ground, owner.maximizer_indices)
     assert other.evaluate_many(masks) == [owner.maximizer_indices(m) for m in masks]
     assert other.calls == len(masks)
+    array = np.array(masks, dtype=np.uint64)
+    assert other.evaluate_many(array) == [owner.maximizer_indices(m) for m in masks]
+    assert other.calls == 2 * len(masks)
 
 
 @pytest.mark.parametrize(
     "bad, error", [(True, TypeError), (-1, ValueError), (1 << 10, ValueError)]
 )
 def test_evaluate_many_rejects_masks_like_evaluate(bad, error):
-    # The hidden families answer blocks through their bound evaluate, so
-    # their batch route checks the block as the explicit one does.
+    # Every route, owner, closure, overriding class and hidden family,
+    # checks the whole block first, so a failed block counts nothing.
     rep = random_explicit(10, 2, -5, 5, seed=1)
     closure = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
     hidden = (NeedleInstance(10, 5, 2, 4).oracle(), HardGeneralInstance(10, 2, 4).oracle())
-    for oracle in (CountingOracle.for_representation(rep), closure, *hidden):
+    for oracle in (CountingOracle.for_representation(rep), closure,
+                   _Watched(rep.ground, rep.evaluate), *hidden):
         with pytest.raises(error) as scalar_exc:
             oracle.evaluate(bad)
         with pytest.raises(error) as batch_exc:
-            oracle.evaluate_many([1, bad])
+            oracle.evaluate_many([1, 3, bad])
         assert str(batch_exc.value) == str(scalar_exc.value)
+        assert oracle.calls == 0
 
 
 def _plus_queries(n: int, count: int, seed: int) -> list[tuple[int, int]]:
@@ -436,21 +459,22 @@ def test_evaluate_plus_hands_overriding_classes_and_closures_each_mask():
 
 @pytest.mark.parametrize("n", [13, 64, 65, 200])
 def test_one_mask_rule_on_every_route(n):
-    # Single and batched, on the representation and through the oracle,
-    # explicit and hidden, with byte tables (n <= 64) and without: a mask
+    # Single on the representation, single and batched through owner and
+    # closure oracles, explicit and hidden, below 64 elements and above: a mask
     # that GroundSet.validate_subset refuses raises its error, type and
     # message, before anything is counted; a mask it accepts gets one value.
     rep = random_explicit(n, 3, -9, 9, seed=n)
     hidden = [NeedleInstance(n, 5, 2, n)] + ([HardGeneralInstance(n, 2, n)] if n % 2 == 0 else [])
 
     def oracles():
-        return [CountingOracle(owner.ground, owner.evaluate) for owner in (rep, *hidden)]
+        owners = [CountingOracle(owner.ground, owner.evaluate) for owner in (rep, *hidden)]
+        return owners + [CountingOracle(rep.ground, lambda m: rep.evaluate(m))]
 
     for mask in (True, 1.5, "3", np.int64(3), -1, 1 << n, (1 << 64) | 1):
         try:
             rep.ground.validate_subset(mask)
         except (TypeError, ValueError) as exc:
-            routes = [(rep.evaluate, None), (lambda m: rep.evaluate_many([1, m]), None)]
+            routes = [(rep.evaluate, None)]
             for oracle in oracles():
                 routes += [(oracle.evaluate, oracle),
                            (lambda m, o=oracle: o.evaluate_many([1, m]), oracle)]
@@ -463,7 +487,8 @@ def test_one_mask_rule_on_every_route(n):
         # Bit 64 inside a ground of 65 or more.
         value = _bit_loop(rep, mask)
         assert rep.evaluate(mask) == value
-        assert rep.evaluate_many([1, mask]) == [rep.evaluate(1), value]
+        explicit = CountingOracle.for_representation(rep)
+        assert explicit.evaluate_many([1, mask]) == [rep.evaluate(1), value]
         for oracle in oracles():
             assert oracle.evaluate_many([1, mask]) == [oracle.evaluate(1), oracle.evaluate(mask)]
             assert oracle.calls == 4
@@ -509,8 +534,8 @@ def test_hidden_owners_answer_blocks_like_the_per_mask_loop():
     "args", [(16, 2, -10, 30, 1, True), (16, 3, -20, 30, 2), (14, 1, -5, 9, 3)]
 )
 def test_solvers_report_the_same_on_tables_and_on_the_bit_loop(args, epsilon):
-    # The closure oracle has no evaluate_many owner and no tables, so every
-    # query it answers runs the bit loop. The last two instances drop
+    # The closure oracle has no owner, so no tables and no cached sums:
+    # every query it answers runs the bit loop. The last two instances drop
     # singletons below retained elements, so sampled and enumerated
     # positions stand for other elements.
     rep = random_explicit(*args)
@@ -735,7 +760,8 @@ def test_mask_runs_hold_one_block():
     # 13 rounds of 25000 masks, one stream: as one list they would take about
     # 12 MiB; the stream holds one block, which may span two rounds.
     def take():
-        for _ in sample_mask_runs(24, [(m, 25_000) for m in range(1, 14)], SplitMix64(11)):
+        runs = [(m, 25_000) for m in range(1, 14)]
+        for _ in ints_of(sample_blocks((1 << 24) - 1, runs, SplitMix64(11))):
             pass
 
     peak = _peak_bytes(take)
@@ -805,10 +831,12 @@ def test_hidden_array_batches_match_evaluate(family):
         masks += [b | family.planted for b in family.blocks] + [s for s in family.s_masks]
     expected = [family.evaluate(m) for m in masks]
     assert len(set(expected)) > 1
-    got = family.evaluate_many(np.array(masks, dtype=np.uint64))
+    oracle = family.oracle()
+    got = oracle.evaluate_many(np.array(masks, dtype=np.uint64))
     assert isinstance(got, np.ndarray) and got.dtype == np.int64
     assert got.tolist() == expected
-    assert family.evaluate_many(masks) == expected
+    assert oracle.evaluate_many(masks) == expected
+    assert oracle.calls == 2 * len(masks)
     # f(empty) is 0, except tau in the remark variant.
     assert got[0] == expected[0] == (family.tau if getattr(family, "remark", False) else 0)
 
@@ -841,18 +869,17 @@ def test_mask_rule_on_arrays(n):
             block = np.array([1, 3, first, second], dtype=np.uint64)
             with pytest.raises(ValueError) as want:
                 rep.ground.validate_subset(first)
-            for route in (rep.evaluate_many, hidden.evaluate_many, *(o.evaluate_many for o in oracles())):
+            for oracle in oracles():
                 with pytest.raises(ValueError) as got:
-                    route(block)
+                    oracle.evaluate_many(block)
                 assert str(got.value) == str(want.value)
+                assert oracle.calls == 0
     for bad in (np.array([1, 2], dtype=np.int64), np.array([1.0, 2.0]),
                 np.array([[1, 2]], dtype=np.uint64), np.array([1, 2], dtype=np.uint32)):
         for oracle in oracles():
             with pytest.raises(TypeError, match="1-D uint64 array"):
                 oracle.evaluate_many(bad)
             assert oracle.calls == 0
-        with pytest.raises(TypeError, match="1-D uint64 array"):
-            rep.evaluate_many(bad)
 
 
 def _dropping_rep(n: int, keep_top: bool = True) -> XosRepresentation:
