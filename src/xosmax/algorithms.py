@@ -37,10 +37,13 @@ All solvers except brute force start by querying the n singleton values and
 retaining only elements with strictly positive value; dropped elements can
 never help a maximizer because removing one never lowers the max-of-sums.
 The retained singleton values are cached, so additivity tests of the form
-f(X + u) = f(X) + f(u) cost one query each. Every such set-plus-one query
-(the singleton scan, closure growth, improving expansions and bridges) is
-one ``CountingOracle.evaluate_plus`` call. An empty retained set yields
-(empty set, 0).
+f(X + u) = f(X) + f(u) cost one query each. Closure growth is one
+``CountingOracle.grow`` call per closure, which counts one query per
+scanned element; on an explicit representation it decides each test from
+the components attaining f(X) and f({u}), with no value computed. Every
+other set-plus-one query (the singleton scan, improving expansions and
+bridges) is one ``CountingOracle.evaluate_plus`` call. An empty retained
+set yields (empty set, 0).
 
 Determinism: every tie is broken by keeping the first maximizer in a fixed
 scan order (canonical subset order for enumeration; ascending element index
@@ -140,7 +143,7 @@ class SamplingParams:
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing and clique growth
+# Preprocessing and expansions
 
 
 def _scan_singletons(oracle: CountingOracle) -> tuple[int, list[int]]:
@@ -165,29 +168,6 @@ def preprocess(oracle: CountingOracle) -> int:
     absent.
     """
     return _scan_singletons(oracle)[0]
-
-
-def _grow_from(
-    oracle: CountingOracle,
-    cur: int,
-    cur_val: int,
-    universe: int,
-    singles,
-) -> tuple[int, int]:
-    """Greedy additive closure: add u when f(X + u) = f(X) + f(u).
-
-    Scans ascending element index; one query per scanned element. The
-    running value needs no extra queries because a passed test pins it. For
-    an XOS oracle the closure of a singleton is the intersection of the
-    cliques of all components that attain every accepted singleton, which is
-    what makes the width-2 solver exact.
-    """
-    for u in iter_bits(universe & ~cur):
-        t = oracle.evaluate_plus(cur, u)
-        if t == cur_val + singles[u]:
-            cur |= 1 << u
-            cur_val = t
-    return cur, cur_val
 
 
 def _expand_improving(
@@ -341,12 +321,12 @@ def solve_exact_2xos(oracle: CountingOracle) -> SolveReport:
     if retained == 0:
         return run.report()
     v1 = (retained & -retained).bit_length() - 1
-    V1, val1 = _grow_from(oracle, 1 << v1, singles[v1], retained, singles)
+    V1, val1 = oracle.grow(1 << v1, singles[v1], retained, singles)
     if V1 == retained:
         return run.report((V1, val1))
     rest = retained & ~V1
     v2 = (rest & -rest).bit_length() - 1
-    V2, val2 = _grow_from(oracle, 1 << v2, singles[v2], retained, singles)
+    V2, val2 = oracle.grow(1 << v2, singles[v2], retained, singles)
     Y1 = _expand_improving(oracle, V1, val1, retained)
     Y2 = _expand_improving(oracle, V2, val2, retained)
     return run.report(first_max((Y1, Y2)))
@@ -384,7 +364,7 @@ def solve_k_minus_1(oracle: CountingOracle) -> SolveReport:
         run.phase(r - 1, f"closure {len(cliques) + 1}")
         rest = retained & ~covered
         v = (rest & -rest).bit_length() - 1
-        V, val = _grow_from(oracle, 1 << v, singles[v], retained, singles)
+        V, val = oracle.grow(1 << v, singles[v], retained, singles)
         count += r - V.bit_count() + 1 + sum(1 + r - (V | U).bit_count() for U, _ in cliques)
         cliques.append((V, val))
         covered |= V
@@ -445,7 +425,7 @@ def _maximal_cliques(run: Run) -> tuple[tuple[int, int], ...]:
             else:
                 additive = zip(masks, sums)
             for actual, ssum in additive:
-                clique, cval = _grow_from(oracle, actual, ssum, retained, singles)
+                clique, cval = oracle.grow(actual, ssum, retained, singles)
                 if clique not in seen:
                     seen.add(clique)
                     found.append((clique, cval))

@@ -23,15 +23,19 @@ Conventions used throughout the package:
   ``validate_block`` one list or array at a time.
 * A value source (``XosRepresentation``, a hidden family) exposes only
   ``evaluate(mask)``, plus ``_values`` on a uint64 array when n <= 64,
-  plus per-element ``columns`` when it has cached sums. A
-  :class:`CountingOracle` picks which of them answers its queries once,
-  when it is built, and ``CountingOracle.evaluate_many`` is the one route
-  that answers a block.
+  plus per-element ``columns`` and their ``_peaks`` when it has cached
+  sums. A :class:`CountingOracle` picks which of them answers its queries
+  once, when it is built, and ``CountingOracle.evaluate_many`` is the one
+  route that answers a block.
 * An adaptive query for a set plus one element is
   ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
   explicit representation the oracle answers it, and ``evaluate``, from
   the component sums of the last set it answered, moved by the elements
   that differ; other value functions get the mask ``base | 1 << u``.
+  A greedy additive closure is one ``CountingOracle.grow`` call, counted
+  as one query per scanned element; on an explicit representation it
+  decides every step from argmax sets of components, with no value
+  computed, and elsewhere asks ``evaluate_plus`` element by element.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
@@ -470,6 +474,18 @@ class XosRepresentation:
         return tuple(zip(*(comp.weights for comp in self.components)))
 
     @cached_property
+    def _peaks(self) -> tuple[list[int], tuple[int, ...]]:
+        """(f({v}) for each v, as a list; for each v, the bitmask of the
+        components whose weight attains f({v})), built on the first
+        ``CountingOracle.grow``."""
+        singles = list(map(max, self.columns))
+        peaks = tuple(
+            sum(1 << i for i, w in enumerate(col) if w == top)
+            for col, top in zip(self.columns, singles)
+        )
+        return singles, peaks
+
+    @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
         """Per-byte subset-sum tables for ``_values`` and
         ``classify.materialize``, built once.
@@ -520,7 +536,8 @@ class XosRepresentation:
 
 class CountingOracle:
     """Value oracle wrapper that counts every query: each ``evaluate`` and
-    ``evaluate_plus`` call, and each mask of an ``evaluate_many`` block.
+    ``evaluate_plus`` call, each mask of an ``evaluate_many`` block, and
+    each element a ``grow`` call scans.
 
     The counter is the query-complexity measure reported by all solvers.
     ``peek`` evaluates without counting and exists for verification and
@@ -532,12 +549,17 @@ class CountingOracle:
     ``evaluate``, the owner is on the same ground set, and this class does
     not override ``evaluate``. An owner is a value source: ``evaluate(mask)``,
     plus ``_values`` (a checked uint64 array to an int64 array of values)
-    when n <= 64, plus per-element ``columns`` (an ``XosRepresentation``)
-    when it has cached sums. With ``columns`` the oracle keeps the k
-    component sums of the last set it answered: ``evaluate`` and
-    ``evaluate_plus`` move them to the asked set by the elements that
-    differ, in O(k) per element. With no owner (a closure, another bound
-    method, an overriding class) every query goes through ``self.evaluate``.
+    when n <= 64, plus per-element ``columns`` and ``_peaks`` (an
+    ``XosRepresentation``) when it has cached sums. With ``columns`` the
+    oracle keeps the k component sums of the last set it answered:
+    ``evaluate`` and ``evaluate_plus`` move them to the asked set by the
+    elements that differ, in O(k) per element, and ``grow`` decides each
+    step from the argmax sets of those sums and of the singletons
+    (``_peaks``) when its ``base_val`` is f(base) and its ``singles`` is the
+    list of the owner's singleton values; otherwise ``grow`` asks
+    ``evaluate_plus`` once per scanned element. With no owner (a closure,
+    another bound method, an overriding class such as a tracing one) every
+    query goes through ``self.evaluate``.
     """
 
     __slots__ = ("ground", "calls", "_func", "_owner", "_values", "_columns", "_base", "_sums")
@@ -620,6 +642,57 @@ class CountingOracle:
                 sums = list(map(add if mask >> v & 1 else sub, sums, columns[v]))
         self._base = mask
         self._sums = sums
+
+    def grow(self, base: int, base_val: int, universe: int, singles) -> tuple[int, int]:
+        """Greedy additive closure of ``base`` inside ``universe``: scan the
+        elements of ``universe`` outside ``base`` in ascending order and add
+        u when f(X + u) = f(X) + ``singles[u]``, X and f(X) (starting at
+        ``base_val``) being the set and value grown so far.
+
+        Each scanned element is one counted query, so ``calls`` grows by
+        the number of elements of ``universe`` outside ``base``. ``base``
+        and ``universe`` must pass ``GroundSet.validate_subset``; either
+        error is raised before anything is counted. Returns (X, f(X)), or
+        (``base``, ``base_val``) when nothing is added.
+
+        With cached component sums (see the class), ``base_val`` equal to
+        f(``base``) and ``singles`` the list of the owner's singleton
+        values, each step is decided from argmax sets with no value
+        computed: f(X + u) = max_i (s_i + w_i(u)) <= f(X) + f({u}), with
+        equality iff some component attains both, so u is added exactly
+        when A, the components attaining f(X), meets those attaining
+        f({u}), and the new A is their intersection. So the closure of a
+        singleton is the intersection of the cliques of the components that
+        attain every added singleton, which is what makes the width-2
+        solver exact. Any other oracle or input asks ``evaluate_plus(X, u)``
+        for each u in turn.
+        """
+        ground = self.ground
+        ground.validate_subset(base)
+        ground.validate_subset(universe)
+        scan = universe & ~base
+        if self._columns is not None:
+            if base != self._base:
+                self._rebase(base)
+            sums = self._sums
+            values, peaks = self._owner._peaks
+            top = max(sums)
+            if base_val == top and type(singles) is list and singles == values:
+                self.calls += scan.bit_count()
+                argmax = sum(1 << i for i, s in enumerate(sums) if s == top)
+                grown = base
+                for u in iter_bits(scan):
+                    if argmax & peaks[u]:
+                        argmax &= peaks[u]
+                        grown |= 1 << u
+                        top += values[u]
+                return (grown, top) if grown != base else (base, base_val)
+        for u in iter_bits(scan):
+            t = self.evaluate_plus(base, u)
+            if t == base_val + singles[u]:
+                base |= 1 << u
+                base_val = t
+        return base, base_val
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``: same values, same count.

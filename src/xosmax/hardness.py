@@ -1,4 +1,13 @@
-"""Hidden-instance families with planted optima for query lower-bound studies.
+"""Hidden-instance families with planted optima, for measuring solvers.
+
+``hard_kxos`` defeats the table's solvers (``exact2``, ``kminus1`` and
+``star`` stop at n_tilde^k), but it certifies no
+lower bound that holds for every algorithm: a short adaptive attack, which
+fixes a base set that component k answers and tests each other element
+against it, learns the planted set exactly in 15-185 queries at the
+parameters in use. Likewise ``hard_general`` at tau = round(ln n) falls
+to ``sample`` plus one improving expansion; a bound for every algorithm
+needs tau chosen for the ground size and the query budget.
 
 Three families, each evaluated in closed form from bit counts (never by
 materializing per-element weights) and each deterministic given its

@@ -5,11 +5,12 @@ enumeration and evaluation helpers (itertools.combinations instead of bit
 tricks, direct row sums instead of AdditiveFunction) so that agreement
 between a solver and a reference is evidence, not tautology.
 
-Four white-box routes only tests use live here too and do read the
+Five white-box routes only tests use live here too and do read the
 package's values: ``maximizer_indices`` and ``clique_of`` on a
 representation, ``check_submodular_marginal`` on a dense table, the
-pure-Python second route to the submodular verdict, and
-``iter_masks_by_card``, the scalar canonical enumeration.
+pure-Python second route to the submodular verdict,
+``iter_masks_by_card``, the scalar canonical enumeration, and
+``grow_loop``, closure growth one ``evaluate_plus`` at a time.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ def iter_masks_by_card(n: int, max_card: int | None = None) -> Iterator[int]:
     top = n if max_card is None else min(max_card, n)
     for c in range(top + 1):
         yield from masks_of_card(n, c)
+
+
+def grow_loop(oracle, cur: int, cur_val: int, universe: int, singles) -> tuple[int, int]:
+    """Greedy additive closure, one ``evaluate_plus`` per element of
+    ``universe`` outside ``cur`` in ascending order: add u when
+    f(X + u) = f(X) + singles[u]. The reference for ``CountingOracle.grow``,
+    whose loop route must ask the same masks in the same order."""
+    for u in bits_of(universe & ~cur):
+        t = oracle.evaluate_plus(cur, u)
+        if t == cur_val + singles[u]:
+            cur |= 1 << u
+            cur_val = t
+    return cur, cur_val
 
 
 def ref_brute_max(evaluate, n: int) -> tuple[int, int]:

@@ -33,7 +33,6 @@ from xosmax import core
 from xosmax.algorithms import (
     RHO_FALLBACK_THRESHOLD,
     _ceil_root,
-    _grow_from,
     _sampling_schedule,
     _scan_singletons,
     as_fraction,
@@ -65,7 +64,7 @@ def check_report(rep, report):
 def grow_clique(oracle: CountingOracle, start: int, universe: int) -> int:
     """The solvers' additive closure of {start} inside ``universe``."""
     _, singles = _scan_singletons(oracle)
-    return _grow_from(oracle, 1 << start, singles[start], universe, singles)[0]
+    return oracle.grow(1 << start, singles[start], universe, singles)[0]
 
 
 # ---------------------------------------------------------------------------

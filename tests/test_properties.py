@@ -3,7 +3,8 @@
 Weights are drawn near both ends of int64, so some draws (about one in
 seven) are refused at construction and the rest reach close to the edges;
 every accepted representation must give the same values on each of its
-query routes.
+query routes. Closure growth draws small weights instead, so that many
+components tie, and its argmax route must grow what the query loop grows.
 """
 
 from __future__ import annotations
@@ -83,3 +84,38 @@ def test_construction_and_every_route_agree(rows, data):
     assert plus.calls == bit_loop.calls - len(masks) == single.calls - len(masks)
     if n <= 12:
         assert rep.exact_maximum() == materialize(rep).max_value()
+
+
+@st.composite
+def _growth_cases(draw):
+    """Weights in -2..2, so argmax ties are common; n crosses 64."""
+    n = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=6))
+    full = (1 << n) - 1
+    return rows, draw(st.integers(0, full)), draw(st.integers(0, full)), draw(st.integers(0, n - 1))
+
+
+@_SETTINGS
+@given(case=_growth_cases(), delta=st.sampled_from([-1, 1]))
+def test_grow_argmax_route_equals_the_loop(case, delta):
+    # grow on the representation's own oracle (argmax sets) against an
+    # oracle with no owner (one evaluate_plus per scanned element): the
+    # same closure, value and calls, also from a cache left on another set,
+    # and when base_val is off by one, one singleton value is changed or
+    # the singleton values come as a tuple (each of those takes the loop).
+    rows, base, universe, v = case
+    rep = XosRepresentation.from_weights(rows)
+    singles = [rep.singleton_value(u) for u in range(rep.n)]
+    changed = singles.copy()
+    changed[v] += delta
+    f_base = rep.evaluate(base)
+    scanned = (universe & ~base).bit_count()
+    for base_val, values in ((f_base, singles), (f_base + delta, singles), (f_base, changed),
+                             (f_base, tuple(singles))):
+        cached = CountingOracle.for_representation(rep)
+        loop = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
+        assert cached.evaluate(universe) == loop.evaluate(universe)
+        got = cached.grow(base, base_val, universe, values)
+        assert got == loop.grow(base, base_val, universe, values)
+        assert cached.calls == loop.calls == 1 + scanned
+        assert got[0] & ~(base | universe) == 0

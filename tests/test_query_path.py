@@ -67,7 +67,7 @@ from xosmax.rng import (
     sample_positions,
 )
 
-from helpers import iter_masks_by_card, maximizer_indices
+from helpers import grow_loop, iter_masks_by_card, maximizer_indices, random_star_representation
 
 _MASK64 = (1 << 64) - 1
 _INV_GAMMA = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
@@ -457,6 +457,68 @@ def test_evaluate_plus_hands_overriding_classes_and_closures_each_mask():
         assert watched.seen == seen == masks
 
 
+def test_grow_decides_from_argmax_sets_only_when_its_inputs_match(monkeypatch):
+    # With cached sums, base_val = f(base) and singles the owner's list of
+    # singleton values, grow asks no evaluate_plus at all. Each failed
+    # precondition, a closure and a hidden family ask one evaluate_plus per
+    # element of universe outside base, in ascending order. Every route
+    # counts the same calls, and on one function gives the same closure.
+    n = 70
+    rep = random_explicit(n, 4, -2, 3, seed=5)
+    needle = NeedleInstance(n, 5, 2, 3)
+    singles = [rep.singleton_value(v) for v in range(n)]
+    changed = singles.copy()
+    changed[40] += 1
+    base, universe = 0b1001, (1 << n) - 1 - (1 << 20)
+    scan = [v for v in range(n) if (universe & ~base) >> v & 1]
+    asked = []
+    plus = CountingOracle.evaluate_plus
+    monkeypatch.setattr(CountingOracle, "evaluate_plus",
+                        lambda self, b, u: asked.append(u) or plus(self, b, u))
+
+    def grown(oracle, base_val, singles):
+        asked.clear()
+        got = oracle.grow(base, base_val, universe, singles)
+        assert oracle.calls == len(scan)
+        return got, asked.copy()
+
+    cached = CountingOracle.for_representation
+    closure = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
+    f_base = rep.evaluate(base)
+    want = grow_loop(closure, base, f_base, universe, singles)
+    assert want[0] != base and want[0] != universe
+    assert grown(cached(rep), f_base, singles) == (want, [])
+    assert grown(cached(rep), f_base, tuple(singles)) == (want, scan)
+    for oracle in (closure, _Watched(rep.ground, rep.evaluate)):
+        oracle.calls = 0
+        assert grown(oracle, f_base, singles) == (want, scan)
+    for base_val, values in ((f_base + 1, singles), (f_base - 1, singles), (f_base, changed)):
+        loop = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
+        assert grown(cached(rep), base_val, values) == grown(loop, base_val, values)
+        assert asked == scan
+    assert grown(needle.oracle(), 0, [needle.evaluate(1 << v) for v in range(n)])[1] == scan
+
+
+@pytest.mark.parametrize("n", [13, 64, 65])
+def test_grow_checks_base_and_universe_before_counting(n):
+    # A base or universe that validate_subset refuses raises its error, type
+    # and message, with calls unchanged, on the argmax and loop routes, even
+    # when the universe's stray bit lies above elements that would be scanned.
+    rep = random_explicit(n, 3, -9, 9, seed=n)
+    singles = [rep.singleton_value(v) for v in range(n)]
+    bad = (True, 1.5, np.int64(3), -1, 1 << n, (1 << n) | 1, (1 << 70) | 1)
+    for oracle in (CountingOracle.for_representation(rep), NeedleInstance(n, 5, 2, n).oracle(),
+                   CountingOracle(rep.ground, lambda m: rep.evaluate(m))):
+        oracle.evaluate(0)
+        for mask in bad:
+            with pytest.raises((TypeError, ValueError)) as want:
+                rep.ground.validate_subset(mask)
+            for args in ((mask, 0, 1, singles), (1, singles[0], mask, singles)):
+                with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                    oracle.grow(*args)
+                assert oracle.calls == 1, (mask, oracle)
+
+
 @pytest.mark.parametrize("n", [13, 64, 65, 200])
 def test_one_mask_rule_on_every_route(n):
     # Single on the representation, single and batched through owner and
@@ -720,6 +782,34 @@ def test_sampling_solver_queries_the_scalar_sequence(low, per_round):
     ]
     assert seen == expected
     assert report.oracle_calls == oracle.calls == len(expected)
+
+
+class _LoopGrowth(CountingOracle):
+    """Grows every closure with ``helpers.grow_loop``."""
+
+    __slots__ = ()
+
+    def grow(self, base, base_val, universe, singles):
+        return grow_loop(self, base, base_val, universe, singles)
+
+
+@pytest.mark.parametrize("name", ["exact2", "kminus1", "star"])
+def test_closure_growth_asks_the_reference_loop_transcript(name):
+    # On a closure oracle grow asks the same masks, in the same order, as
+    # the reference loop; on the representation's own oracle the argmax
+    # route gives the same report.
+    solve = _ADAPTIVE[name]
+    reps = [random_explicit(40, 2, -5, 9, seed=1), random_explicit(30, 3, -4, 9, seed=2),
+            random_star_representation(14, 3, seed=3), random_explicit(12, 5, -2, 3, seed=4),
+            HardKxosInstance(3, 3, 1, 0).representation()]
+    for rep in reps:
+        oracle, seen = _recording_oracle(rep)
+        report = solve(oracle)
+        loop_seen = []
+        loop = _LoopGrowth(rep.ground, lambda m: loop_seen.append(m) or rep.evaluate(m))
+        assert solve(loop) == report
+        assert seen == loop_seen and len(seen) == report.oracle_calls
+        assert solve(CountingOracle.for_representation(rep)) == report
 
 
 def _peak_bytes(run) -> int:
