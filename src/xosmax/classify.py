@@ -15,17 +15,22 @@ The table's dtype carries its exactness: int64 when every |value| < 2^62,
 so any sum or difference of two entries is exact, and otherwise a numpy
 object array of Python ints. A representation's table is combined from its
 per-byte subset-sum tables, one component at a time, so it holds O(2^n)
-values whatever the width. Every check has one vectorized implementation,
+values whatever the width; a hidden family's table is its ``_values`` on
+every mask, one numpy pass. Every check has one vectorized implementation,
 exact on either dtype. Fast routes decide the two pair classes:
 submodularity through diminishing marginals in O(n^2 2^n), subadditivity
 through a walk over the rows X in O(3^n) that stops at the first failing
-row. The walk's lowest eight levels run as one vectorized block per node,
-in bounded chunks, so at n = 16 the walk makes 256 Python-level visits, not
-65536. A failure's witness is still the pair scans': the submodular route
-hands a failure to the scan, and the subadditive walk, blocks included,
-tests the rows in ascending order, so it finds the scan's first failing
-row, whose first Y one vectorized row gives. The 4^n pair scans
-(vectorized per row) remain the reference the routes are tested against.
+row. A table built from a representation records that it is a max of
+additive functions; when it is also monotone it is subadditive, which
+``check_monotone`` decides in O(n 2^n), so only the tables that fail
+monotonicity, or were built any other way, take the walk. The walk's lowest
+eight levels run as one vectorized block per node, in bounded chunks, so at
+n = 16 the walk makes 256 Python-level visits, not 65536. A failure's
+witness is still the pair scans': the submodular route hands a failure to
+the scan, and the subadditive walk, blocks included, tests the rows in
+ascending order, so it finds the scan's first failing row, whose first Y
+one vectorized row gives. The 4^n pair scans (vectorized per row) remain the
+reference the routes are tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import CapExceededError, InstanceFormatError, XosRepresentation, _is_int, check_value
+from .hardness import _HiddenFamily
 
 MATERIALIZE_CAP = 16
 
@@ -47,9 +53,15 @@ Witness = Union[tuple[int, ...], None]
 
 
 class DenseFunction:
-    """Value table over all subsets of {0..n-1}, indexed by bitmask."""
+    """Value table over all subsets of {0..n-1}, indexed by bitmask.
 
-    __slots__ = ("n", "values")
+    ``_max_of_additive`` is True only on a table built from a representation,
+    a max of additive functions that are 0 at the empty set, which
+    ``check_subadditive`` may then decide by monotonicity. Tables built from
+    values, a callable or a hidden family never set it.
+    """
+
+    __slots__ = ("n", "values", "_max_of_additive")
 
     def __init__(self, n: int, values) -> None:
         _check_size(n, "dense tables support")
@@ -65,6 +77,7 @@ class DenseFunction:
                 check_value(v)  # raises at the first such int
         self.n = n
         self.values = _exact_table(table)
+        self._max_of_additive = False
 
     def __getitem__(self, mask: int) -> int:
         return int(self.values[mask])
@@ -93,18 +106,20 @@ def _exact_table(table: np.ndarray) -> np.ndarray:
 
 
 def materialize(
-    source: Union[XosRepresentation, Callable[[int], int]],
+    source: Union[XosRepresentation, _HiddenFamily, Callable[[int], int]],
     n: int | None = None,
 ) -> DenseFunction:
-    """Build the dense table for a representation, or a callable and ``n``.
+    """Build the dense table for a representation, a hidden family, or a
+    callable and ``n``.
 
-    Representations are read from their byte tables; a callable is called
+    Representations are read from their byte tables and hidden families from
+    their ``_values`` on every mask, in one numpy pass; a callable is called
     once per mask, 2^n calls (pass ``oracle.evaluate, oracle.n`` to count
     them). Anything else, a ``CountingOracle`` included, raises TypeError.
     ``n`` must be a plain int (InstanceFormatError) within the cap
-    (CapExceededError), checked before any evaluation.
+    (CapExceededError), checked before any evaluation or allocation.
     """
-    if isinstance(source, XosRepresentation):
+    if isinstance(source, (XosRepresentation, _HiddenFamily)):
         n = source.n
     elif not callable(source):
         raise TypeError(f"cannot materialize {type(source).__name__}")
@@ -113,7 +128,19 @@ def materialize(
     _check_size(n, "materialize supports")
     if isinstance(source, XosRepresentation):
         return _dense_from_representation(source)
+    if isinstance(source, _HiddenFamily):
+        return _dense(n, source._values(np.arange(1 << n, dtype=np.uint64)))
     return DenseFunction(n, [source(mask) for mask in range(1 << n)])
+
+
+def _dense(n: int, table: np.ndarray, max_of_additive: bool = False) -> DenseFunction:
+    """A DenseFunction over an int64 ``table`` of 2^n values, which need no
+    per-value check."""
+    out = DenseFunction.__new__(DenseFunction)
+    out.n = n
+    out.values = _exact_table(table)
+    out._max_of_additive = max_of_additive
+    return out
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
@@ -126,10 +153,7 @@ def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
         for byte in tables[1:]:  # each byte's bits lie above all bits in sums
             sums = (byte[:, i, None] + sums).ravel()
         table = sums if table is None else np.maximum(table, sums)
-    out = DenseFunction.__new__(DenseFunction)
-    out.n = rep.n
-    out.values = _exact_table(table)
-    return out
+    return _dense(rep.n, table, max_of_additive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +347,19 @@ def check_submodular(f: DenseFunction) -> tuple[bool, Witness]:
 def check_subadditive(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) + f(Y) >= f(X | Y), all 4^n pairs.
 
-    The O(3^n) row walk finds the pair scan's first failing row, and one
-    vectorized row gives its first Y.
+    A monotone max of additive functions a_i, each 0 at the empty set, is
+    subadditive: with a_j a component that attains f(X | Y),
+
+        f(X | Y) = a_j(X) + a_j(Y - X) <= f(X) + f(Y - X) <= f(X) + f(Y),
+
+    the last step by monotonicity, whatever the weights' signs. So a table
+    built from a representation passes once ``check_monotone`` does, in
+    O(n 2^n). Every other table, and every failure, takes the O(3^n) row
+    walk, which finds the pair scan's first failing row; one vectorized row
+    gives its first Y.
     """
+    if f._max_of_additive and check_monotone(f)[0]:
+        return True, None
     x = _first_subadditive_row(f)
     if x is None:
         return True, None

@@ -391,8 +391,11 @@ def _witness_text(witness) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     handle = load_instance(args.instance)
-    # The cap check comes before hard_general's O(n^2) representation.
-    dense = materialize(handle.explicit or handle.hidden.evaluate, handle.n)
+    # The cap check comes before hard_general's O(n^2) representation. A
+    # hidden family's table is read from its _values in one numpy pass, not
+    # by 2^n evaluate calls; only a table built from the explicit
+    # representation may take the monotone route to subadditivity.
+    dense = materialize(handle.explicit or handle.hidden)
     rep = handle.representation()
     result: dict[str, object] = {}
     for cls in CLASS_NAMES:

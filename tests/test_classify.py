@@ -13,7 +13,10 @@ from xosmax import (
     CapExceededError,
     CountingOracle,
     DenseFunction,
+    HardGeneralInstance,
+    HardKxosInstance,
     InstanceFormatError,
+    NeedleInstance,
     ValueOverflowError,
     XosRepresentation,
     check_additive,
@@ -249,11 +252,86 @@ def test_xos_representations_are_normalized():
 def test_nonnegative_xos_is_monotone_and_subadditive():
     # with negative weights subadditivity can fail on overlapping pairs
     # (f(X) + f(X) < f(X) whenever f(X) < 0), so the hierarchy claim is
-    # asserted for nonnegative weights only
+    # asserted for nonnegative weights only. The table built from values
+    # makes no max-of-additive claim, so its subadditive check takes the walk.
     for seed in range(20):
-        f = materialize(random_rep(n=6, k=3, seed=seed, low=0, high=8))
-        assert check_monotone(f)[0]
-        assert check_subadditive(f)[0]
+        rep_table = materialize(random_rep(n=6, k=3, seed=seed, low=0, high=8))
+        for f in (rep_table, DenseFunction(6, rep_table.values.tolist())):
+            assert check_monotone(f)[0]
+            assert check_subadditive(f)[0]
+
+
+def test_monotone_table_from_values_that_is_not_subadditive_fails():
+    # f = 0 on sets of at most one element and 1 above is monotone, yet
+    # f({0}) + f({1}) = 0 < 1 = f({0,1}). Only a max of additive functions
+    # passes by monotonicity, so a table built from values or from a
+    # callable must still fail, with the pair scan's witness.
+    n = 4
+    for f in (DenseFunction(n, [int(m.bit_count() > 1) for m in range(1 << n)]),
+              materialize(lambda m: int(m.bit_count() > 1), n)):
+        assert check_monotone(f) == (True, None)
+        assert check_subadditive(f) == _pair_scan(f, submodular=False) == (False, (1, 2))
+
+
+def test_monotone_object_table_at_the_cap_passes_quickly():
+    # Width 1 at n = 16 with values up to 30 * 2^58, held as Python ints:
+    # the monotone route decides it in O(n 2^n), where the row walk over the
+    # object table took seconds.
+    n = 16
+    f = materialize(XosRepresentation.from_weights([[(v % 5) << 58 for v in range(n)]]))
+    assert f.values.dtype == object
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert check_subadditive(f) == (True, None)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.5, elapsed
+
+
+def _hidden_families():
+    """Every hidden family at each of its ground sizes up to 12."""
+    families = []
+    for n_hat in range(1, 13):
+        s = (n_hat + 1) // 2
+        families.append(NeedleInstance(n_hat, s, (s + 1) // 2, n_hat))
+    for n in range(4, 13, 2):
+        for tau in (1, (n - 1) // 2):
+            for remark in (False, True):
+                families.append(HardGeneralInstance(n, tau, n + tau, remark=remark))
+    for k, nt, a in ((3, 2, 1), (3, 3, 1), (3, 3, 2)):
+        families.append(HardKxosInstance(k, nt, a, nt + a))
+    return families
+
+
+def test_hidden_family_tables_match_the_per_mask_tables():
+    families = _hidden_families()
+    assert {f.kind for f in families} == {"needle", "hard_general", "hard_general_remark", "hard_kxos"}
+    assert max(f.n for f in families) == 12
+    for family in families:
+        one_pass = materialize(family)
+        per_mask = materialize(family.evaluate, family.n)
+        assert one_pass.values.dtype == per_mask.values.dtype == np.int64
+        assert np.array_equal(one_pass.values, per_mask.values), family
+        # neither is built from a representation, so neither claims to be
+        # a max of additive functions
+        assert not one_pass._max_of_additive and not per_mask._max_of_additive
+
+
+def test_hidden_family_over_the_cap_is_refused_before_any_array(monkeypatch):
+    for family in (NeedleInstance(17, 6, 3, 0), HardGeneralInstance(18, 2, 0),
+                   HardKxosInstance(3, 4, 1, 0)):
+        assert family.n > 16
+        calls = []
+        monkeypatch.setattr(type(family), "_values", lambda self, masks: calls.append(masks))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                materialize(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 1 << 16, peak  # a 2^17-mask array alone is 1 MiB
 
 
 def test_check_class_dispatch():
@@ -518,7 +596,11 @@ def test_subadditive_blocks_match_pair_scan(n):
     tables = [(plant, *_planted(n, rng, plant)) for plant in _block_plants(n, rng)]
     for k in (1, 3):
         rep = random_rep(n=n, k=k, seed=n * 10 + k, low=0, high=8)
-        tables.append(("xos", materialize(rep), None))
+        # the representation's table passes by monotonicity; its copy built
+        # from values makes no max-of-additive claim, so the walk decides it
+        rep_table = materialize(rep)
+        tables.append(("xos", rep_table, None))
+        tables.append(("xos", DenseFunction(n, rep_table.values.tolist()), None))
     # budget-additive, then 0 at V minus its top element: every earlier row
     # is a subset of it, so it is the first failing row, with Y = {top}
     late = [min(n // 2, m.bit_count()) for m in range(1 << n)]
@@ -539,7 +621,9 @@ def test_subadditive_blocks_match_pair_scan(n):
 def test_subadditive_route_memory_is_bounded(n):
     # The block route holds one bounded chunk at a time, so its transient
     # memory does not grow with the block (2^5 and 2^6 rows at the root here).
-    f = materialize(XosRepresentation.from_weights([[v % 7 + 1 for v in range(n)]]))
+    # The table is built from values, so the walk runs, not the monotone route.
+    rep = XosRepresentation.from_weights([[v % 7 + 1 for v in range(n)]])
+    f = DenseFunction(n, materialize(rep).values.tolist())
     tracemalloc.start()
     try:
         assert check_subadditive(f) == (True, None)

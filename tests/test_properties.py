@@ -5,6 +5,8 @@ seven) are refused at construction and the rest reach close to the edges;
 every accepted representation must give the same values on each of its
 query routes. Closure growth draws small weights instead, so that many
 components tie, and its argmax route must grow what the query loop grows.
+The subadditivity check's monotone route must agree with the row walk and
+the pair scan on small tables of weights of both signs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xosmax import CountingOracle, ValueOverflowError, XosRepresentation, materialize
+from xosmax import (
+    CountingOracle,
+    DenseFunction,
+    ValueOverflowError,
+    XosRepresentation,
+    check_subadditive,
+    materialize,
+)
+from xosmax.classify import _pair_scan
 from xosmax.core import INT64_MAX, INT64_MIN
 
 # Each weight near an edge lands at most 3n from it, toward zero, so a
@@ -119,3 +129,22 @@ def test_grow_argmax_route_equals_the_loop(case, delta):
         assert got == loop.grow(base, base_val, universe, values)
         assert cached.calls == loop.calls == 1 + scanned
         assert got[0] & ~(base | universe) == 0
+
+
+@st.composite
+def _small_tables(draw):
+    """Weights in -3..3, or 0..3 so that many tables are monotone; n <= 10."""
+    n = draw(st.integers(1, 10))
+    low = draw(st.sampled_from([-3, 0]))
+    return draw(st.lists(st.lists(st.integers(low, 3), min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@_SETTINGS
+@given(rows=_small_tables())
+def test_monotone_route_agrees_with_the_walk_and_the_scan(rows):
+    # The representation's table may pass by monotonicity; its copy built
+    # from values takes the row walk, and the pair scan is the reference.
+    rep_table = materialize(XosRepresentation.from_weights(rows))
+    values = DenseFunction(rep_table.n, rep_table.values.tolist())
+    got = check_subadditive(rep_table)
+    assert got == check_subadditive(values) == _pair_scan(values, submodular=False)
