@@ -58,10 +58,12 @@ class DenseFunction:
     ``_max_of_additive`` is True only on a table built from a representation,
     a max of additive functions that are 0 at the empty set, which
     ``check_subadditive`` may then decide by monotonicity. Tables built from
-    values, a callable or a hidden family never set it.
+    values, a callable or a hidden family never set it. A table is not
+    changed once built, so ``check_monotone`` keeps its verdict in
+    ``_monotone`` and ``verify`` decides monotonicity once per table.
     """
 
-    __slots__ = ("n", "values", "_max_of_additive")
+    __slots__ = ("n", "values", "_max_of_additive", "_monotone")
 
     def __init__(self, n: int, values) -> None:
         _check_size(n, "dense tables support")
@@ -78,6 +80,7 @@ class DenseFunction:
         self.n = n
         self.values = _exact_table(table)
         self._max_of_additive = False
+        self._monotone = None
 
     def __getitem__(self, mask: int) -> int:
         return int(self.values[mask])
@@ -140,6 +143,7 @@ def _dense(n: int, table: np.ndarray, max_of_additive: bool = False) -> DenseFun
     out.n = n
     out.values = _exact_table(table)
     out._max_of_additive = max_of_additive
+    out._monotone = None
     return out
 
 
@@ -167,7 +171,17 @@ def check_normalized(f: DenseFunction) -> tuple[bool, Witness]:
 
 
 def check_monotone(f: DenseFunction) -> tuple[bool, Witness]:
-    """f(X) <= f(X + v) for every X and v outside X (equivalent by chaining)."""
+    """f(X) <= f(X + v) for every X and v outside X (equivalent by chaining).
+
+    Decided once per table: the verdict is kept in ``f._monotone``, which
+    ``check_subadditive``'s monotone route reads again.
+    """
+    if f._monotone is None:
+        f._monotone = _monotone_verdict(f)
+    return f._monotone
+
+
+def _monotone_verdict(f: DenseFunction) -> tuple[bool, Witness]:
     vals = f.values
     idx = np.arange(len(vals))
     for v in range(f.n):
@@ -354,9 +368,9 @@ def check_subadditive(f: DenseFunction) -> tuple[bool, Witness]:
 
     the last step by monotonicity, whatever the weights' signs. So a table
     built from a representation passes once ``check_monotone`` does, in
-    O(n 2^n). Every other table, and every failure, takes the O(3^n) row
-    walk, which finds the pair scan's first failing row; one vectorized row
-    gives its first Y.
+    O(n 2^n), or at once when the table already keeps that verdict. Every
+    other table, and every failure, takes the O(3^n) row walk, which finds
+    the pair scan's first failing row; one vectorized row gives its first Y.
     """
     if f._max_of_additive and check_monotone(f)[0]:
         return True, None

@@ -394,7 +394,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The cap check comes before hard_general's O(n^2) representation. A
     # hidden family's table is read from its _values in one numpy pass, not
     # by 2^n evaluate calls; only a table built from the explicit
-    # representation may take the monotone route to subadditivity.
+    # representation may take the monotone route to subadditivity, which
+    # reads the monotone verdict the table kept from its own class check.
     dense = materialize(handle.explicit or handle.hidden)
     rep = handle.representation()
     result: dict[str, object] = {}

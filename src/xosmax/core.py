@@ -23,15 +23,20 @@ Conventions used throughout the package:
   ``validate_block`` one list or array at a time.
 * A value source (``XosRepresentation``, a hidden family) exposes only
   ``evaluate(mask)``, plus ``_values`` on a uint64 array when n <= 64,
-  plus per-element ``columns`` and their ``_peaks`` when it has cached
-  sums. A :class:`CountingOracle` picks which of them answers its queries
-  once, when it is built, and ``CountingOracle.evaluate_many`` is the one
-  route that answers a block.
+  plus per-element ``columns``, their ``_peaks`` and, when n <= 64,
+  ``_byte_rows`` when it has cached sums. A :class:`CountingOracle` picks
+  which of them answers its queries once, when it is built, and
+  ``CountingOracle.evaluate_many`` is the one route that answers a block.
 * An adaptive query for a set plus one element is
   ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
   explicit representation the oracle answers it, and ``evaluate``, from
-  the component sums of the last set it answered, moved by the elements
-  that differ; other value functions get the mask ``base | 1 << u``.
+  the component sums of the last set it answered, moved to the asked set
+  by one of three routes: one step for one added element; a walk of
+  min(|diff|, |set|) elements, over the symmetric difference or over the
+  set from the empty one; or, when n <= 64 and that walk is longer than
+  the ground's ceil(n/8) bytes, one row of sums per nonzero byte of the
+  set (``_byte_rows``). Other value functions get the mask
+  ``base | 1 << u``.
   A greedy additive closure is one ``CountingOracle.grow`` call, counted
   as one query per scanned element; on an explicit representation it
   decides every step from argmax sets of components, with no value
@@ -462,7 +467,9 @@ class XosRepresentation:
         A mask that is not a plain int, or has a bit outside the ground set,
         raises ``GroundSet.validate_subset``'s error; then each component
         sums the set bits of ``mask``. A counted oracle answers from
-        ``columns`` instead (``CountingOracle.evaluate_plus``).
+        cached component sums instead, moved by ``columns`` or, for a mask
+        far from the cached one when n <= 64, by ``_byte_rows``
+        (``CountingOracle._rebase``).
         """
         if type(mask) is not int or mask >> self.ground.n:
             self.ground.validate_subset(mask)  # raises unless an int subclass inside the ground
@@ -487,7 +494,7 @@ class XosRepresentation:
 
     @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
-        """Per-byte subset-sum tables for ``_values`` and
+        """Per-byte subset-sum tables for ``_values``, ``_byte_rows`` and
         ``classify.materialize``, built once.
 
         Table b holds, for each value x of mask bits 8b..8b+7, every
@@ -506,6 +513,15 @@ class XosRepresentation:
                 table[1 << bit : 2 << bit] = table[: 1 << bit] + row
             tables.append(table)
         return tables
+
+    @cached_property
+    def _byte_rows(self) -> list[list[list[int]]] | None:
+        """``_byte_tables`` as plain ints, for ``CountingOracle._rebase``:
+        row x of entry b holds every component's sum over the bits x of
+        mask byte b. Built once, on the first query far from the cached
+        set; None when n > 64."""
+        tables = self._byte_tables
+        return None if tables is None else [t.tolist() for t in tables]
 
     def _values(self, masks: np.ndarray) -> np.ndarray:
         """``evaluate`` of each mask of a checked uint64 array, n <= 64, in
@@ -549,12 +565,15 @@ class CountingOracle:
     ``evaluate``, the owner is on the same ground set, and this class does
     not override ``evaluate``. An owner is a value source: ``evaluate(mask)``,
     plus ``_values`` (a checked uint64 array to an int64 array of values)
-    when n <= 64, plus per-element ``columns`` and ``_peaks`` (an
-    ``XosRepresentation``) when it has cached sums. With ``columns`` the
-    oracle keeps the k component sums of the last set it answered:
-    ``evaluate`` and ``evaluate_plus`` move them to the asked set by the
-    elements that differ, in O(k) per element, and ``grow`` decides each
-    step from the argmax sets of those sums and of the singletons
+    when n <= 64, plus per-element ``columns``, ``_peaks`` and
+    ``_byte_rows`` (an ``XosRepresentation``) when it has cached sums. With
+    ``columns`` the oracle keeps the k component sums of the last set it
+    answered: ``evaluate`` and ``evaluate_plus`` move them to the asked set
+    (``_rebase``): one added element in one step, otherwise element by
+    element in O(k) each over min(|diff|, |set|) elements, or, when n <= 64
+    and that walk is longer than ceil(n/8), from the owner's ``_byte_rows``
+    in O(k) per nonzero byte of the set. ``grow`` decides each step from
+    the argmax sets of those sums and of the singletons
     (``_peaks``) when its ``base_val`` is f(base) and its ``singles`` is the
     list of the owner's singleton values; otherwise ``grow`` asks
     ``evaluate_plus`` once per scanned element. With no owner (a closure,
@@ -562,7 +581,8 @@ class CountingOracle:
     query goes through ``self.evaluate``.
     """
 
-    __slots__ = ("ground", "calls", "_func", "_owner", "_values", "_columns", "_base", "_sums")
+    __slots__ = ("ground", "calls", "_func", "_owner", "_values", "_columns", "_far", "_base",
+                 "_sums")
 
     def __init__(self, ground: GroundSet, func: Callable[[int], int]):
         self.ground = ground
@@ -576,6 +596,9 @@ class CountingOracle:
         self._owner = owner
         self._values = getattr(owner, "_values", None) if ground.n <= 64 else None
         self._columns = columns = getattr(owner, "columns", None)
+        # Element walks longer than this take the byte rows; none can be
+        # longer than n, so above 64 elements every walk stays a walk.
+        self._far = -(-ground.n // 8) if ground.n <= 64 else ground.n
         self._base = 0
         self._sums = None if columns is None else [0] * len(columns[0])
 
@@ -627,9 +650,15 @@ class CountingOracle:
         return max(map(add, self._sums, columns[u]))
 
     def _rebase(self, mask: int) -> None:
-        """Move the cached sums to ``mask``: one added element in one step,
-        otherwise element by element over the symmetric difference, or over
-        ``mask`` from the empty set when that has fewer elements."""
+        """Move the cached sums to ``mask``, by one of three routes.
+
+        One added element is one step. Otherwise the element walk takes
+        min(|diff|, |mask|) steps: over the symmetric difference diff, or
+        over ``mask`` from the empty set. When n <= 64 and that is more
+        steps than the ground has bytes, ceil(n/8), the sums are instead
+        the owner's ``_byte_rows`` of ``mask``'s nonzero bytes added from
+        zeros; each partial sum is a subset sum, so it stays exact.
+        """
         columns = self._columns
         diff = mask ^ self._base
         if diff & mask == diff and not diff & (diff - 1):
@@ -638,8 +667,14 @@ class CountingOracle:
             sums = self._sums
             if diff.bit_count() > mask.bit_count():
                 sums, diff = [0] * len(sums), mask
-            for v in iter_bits(diff):
-                sums = list(map(add if mask >> v & 1 else sub, sums, columns[v]))
+            if diff.bit_count() > self._far:
+                sums = [0] * len(sums)
+                for rows, x in zip(self._owner._byte_rows, mask.to_bytes(8, "little")):
+                    if x:
+                        sums = list(map(add, sums, rows[x]))
+            else:
+                for v in iter_bits(diff):
+                    sums = list(map(add if mask >> v & 1 else sub, sums, columns[v]))
         self._base = mask
         self._sums = sums
 

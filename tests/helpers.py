@@ -5,12 +5,13 @@ enumeration and evaluation helpers (itertools.combinations instead of bit
 tricks, direct row sums instead of AdditiveFunction) so that agreement
 between a solver and a reference is evidence, not tautology.
 
-Five white-box routes only tests use live here too and do read the
+Six white-box routes only tests use live here too and do read the
 package's values: ``maximizer_indices`` and ``clique_of`` on a
 representation, ``check_submodular_marginal`` on a dense table, the
 pure-Python second route to the submodular verdict,
-``iter_masks_by_card``, the scalar canonical enumeration, and
-``grow_loop``, closure growth one ``evaluate_plus`` at a time.
+``iter_masks_by_card``, the scalar canonical enumeration, ``grow_loop``,
+closure growth one ``evaluate_plus`` at a time, and ``recording_oracle``,
+an ownerless oracle that keeps the transcript of its queries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from xosmax import XosRepresentation, random_explicit
+from xosmax import CountingOracle, XosRepresentation, random_explicit
 from xosmax.classify import DenseFunction, Witness
 from xosmax.core import masks_of_card
 from xosmax.rng import SplitMix64
@@ -76,6 +77,19 @@ def grow_loop(oracle, cur: int, cur_val: int, universe: int, singles) -> tuple[i
             cur |= 1 << u
             cur_val = t
     return cur, cur_val
+
+
+def recording_oracle(rep: XosRepresentation) -> tuple[CountingOracle, list[int]]:
+    """An oracle whose closure value function records every query in order.
+    It has no owner, so every query reaches the closure: ``grow`` asks
+    ``evaluate_plus`` per element and blocks are answered mask by mask."""
+    seen = []
+
+    def value(mask):
+        seen.append(mask)
+        return rep.evaluate(mask)
+
+    return CountingOracle(rep.ground, value), seen
 
 
 def ref_brute_max(evaluate, n: int) -> tuple[int, int]:

@@ -16,6 +16,7 @@ from xosmax import (
     SamplingParams,
     SplitMix64,
     algorithms,
+    classify,
     cli,
     random_explicit,
     solve_brute_force,
@@ -238,6 +239,23 @@ def test_verify_over_cap_builds_no_representation(tmp_path, monkeypatch):
     monkeypatch.setattr(InstanceHandle, "representation", lambda self: built.append(self))
     assert main(["verify", "--instance", str(p)]) == 4
     assert built == []
+
+
+@pytest.mark.parametrize("low", [0, -3], ids=["monotone", "mixed"])
+def test_verify_decides_monotonicity_once_per_table(tmp_path, monkeypatch, capsys, low):
+    # The monotone class check keeps its verdict on the table, and the
+    # subadditive check of a representation's table reads it back, whether
+    # the table is monotone (passes at once) or not (walks the rows).
+    rows = [[low + (v * 7 + i) % 5 for v in range(9)] for i in range(3)]
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({"type": "explicit", "n": 9, "weights": rows}))
+    decided = []
+    verdict = classify._monotone_verdict
+    monkeypatch.setattr(classify, "_monotone_verdict", lambda f: decided.append(f) or verdict(f))
+    assert main(["verify", "--instance", str(p)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert len(decided) == 1
+    assert result["monotone"]["ok"] == (low == 0) and result["subadditive"]["ok"] == (low == 0)
 
 
 def test_huge_kxos_exits_3_quickly(tmp_path):

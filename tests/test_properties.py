@@ -6,10 +6,14 @@ every accepted representation must give the same values on each of its
 query routes. Closure growth draws small weights instead, so that many
 components tie, and its argmax route must grow what the query loop grows.
 The subadditivity check's monotone route must agree with the row walk and
-the pair scan on small tables of weights of both signs.
+the pair scan on small tables of weights of both signs. In the value oracle
+model a solver sees only f's values, so a solver's report must not depend
+on which representation of f the oracle answers from.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +29,11 @@ from xosmax import (
     materialize,
 )
 from xosmax.classify import _pair_scan
+from xosmax.cli import SOLVERS, UsageError, _solver
 from xosmax.core import INT64_MAX, INT64_MIN
+from xosmax.instances import InstanceHandle
+
+from helpers import recording_oracle
 
 # Each weight near an edge lands at most 3n from it, toward zero, so a
 # handful of small weights beside it decides whether its row's sum fits.
@@ -148,3 +156,56 @@ def test_monotone_route_agrees_with_the_walk_and_the_scan(rows):
     values = DenseFunction(rep_table.n, rep_table.values.tolist())
     got = check_subadditive(rep_table)
     assert got == check_subadditive(values) == _pair_scan(values, submodular=False)
+
+
+@st.composite
+def _two_representations(draw):
+    """Weight rows of an explicit f (n 1-10, width 1-4, weights -3..3, so
+    argmax sets tie often) and of another representation of the same f: its
+    components permuted, one of them duplicated, or a component added that
+    one of them dominates pointwise."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    transform = draw(st.sampled_from(["permute", "duplicate", "dominated"]))
+    source = rows[draw(st.integers(0, len(rows) - 1))]
+    where = draw(st.integers(0, len(rows)))
+    if transform == "permute":
+        other = draw(st.permutations(rows))
+    elif transform == "duplicate":
+        other = rows[:where] + [source] + rows[where:]
+    else:
+        cut = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        other = rows[:where] + [[w - c for w, c in zip(source, cut)]] + rows[where:]
+    return rows, list(other)
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(case=_two_representations(), seed=st.integers(0, (1 << 64) - 1))
+def test_reports_depend_on_the_function_alone(case, seed):
+    # Every solver that runs on explicit input, on two representations of
+    # one f: the representation's own oracle (byte tables, cached sums and
+    # argmax sets) gives equal (output, value, calls), and an ownerless
+    # oracle asks equal transcripts, which for sample are its seeded draws.
+    reps = [XosRepresentation.from_weights(rows) for rows in case]
+    assert materialize(reps[0]).values.tolist() == materialize(reps[1]).values.tolist()
+    handle = InstanceHandle("explicit", explicit=reps[0])
+    ran = 0
+    for algo, solve in SOLVERS.items():
+        try:
+            args = _solver(handle, algo, epsilon=Fraction(1, 2))
+        except UsageError:  # probe runs on needles only
+            continue
+        ran += 1
+        owner, transcripts = [], []
+        for rep in reps:
+            oracle = CountingOracle.for_representation(rep)
+            report = solve(oracle, seed, args)
+            assert report.oracle_calls == oracle.calls
+            owner.append((report.output, report.value, report.oracle_calls))
+            recorder, seen = recording_oracle(rep)
+            assert solve(recorder, seed, args) == report, algo
+            transcripts.append(seen)
+        assert owner[0] == owner[1], algo
+        assert transcripts[0] == transcripts[1], algo
+    assert ran == len(SOLVERS) - 1

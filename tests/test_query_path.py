@@ -67,7 +67,13 @@ from xosmax.rng import (
     sample_positions,
 )
 
-from helpers import grow_loop, iter_masks_by_card, maximizer_indices, random_star_representation
+from helpers import (
+    grow_loop,
+    iter_masks_by_card,
+    maximizer_indices,
+    random_star_representation,
+    recording_oracle,
+)
 
 _MASK64 = (1 << 64) - 1
 _INV_GAMMA = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
@@ -266,6 +272,131 @@ def test_single_queries_read_the_packed_tables(n):
     assert edge.evaluate(full) == INT64_MAX
     bottom = XosRepresentation.from_weights(_edge_rows(n)[1:2])
     assert CountingOracle.for_representation(bottom).evaluate(full) == INT64_MIN
+
+
+_ROUTE_SIZES = [1, 7, 8, 9, 63, 64, 65, 70]
+
+
+def _walking(rep: XosRepresentation) -> CountingOracle:
+    """The representation's oracle with the byte rows switched off: every
+    move of its cached sums longer than one added element walks elements."""
+    oracle = CountingOracle.for_representation(rep)
+    oracle._far = rep.n
+    return oracle
+
+
+def _step_to(oracle: CountingOracle, base: int) -> None:
+    """Move ``oracle``'s cached sums from the empty set to ``base`` one
+    added element at a time, so no byte row is read on the way."""
+    grown = 0
+    for v in range(base.bit_length()):
+        if base >> v & 1:
+            grown |= 1 << v
+            oracle.evaluate(grown)
+
+
+@pytest.mark.parametrize("n", _ROUTE_SIZES)
+def test_far_queries_agree_on_byte_rows_element_walk_and_bit_loop(n):
+    # Unrelated masks asked in turn move the cached sums far each time: by
+    # the byte rows (n <= 64), by the element walk, and by the bit loop.
+    masks = _random_masks(n, 200, seed=n + 2)
+    full = (1 << n) - 1
+    for rep in _table_reps(n):
+        rows, walk = CountingOracle.for_representation(rep), _walking(rep)
+        expected = [_bit_loop(rep, m) for m in masks]
+        assert [rows.evaluate(m) for m in masks] == expected
+        assert [walk.evaluate(m) for m in masks] == expected
+        assert rows.calls == walk.calls == len(masks)
+        if n > 64:
+            assert rep._byte_rows is None
+        else:
+            assert rep._byte_rows == [t.tolist() for t in rep._byte_tables]
+            assert {type(w) for table in rep._byte_rows for row in table for w in row} == {int}
+    top, bottom, _ = _edge_rows(n)
+    for rows in ([top, bottom], [bottom, top]):
+        oracle = CountingOracle.for_representation(XosRepresentation.from_weights(rows))
+        assert [oracle.evaluate(m) for m in (full, 0, full, 1, full)] == [INT64_MAX, 0, INT64_MAX,
+                                                                          max(top[0], bottom[0]),
+                                                                          INT64_MAX]
+    oracle = CountingOracle.for_representation(XosRepresentation.from_weights([bottom]))
+    assert [oracle.evaluate(m) for m in (full, 0, full)] == [INT64_MIN, 0, INT64_MIN]
+
+
+@pytest.mark.parametrize("n", _ROUTE_SIZES)
+def test_byte_rows_start_past_one_step_per_byte(n):
+    # A walk of ceil(n/8) steps stays a walk and one of ceil(n/8) + 1 steps
+    # reads the byte rows, whether it would walk from the empty set (the
+    # cache sits on the complement of the mask) or over the symmetric
+    # difference (the mask drops elements from the cached full set); the
+    # rows exist only for grounds of at most 64 elements.
+    far = -(-n // 8)
+    full = (1 << n) - 1
+    weights = random_explicit(n, 3, -(1 << 40), 1 << 40, seed=n).components
+    for steps in (far, far + 1):
+        spread = sum(1 << (i * n // steps) for i in range(steps)) if steps <= n else None
+        cases = []
+        if spread is not None and steps < n:
+            cases.append((full & ~spread, spread))  # from the empty set
+        if 2 * steps <= n:
+            cases.append((full, full & ~spread))  # over the symmetric difference
+        for base, mask in cases:
+            rep = XosRepresentation(GroundSet(n), weights)
+            oracle = CountingOracle.for_representation(rep)
+            _step_to(oracle, base)
+            assert "_byte_rows" not in rep.__dict__
+            assert oracle.evaluate(mask) == _bit_loop(rep, mask) == _walking(rep).evaluate(mask)
+            assert ("_byte_rows" in rep.__dict__) == (steps > far and n <= 64), (steps, base, mask)
+            assert oracle.calls == base.bit_count() + 1
+    if n == 1:
+        rep = XosRepresentation(GroundSet(1), weights)
+        oracle = CountingOracle.for_representation(rep)
+        assert [oracle.evaluate(m) for m in (1, 0, 1, 1, 0)] == [_bit_loop(rep, m)
+                                                                 for m in (1, 0, 1, 1, 0)]
+        assert "_byte_rows" not in rep.__dict__
+
+
+@pytest.mark.parametrize("n", [9, 40, 64, 70])
+def test_plus_and_grow_from_a_cache_left_on_an_unrelated_set(n):
+    # Before each evaluate_plus and each grow the cache is left on an
+    # unrelated set, so the query first moves it far: the byte rows, the
+    # element walk and a closure oracle (no cached sums) agree on values,
+    # closures and calls.
+    rep = random_explicit(n, 4, -3, 5, seed=n)
+    singles = [rep.singleton_value(v) for v in range(n)]
+    rng = random.Random(f"unrelated/{n}")
+    oracles = (CountingOracle.for_representation(rep), _walking(rep),
+               CountingOracle(rep.ground, lambda m: _bit_loop(rep, m)))
+    for _ in range(40):
+        unrelated, base, universe = (rng.getrandbits(n) for _ in range(3))
+        u = rng.randrange(n)
+        plus, grown = set(), set()
+        for oracle in oracles:
+            oracle.evaluate(unrelated)
+            plus.add(oracle.evaluate_plus(base, u))
+            oracle.evaluate(unrelated)
+            grown.add(oracle.grow(base, rep.evaluate(base), universe, singles))
+        assert plus == {_bit_loop(rep, base | 1 << u)}
+        assert len(grown) == 1
+    calls = {oracle.calls for oracle in oracles}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [13, 64])
+def test_a_bad_mask_is_refused_before_any_byte_row(n):
+    # The byte rows read the low eight bytes of a mask, so every counted
+    # route checks the mask first: nothing is counted and no row is built.
+    rep = random_explicit(n, 3, -5, 5, seed=n)
+    singles = [rep.singleton_value(v) for v in range(n)]
+    oracle = CountingOracle.for_representation(rep)
+    _step_to(oracle, (1 << n) - 1)
+    routes = (oracle.evaluate, lambda m: oracle.evaluate_plus(m, 0),
+              lambda m: oracle.grow(m, 0, 1, singles), lambda m: oracle.grow(0, 0, m, singles))
+    for bad in (-1, 1 << n, (1 << 64) | 0xFF, -(1 << 64), True, 1.5):
+        for route in routes:
+            with pytest.raises((TypeError, ValueError)):
+                route(bad)
+    assert oracle.calls == n
+    assert "_byte_rows" not in rep.__dict__ and "_byte_tables" not in rep.__dict__
 
 
 @pytest.mark.parametrize("n", [13, 64])
@@ -747,17 +878,6 @@ def test_sampling_solver_matches_a_scalar_reference():
     assert oracle.calls == report.oracle_calls
 
 
-def _recording_oracle(rep: XosRepresentation) -> tuple[CountingOracle, list[int]]:
-    """An oracle whose closure value function records every query in order."""
-    seen = []
-
-    def value(mask):
-        seen.append(mask)
-        return rep.evaluate(mask)
-
-    return CountingOracle(rep.ground, value), seen
-
-
 @pytest.mark.parametrize(
     "low, per_round", [(-40, 1500), (1, 40), (-40, 40)], ids=["dropped-1500", "all-40", "dropped-40"]
 )
@@ -768,7 +888,7 @@ def test_sampling_solver_queries_the_scalar_sequence(low, per_round):
     # rounds and 40 puts many rounds in one block.
     n = 30
     rep = random_explicit(n, 3, low, 60, seed=8)
-    oracle, seen = _recording_oracle(rep)
+    oracle, seen = recording_oracle(rep)
     report = solve_random_sampling(oracle, SamplingParams(1, seed=77, sample_budget_override=per_round))
     elems = [v for v in range(n) if rep.evaluate(1 << v) > 0]
     assert (len(elems) < n) == (low < 0)
@@ -803,7 +923,7 @@ def test_closure_growth_asks_the_reference_loop_transcript(name):
             random_star_representation(14, 3, seed=3), random_explicit(12, 5, -2, 3, seed=4),
             HardKxosInstance(3, 3, 1, 0).representation()]
     for rep in reps:
-        oracle, seen = _recording_oracle(rep)
+        oracle, seen = recording_oracle(rep)
         report = solve(oracle)
         loop_seen = []
         loop = _LoopGrowth(rep.ground, lambda m: loop_seen.append(m) or rep.evaluate(m))
