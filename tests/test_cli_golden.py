@@ -6,8 +6,9 @@ stdout and of its stderr and its exit code. The runs cover the solvers whose
 masks do not depend on earlier answers (``enum``, ``sample`` with and
 without its options, ``brute``, ``probe``) and the adaptive ones (``star``,
 ``exact2``, ``kminus1``), on explicit grounds of 16, 30, 64 and 70 elements
-that drop singletons, on ``hard_general`` and its remark variant, on a
-needle and on ``hard_kxos``, in CSV and NDJSON, plus refused runs (exit 4). The ``verify`` runs cover explicit tables at n = 12
+that drop singletons, on ``hard_general`` at 22 and 66 elements and its
+remark variant, on needles of 24 and 70 elements and on ``hard_kxos``, in
+CSV and NDJSON, plus refused runs (exit 4). The ``verify`` runs cover explicit tables at n = 12
 and 13, monotone and mixed-sign, monotone and non-monotone tables whose
 values pass 2^62 (held as Python ints), each hidden family at n = 12 and a
 hidden family above the materialize cap (exit 4). A change that keeps every
@@ -82,6 +83,8 @@ INSTANCES = {
     "hard_general_remark22": _hidden("hard_general_remark", {"n": 22, "tau": 3}, 6),
     "needle24": _hidden("needle", {"n_hat": 24, "s": 12, "t": 6}, 7),
     "hard_kxos341": _hidden("hard_kxos", {"k": 3, "n_tilde": 4, "a": 1}, 8),
+    "needle70": _hidden("needle", {"n_hat": 70, "s": 35, "t": 3}, 14),
+    "hard_general66": _hidden("hard_general", {"n": 66, "tau": 4}, 15),
 }
 
 VERIFY_INSTANCES = {
@@ -140,6 +143,15 @@ PLAN = [
     # an explicit oracle far from the last set it answered.
     *((name, algo, ()) for name in ("explicit16", "explicit30", "explicit64", "explicit70",
                                     "hard_kxos341") for algo in ("exact2", "kminus1")),
+    # Grounds above 64 elements, whose blocks are lists of ints: a redrawn
+    # first block, a needle probe, enumeration and sampling on hard_general,
+    # and star's rounds.
+    ("explicit70", "sample", _HALF_40, _REJECTED),
+    ("needle70", "probe", ("--queries", "1000")),
+    ("needle70", "probe", ("--queries", "1000"), _REJECTED),
+    ("hard_general66", "enum", ("--epsilon", "1/2")),
+    ("hard_general66", "sample", _HALF_40),
+    ("explicit70", "star", ()),
 ]
 
 
