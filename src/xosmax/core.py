@@ -13,10 +13,12 @@ Conventions used throughout the package:
 
 * Subsets are plain ``int`` bitmasks of any length at every API boundary.
   Bit ``v`` set means element ``v`` is in the subset. Inside the query path
-  a block of masks over elements below 64 is one 1-D ``np.uint64`` array
-  from the producer that makes it (``subset_blocks``,
-  ``rng.sample_blocks``) to the table that answers it; only the reported
-  maximizer becomes an int. Ground sizes are limited to
+  the producers (``subset_blocks``, ``rng.sample_blocks``) build every
+  block from a table of element bits (``_element_bits``) by one route at
+  every ground size. A block over elements below 64 is one 1-D
+  ``np.uint64`` array from the producer to the table that answers it, and
+  only the reported maximizer becomes an int; a larger one is a list of
+  ints. Ground sizes are limited to
   1 <= n <= MAX_GROUND_SIZE, and :class:`GroundSet` alone checks that bound,
   which masks are subsets and which ints are elements: ``validate_subset``
   one mask at a time, ``validate_element`` one element,
@@ -58,9 +60,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import islice, repeat
+from functools import cached_property, lru_cache
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -161,54 +163,31 @@ def _elements(universe: int) -> Sequence[int]:
     return elements_of(universe)
 
 
-def _translate(sub: int, elems: tuple[int, ...]) -> int:
-    """Map a mask over positions to a mask over ``elems[position]``."""
-    actual = 0
-    m = sub
-    while m:
-        low = m & -m
-        actual |= 1 << elems[low.bit_length() - 1]
-        m ^= low
-    return actual
+def _element_bits(elems: Sequence[int]) -> np.ndarray:
+    """1 << v for each element v of ``elems`` (ascending), the table block
+    producers build masks from: uint64 when every element is below 64, else
+    an object array of ints."""
+    if elems and elems[-1] >= 64:
+        return np.array([1 << v for v in elems], dtype=object)
+    return _U_ONE << np.array(elems, dtype=np.uint64)
 
 
-def lift(masks: Iterable[int], universe: int) -> Iterable[int]:
-    """Masks over positions {0..r-1} as masks over the r elements of ``universe``.
-
-    Position i stands for the i-th smallest element of ``universe``, and the
-    order of ``masks`` is kept. When ``universe`` is {0..r-1} the positions
-    are the elements and ``masks`` itself is returned.
-    """
-    if universe & (universe + 1) == 0:  # {0..r-1}
-        return masks
-    return map(_translate, masks, repeat(elements_of(universe)))
+def _as_block(masks: np.ndarray) -> np.ndarray | list[int]:
+    """A block as producers yield it: uint64 as it is, ints as a list."""
+    return masks if masks.dtype == np.uint64 else masks.tolist()
 
 
-def masks_of_card(n: int, c: int) -> Iterator[int]:
-    """All c-element subsets of {0..n-1} in ascending numeric mask order."""
-    if c < 0 or c > n:
-        return
-    if c == 0:
-        yield 0
-        return
-    x = (1 << c) - 1
-    limit = 1 << n
-    while x < limit:
-        yield x
-        # Gosper's hack: next mask with the same popcount.
-        u = x & -x
-        v = x + u
-        x = v | (((x ^ v) // u) >> 2)
-
-
-@cache
-def _binomials() -> np.ndarray:
-    """C(p, i) at [i, p] for 0 <= i, p <= 64, read-only. Row i is the
-    running sum of row i-1 (C(p, i) = sum_{q<p} C(q, i-1)), and every
-    entry is at most C(64, 32) < 2^63, so int64 holds it exactly."""
-    table = np.zeros((65, 65), dtype=np.int64)
+@lru_cache(maxsize=64)
+def _binomials(top: int, r: int) -> np.ndarray:
+    """C(p, i) at [i, p] for 0 <= i <= top and 0 <= p <= r, read-only. Row
+    i is the running sum of row i-1 (C(p, i) = sum_{q<p} C(q, i-1)). The
+    largest entry is C(r, min(top, r // 2)); CapExceededError when it
+    passes int64, which needs r > 66."""
+    if math.comb(r, min(top, r // 2)) > INT64_MAX:
+        raise CapExceededError(f"subsets of up to {top} of {r} elements cannot be ranked in int64")
+    table = np.zeros((top + 1, r + 1), dtype=np.int64)
     table[0] = 1
-    for i in range(1, 65):
+    for i in range(1, top + 1):
         table[i, 1:] = np.cumsum(table[i - 1, :-1])
     table.flags.writeable = False
     return table
@@ -217,7 +196,7 @@ def _binomials() -> np.ndarray:
 def _unrank(binom: np.ndarray, bits: np.ndarray, c: int, lo: int, out: np.ndarray) -> None:
     """Fill ``out`` with the c-subsets of colex ranks lo, lo+1, ... as masks.
 
-    Position p stands for the element mask ``bits[p]``, and row i of
+    Position p stands for the element bit ``bits[p]``, and row i of
     ``binom`` holds C(p, i) for every position p. Colex order of c-subsets
     is ascending mask order. The subset of rank R has as its largest
     position the last p with C(p, c) <= R, and the rest is the (c-1)-subset
@@ -239,25 +218,21 @@ def subset_blocks(universe: int, cap: int, least: int = 0) -> Iterator[np.ndarra
     """The subsets of ``universe`` with ``least`` to ``cap`` elements, in
     canonical order, at most BLOCK masks a block.
 
-    With the default ``least`` the empty set comes first. When every
-    element is below 64 a block is a uint64 array: size class c is the
-    c-subsets of colex ranks 0 .. C(r, c)-1, each unranked on its own
-    (``_unrank``), so a block may span size classes and only one block is
-    held, however large a class is. A larger universe gives lists of ints,
-    from ``masks_of_card`` through ``lift``.
+    With the default ``least`` the empty set comes first. Size class c is
+    the c-subsets of colex ranks 0 .. C(r, c)-1, each unranked on its own
+    (``_unrank``) from the element bits (``_element_bits``), so a block may
+    span size classes and only one block is held, however large a class is.
+    A block is a uint64 array when every element is below 64, else a list
+    of ints. The first block raises CapExceededError when the binomials up
+    to size min(cap, r) pass int64 (``_binomials``).
     """
     elems = _elements(universe)
     r = len(elems)
     top = min(cap, r)
-    if universe >> 64:
-        masks = lift((m for c in range(least, top + 1) for m in masks_of_card(r, c)), universe)
-        while block := list(islice(masks, BLOCK)):
-            yield block
-        return
-    binom = _binomials()
+    binom = _binomials(top, r)
     rows = binom[:, :r]
-    bits = _U_ONE << np.array(elems, dtype=np.uint64)
-    out, fill = np.empty(BLOCK, dtype=np.uint64), 0
+    bits = _element_bits(elems)
+    out, fill = np.empty(BLOCK, dtype=bits.dtype), 0
     for c in range(least, top + 1):
         lo, total = 0, int(binom[c, r])
         while lo < total:
@@ -266,10 +241,10 @@ def subset_blocks(universe: int, cap: int, least: int = 0) -> Iterator[np.ndarra
             fill += hi - lo
             lo = hi
             if fill == BLOCK:
-                yield out
-                out, fill = np.empty(BLOCK, dtype=np.uint64), 0
+                yield _as_block(out)
+                out, fill = np.empty(BLOCK, dtype=bits.dtype), 0
     if fill:
-        yield out[:fill]
+        yield _as_block(out[:fill])
 
 
 def ints_of(blocks: Iterable[np.ndarray | list[int]]) -> Iterator[int]:

@@ -9,10 +9,10 @@ across versions. Bounded draws use rejection sampling, which keeps them
 exactly uniform, and fixed-size subsets come from a partial Fisher-Yates
 shuffle, which makes every m-element subset exactly equally likely.
 ``sample_blocks`` streams many subsets of a universe, given as runs of
-(size, count), BLOCK masks at a time: uint64 arrays when every element is
-below 64, drawn with numpy, and lists of ints from the scalar sampler
-otherwise. A block may span runs, one block is held, and each mask is built
-from its elements' bits, so no position is mapped to an element afterwards.
+(size, count), a block of masks at a time, every block drawn with numpy:
+uint64 arrays when every element is below 64, lists of ints otherwise. A
+block may span runs, one block is held, and each mask is built from its
+elements' bits, so no position is mapped to an element afterwards.
 ``sample_masks`` yields its one-run stream over {0..n-1} as ints. Either
 stream is exactly what the scalar sampler would yield.
 """
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import BLOCK, _elements, _is_int, ints_of
+from .core import BLOCK, _as_block, _element_bits, _elements, _is_int, ints_of
 
 # A seed is the generator's whole state: a plain int in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
@@ -37,8 +37,6 @@ _MIX2 = 0x94D049BB133111EB
 _U_GAMMA = np.uint64(_GAMMA)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_U_ONE = np.uint64(1)
-_U_ZERO = np.uint64(0)
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
@@ -118,21 +116,22 @@ def _check_size(n: int, m) -> None:
         raise ValueError(f"cannot sample {m} of {n} positions")
 
 
-def _mask_block(elems: np.ndarray, runs: list[tuple[int, int]], state: int) -> np.ndarray | None:
-    """The masks of ``runs`` over the r <= 64 elements ``elems`` (a uint64
-    array, ascending) drawn from ``state``, as a uint64 array, or None.
+def _mask_block(bits: np.ndarray, runs: list[tuple[int, int]], state: int) -> np.ndarray | None:
+    """The masks of ``runs`` over the r elements whose bits are ``bits``
+    (``core._element_bits``) drawn from ``state``, as an array, or None.
 
     ``runs`` holds (size m, count) pairs in stream order, at most BLOCK
     masks in all, none of count 0. Output t of the stream is
     mix(state + t*gamma), so every draw of the block is one uint64
     expression. Mask t's m draws, then zeros, fill column t of the draw
-    grid, and position i of every mask is row i of ``idx``. A zero draw
-    swaps position i with itself, so swap i touches only the masks from the
-    first run longer than i onward. Each taken position adds its element's
-    bit. None when any draw would be rejected by ``randrange``: the caller
-    then redraws the block with the scalar code.
+    grid, and position i of every mask is row i of ``idx``, uint8 when
+    r <= 256 and uint16 above. A zero draw swaps position i with itself, so
+    swap i touches only the masks from the first run longer than i onward.
+    Each taken position adds its element's bit. None when any draw would be
+    rejected by ``randrange``: the caller then redraws the block with the
+    scalar code.
     """
-    r = len(elems)
+    r = len(bits)
     width = max(m for m, _ in runs)
     count = sum(c for _, c in runs)
     z = np.arange(1, sum(m * c for m, c in runs) + 1, dtype=np.uint64)
@@ -151,8 +150,9 @@ def _mask_block(elems: np.ndarray, runs: list[tuple[int, int]], state: int) -> n
         draws[:m, start : start + c] = z[drawn : drawn + m * c].reshape(c, m).T
         start += c
         drawn += m * c
-    idx = np.empty((r, count), dtype=np.uint8)
-    idx[:] = np.arange(r, dtype=np.uint8)[:, None]
+    position = np.uint8 if r <= 256 else np.uint16
+    idx = np.empty((r, count), dtype=position)
+    idx[:] = np.arange(r, dtype=position)[:, None]
     flat = idx.reshape(-1)
     columns = np.arange(count)
     for i, lo in enumerate(first):
@@ -168,8 +168,8 @@ def _mask_block(elems: np.ndarray, runs: list[tuple[int, int]], state: int) -> n
         flat[j] = idx[i, lo:]
         idx[i, lo:] = picked
     taken = np.arange(width)[:, None] < np.repeat([m for m, _ in runs], [c for _, c in runs])
-    bits = np.where(taken, (_U_ONE << elems)[idx[:width]], _U_ZERO)
-    return bits.sum(axis=0)  # distinct bits: the sum is the OR
+    picked = np.where(taken, bits[idx[:width]], bits.dtype.type(0))
+    return picked.sum(axis=0)  # distinct bits: the sum is the OR
 
 
 def _checked_runs(n: int, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -190,11 +190,12 @@ def sample_blocks(
 
     Position i of the scalar sampler stands for the i-th smallest element,
     so the masks are ``sample_mask(r, m, rng)`` with each position replaced
-    by its element. The runs are checked at the call. When every element
-    is below 64 a block is a uint64 array drawn by ``_mask_block`` when it
-    is taken, and may span runs; a block that meets a rejection is redrawn
-    by the scalar code from the same state. A larger universe always uses
-    the scalar code and gives lists of ints. Once every block is taken,
+    by its element. The runs are checked at the call. Each block is drawn
+    by ``_mask_block`` when it is taken and may span runs. It holds BLOCK
+    masks, or 2^20 // r when that is fewer, so that its r positions per
+    mask stay near 2 MiB. A block that meets a rejection is redrawn by the
+    scalar code from the same state. A block is a uint64 array when every
+    element is below 64, else a list of ints. Once every block is taken,
     ``rng`` is where the scalar calls would leave it.
     """
     elems = _elements(universe)
@@ -207,10 +208,10 @@ def sample_masks(n: int, m: int, count: int, rng: SplitMix64) -> Iterator[int]:
     return ints_of(sample_blocks((1 << n) - 1, [(m, count)], rng))
 
 
-def _blocks(runs: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-    """``runs`` cut into blocks of BLOCK masks (the last may be shorter),
+def _blocks(runs: list[tuple[int, int]], size: int) -> Iterator[list[tuple[int, int]]]:
+    """``runs`` cut into blocks of ``size`` masks (the last may be shorter),
     each a list of runs with no count 0."""
-    block, room = [], BLOCK
+    block, room = [], size
     for m, count in runs:
         while count:
             take = min(count, room)
@@ -219,7 +220,7 @@ def _blocks(runs: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
             room -= take
             if not room:
                 yield block
-                block, room = [], BLOCK
+                block, room = [], size
     if block:
         yield block
 
@@ -236,14 +237,12 @@ def _scalar_mask(elems: Sequence[int], m: int, rng: SplitMix64) -> int:
 def _block_stream(
     elems: Sequence[int], runs: list[tuple[int, int]], rng: SplitMix64
 ) -> Iterator[np.ndarray | list[int]]:
-    wide = len(elems) > 0 and elems[-1] >= 64
-    table = None if wide else np.array(elems, dtype=np.uint64)
-    for block in _blocks(runs):
-        masks = None if wide else _mask_block(table, block, rng.state)
+    bits = _element_bits(elems)
+    for block in _blocks(runs, min(BLOCK, (1 << 20) // max(len(elems), 1))):
+        masks = _mask_block(bits, block, rng.state)
         if masks is None:
             masks = [_scalar_mask(elems, m, rng) for m, count in block for _ in range(count)]
-            if not wide:
-                masks = np.array(masks, dtype=np.uint64)
+            masks = np.array(masks, dtype=bits.dtype)
         else:
             rng.state = (rng.state + sum(m * c for m, c in block) * _GAMMA) & _MASK64
-        yield masks
+        yield _as_block(masks)

@@ -9,9 +9,10 @@ Six white-box routes only tests use live here too and do read the
 package's values: ``maximizer_indices`` and ``clique_of`` on a
 representation, ``check_submodular_marginal`` on a dense table, the
 pure-Python second route to the submodular verdict,
-``iter_masks_by_card``, the scalar canonical enumeration, ``grow_loop``,
-closure growth one ``evaluate_plus`` at a time, and ``recording_oracle``,
-an ownerless oracle that keeps the transcript of its queries.
+``iter_masks_by_card``, the scalar canonical enumeration by Gosper's hack
+(``masks_of_card``), ``grow_loop``, closure growth one ``evaluate_plus``
+at a time, and ``recording_oracle``, an ownerless oracle that keeps the
+transcript of its queries.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Iterator
 
 from xosmax import CountingOracle, XosRepresentation, random_explicit
 from xosmax.classify import DenseFunction, Witness
-from xosmax.core import masks_of_card
 from xosmax.rng import SplitMix64
 
 # The cli name each algorithm's trial calls; perfbench captures every
@@ -57,10 +57,27 @@ def canonical_masks(n: int) -> list[int]:
     return out
 
 
+def masks_of_card(n: int, c: int) -> Iterator[int]:
+    """All c-element subsets of {0..n-1} in ascending numeric mask order."""
+    if c < 0 or c > n:
+        return
+    if c == 0:
+        yield 0
+        return
+    x = (1 << c) - 1
+    limit = 1 << n
+    while x < limit:
+        yield x
+        # Gosper's hack: next mask with the same popcount.
+        u = x & -x
+        v = x + u
+        x = v | (((x ^ v) // u) >> 2)
+
+
 def iter_masks_by_card(n: int, max_card: int | None = None) -> Iterator[int]:
     """Subsets of {0..n-1} in canonical order, truncated at ``max_card``,
-    from ``masks_of_card`` (Gosper's hack): the scalar enumeration that
-    ``core.subset_blocks`` replaces for universes below 64 elements."""
+    from ``masks_of_card``: the scalar reference for ``core.subset_blocks``,
+    which unranks each size class instead."""
     top = n if max_card is None else min(max_card, n)
     for c in range(top + 1):
         yield from masks_of_card(n, c)

@@ -29,12 +29,17 @@ from xosmax.core import (
     check_value,
     first_max,
     ints_of,
-    lift,
-    masks_of_card,
     subset_blocks,
 )
 
-from helpers import canonical_masks, clique_of, maximizer_indices, random_rep, rep_as_lists
+from helpers import (
+    canonical_masks,
+    clique_of,
+    masks_of_card,
+    maximizer_indices,
+    random_rep,
+    rep_as_lists,
+)
 
 
 def test_every_export_is_an_attribute():
@@ -51,18 +56,8 @@ def test_mask_roundtrip():
     assert mask_of([]) == 0
 
 
-def test_lift_maps_positions_to_elements():
-    masks = [0b110, 0b001, 0b111, 0, 0b010]
-    assert lift(masks, 0b111) is masks
-    assert list(lift(iter(masks), 0b111)) == masks
-    universe = mask_of([3, 70, 4095])
-    elems = elements_of(universe)
-    want = [mask_of(elems[p] for p in elements_of(m)) for m in masks]
-    assert list(lift(masks, universe)) == want
-    assert want[:2] == [(1 << 70) | (1 << 4095), 1 << 3]
-
-
 def test_masks_of_card_matches_itertools():
+    # The test-side scalar enumeration that subset_blocks is checked against.
     n = 6
     for c in range(n + 1):
         expect = sorted(sum(1 << v for v in combo) for combo in combinations(range(n), c))

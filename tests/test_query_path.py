@@ -11,6 +11,7 @@ elements take.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import tracemalloc
@@ -24,7 +25,6 @@ from xosmax import (
     GroundSet,
     ValueOverflowError,
     XosRepresentation,
-    core,
     random_explicit,
     solve_brute_force,
 )
@@ -44,11 +44,11 @@ from xosmax.core import (
     INT64_MAX,
     INT64_MIN,
     CapExceededError,
+    _element_bits,
     best_of,
     bit_counts,
     first_max,
     ints_of,
-    lift,
     subset_blocks,
 )
 from xosmax.hardness import (
@@ -68,8 +68,9 @@ from xosmax.rng import (
 )
 
 from helpers import (
+    bits_of,
     grow_loop,
-    iter_masks_by_card,
+    masks_of_card,
     maximizer_indices,
     random_star_representation,
     recording_oracle,
@@ -77,6 +78,9 @@ from helpers import (
 
 _MASK64 = (1 << 64) - 1
 _INV_GAMMA = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
+# The 9th word of this seed's stream is 2^64 - 1, which randrange rejects
+# for every bound but a power of two.
+_REJECTED = 4586561260770644227
 
 
 def _draws_between(before: int, after: int) -> int:
@@ -84,15 +88,18 @@ def _draws_between(before: int, after: int) -> int:
     return ((after - before) * _INV_GAMMA) & _MASK64
 
 
-@pytest.mark.parametrize("n", [1, 24, 63, 64, 65])
+@pytest.mark.parametrize("n", [1, 24, 63, 64, 65, 128, 1000, 4096])
 def test_sample_masks_matches_scalar_draws(n):
-    for m in sorted({0, 1, n}):
+    # Above 128 elements a size-n mask takes n scalar draws, so size 7
+    # stands in for it. At 4096 elements a block holds 256 masks, so the
+    # counts end inside, on and past a block boundary there too.
+    for m in sorted({0, 1, min(n, 7), n if n <= 128 else 7}):
         for count in (0, 1, 1023, 1024, 1025):
-            seed = (n * 1_000_003 + m * 10_007 + count) & _MASK64
-            scalar, batched = SplitMix64(seed), SplitMix64(seed)
-            expected = [sample_mask(n, m, scalar) for _ in range(count)]
-            assert list(sample_masks(n, m, count, batched)) == expected, (n, m, count)
-            assert batched.state == scalar.state, (n, m, count)
+            for seed in ((n * 1_000_003 + m * 10_007 + count) & _MASK64, _REJECTED):
+                scalar, batched = SplitMix64(seed), SplitMix64(seed)
+                expected = [sample_mask(n, m, scalar) for _ in range(count)]
+                assert list(sample_masks(n, m, count, batched)) == expected, (n, m, count)
+                assert batched.state == scalar.state, (n, m, count)
 
 
 def test_sample_masks_redraws_a_block_with_a_rejection():
@@ -107,6 +114,13 @@ def test_sample_masks_redraws_a_block_with_a_rejection():
     assert _draws_between(seed, scalar.state) == 31
     assert list(sample_masks(24, 6, 5, batched)) == expected
     assert batched.state == scalar.state
+    # Over 128 elements the same draw is the fourth of the second mask,
+    # randrange(125), and the redrawn block is a list of ints.
+    assert _mask_block(_element_bits(range(128)), [(7, 5)], seed) is None
+    scalar, batched = SplitMix64(seed), SplitMix64(seed)
+    expected = [sample_mask(128, 7, scalar) for _ in range(5)]
+    assert list(sample_blocks((1 << 128) - 1, [(7, 5)], batched)) == [expected]
+    assert batched.state == scalar.state
 
 
 def _scalar_runs(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> list[int]:
@@ -114,13 +128,16 @@ def _scalar_runs(n: int, runs: list[tuple[int, int]], rng: SplitMix64) -> list[i
     return [sample_mask(n, m, rng) for m, count in runs for _ in range(count)]
 
 
-@pytest.mark.parametrize("n", [22, 63, 64, 65])
+@pytest.mark.parametrize("n", [22, 63, 64, 65, 128, 1000, 4096])
 def test_mask_runs_match_scalar_draws(n):
     # Sizes up and down, runs of count 0 and of size 0 between them, and
-    # runs longer than a block, so blocks start and end inside runs.
+    # runs longer than a block, so blocks start and end inside runs. Sizes
+    # stop at 128, which keeps the scalar reference quick on wide grounds.
     full = (1 << n) - 1
-    runs = [(3, 700), (n, 5), (0, 40), (1, 0), (n // 2, 1500), (2, 1), (0, 0), (n - 1, 300), (1, 24)]
-    for seed in (n, _MASK64 - n):
+    top = min(n, 128)
+    runs = [(3, 700), (top, 5), (0, 40), (1, 0), (top // 2, 1500), (2, 1), (0, 0), (top - 1, 300),
+            (1, 24)]
+    for seed in (n, _MASK64 - n, _REJECTED):
         scalar, batched = SplitMix64(seed), SplitMix64(seed)
         expected = _scalar_runs(n, runs, scalar)
         assert list(ints_of(sample_blocks(full, runs, batched))) == expected, seed
@@ -139,7 +156,7 @@ def test_mask_runs_redraw_a_block_that_crosses_a_round():
     seed = 4586561260770644227
     runs = [(3, 2), (6, 5), (4, 1500)]
     first_block = [(3, 2), (6, 5), (4, BLOCK - 7)]
-    assert _mask_block(np.arange(24, dtype=np.uint64), first_block, seed) is None
+    assert _mask_block(_element_bits(range(24)), first_block, seed) is None
     scalar, batched = SplitMix64(seed), SplitMix64(seed)
     expected = _scalar_runs(24, runs, scalar)
     assert _draws_between(seed, scalar.state) == 6 + 31 + 4 * 1500
@@ -957,13 +974,17 @@ def test_query_path_memory_stays_bounded():
 
 def test_sample_masks_holds_one_block():
     # 300000 masks as one list would take about 11 MiB; the stream holds one
-    # block of BLOCK masks however many are taken.
-    def take():
-        for _ in sample_masks(24, 6, 300_000, SplitMix64(11)):
+    # block of BLOCK masks however many are taken. Over 4096 elements a
+    # block of 1024 masks would hold 4M uint16 positions, about 10 MiB in
+    # all; it is cut to 256 masks.
+    def take(n, m, count):
+        for _ in sample_masks(n, m, count, SplitMix64(11)):
             pass
 
-    peak = _peak_bytes(take)
+    peak = _peak_bytes(lambda: take(24, 6, 300_000))
     assert peak < 1 << 20, peak
+    wide = _peak_bytes(lambda: take(4096, 7, 5000))
+    assert wide < 4 << 20, wide
 
 
 def test_mask_runs_hold_one_block():
@@ -984,32 +1005,73 @@ def _universe(n: int, r: int) -> int:
     return sum(1 << v for v in rest) | 1 << (n - 1)
 
 
+def _lift(masks, universe: int):
+    """Masks over positions {0..r-1} as masks over the r elements of
+    ``universe``, position i standing for its i-th smallest element."""
+    elems = bits_of(universe)
+    for m in masks:
+        out = 0
+        while m:
+            out |= 1 << elems[(m & -m).bit_length() - 1]
+            m &= m - 1
+        yield out
+
+
+def _checked_masks(blocks, n: int):
+    """The masks of ``blocks`` as ints, after checking that every block but
+    the last is full, and that blocks are arrays exactly when every element
+    is below 64."""
+    size = BLOCK
+    for b in blocks:
+        assert size == BLOCK and 0 < len(b) <= BLOCK
+        size = len(b)
+        if n <= 64:
+            assert isinstance(b, np.ndarray) and b.dtype == np.uint64 and b.ndim == 1
+            yield from b.tolist()
+        else:
+            assert type(b) is list
+            yield from b
+
+
 # (n, r, cap); at (40, 23, 4) the sizes <= 3 fill exactly two blocks, and at
 # (11, 11, 5) the sizes <= 5 exactly one, so a size class ends on a block
 # boundary.
 @pytest.mark.parametrize(
     "n, r, cap", [(30, 30, 3), (40, 30, 3), (64, 64, 2), (20, 10, 4), (64, 64, 0),
-                  (40, 23, 4), (11, 11, 5), (70, 40, 2)]
+                  (40, 23, 4), (11, 11, 5), (70, 40, 2), (200, 100, 2), (128, 70, 4),
+                  (4096, 300, 2)]
 )
 def test_subset_blocks_match_the_scalar_enumeration(n, r, cap):
+    # Streamed against the lifted Gosper enumeration, with the largest size
+    # class alone (least = top) compared as it goes by.
     universe = _universe(n, r)
     assert universe.bit_count() == r
-    expected = list(lift(iter_masks_by_card(r, cap), universe))
-    blocks = list(subset_blocks(universe, cap))
-    # Every block but the last is full, and arrays come exactly when every
-    # element is below 64.
-    assert all(len(b) == BLOCK for b in blocks[:-1]) and 0 < len(blocks[-1]) <= BLOCK
-    for b in blocks:
-        if n <= 64:
-            assert isinstance(b, np.ndarray) and b.dtype == np.uint64 and b.ndim == 1
-        else:
-            assert type(b) is list
-    assert list(ints_of(blocks)) == expected
-    # One size class alone.
     top = min(cap, r)
-    assert list(ints_of(subset_blocks(universe, top, top))) == [
-        m for m in expected if m.bit_count() == top
-    ]
+    every = _checked_masks(subset_blocks(universe, cap), n)
+    largest = _checked_masks(subset_blocks(universe, top, top), n)
+    for c in range(top + 1):
+        for want in _lift(masks_of_card(r, c), universe):
+            assert next(every) == want
+            if c == top:
+                assert next(largest) == want
+    assert next(every, None) is None and next(largest, None) is None
+
+
+def test_subset_blocks_refuse_ranks_past_int64():
+    # C(66, 33) < 2^63 <= C(67, 33) and C(4096, 6) < 2^63 <= C(4096, 7): a
+    # size class whose binomials pass int64 is refused at the first block,
+    # before any mask is made. A solver's phase check refuses such a run
+    # first.
+    for universe, cap in (((1 << 67) - 1, 33), ((1 << 4096) - 1, 7)):
+        with pytest.raises(CapExceededError, match="cannot be ranked in int64"):
+            next(subset_blocks(universe, cap, cap))
+    first = next(subset_blocks((1 << 66) - 1, 33, 33))
+    assert first == list(itertools.islice(masks_of_card(66, 33), BLOCK))
+    assert len(next(subset_blocks((1 << 4096) - 1, 6, 6))) == BLOCK
+    oracle = CountingOracle.for_representation(XosRepresentation.from_weights([[1] * 4096]))
+    with pytest.raises(CapExceededError, match="enum subsets of size <= 7"):
+        solve_enum_small_sets(oracle, EnumParams(Fraction(1, 7)))
+    assert oracle.calls == 4096
 
 
 def test_popcount_matches_int_bit_count():
@@ -1105,8 +1167,6 @@ def _dropping_rep(n: int, keep_top: bool = True) -> XosRepresentation:
     return XosRepresentation.from_weights(rows)
 
 
-_REJECTED = 4586561260770644227  # the 9th word of its stream is 2^64 - 1
-
 
 def _non_adaptive_runs(n: int):
     """(name, solver on an oracle) of every non-adaptive solver that fits n."""
@@ -1170,14 +1230,10 @@ def _star_rep(n: int) -> XosRepresentation:
 
 
 @pytest.mark.parametrize("n", [8, 30, 64])
-def test_no_mask_is_translated_below_64_elements(n, monkeypatch):
-    # With singletons dropped, no route over elements below 64 maps
-    # positions to elements after the fact or runs Gosper's enumeration.
-    def boom(*args):
-        raise AssertionError("scalar route reached below 64 elements")
-
-    monkeypatch.setattr(core, "_translate", boom)
-    monkeypatch.setattr(core, "masks_of_card", boom)
+def test_no_mask_is_translated_below_64_elements(n):
+    # With singletons dropped, every solver over elements below 64 runs on
+    # a retained set that is not {0..r-1}, and its masks are built from the
+    # element bits (core._element_bits) at every ground size.
     rep = _dropping_rep(n)
     retained = sum(1 << v for v in range(n) if rep.singleton_value(v) > 0)
     assert retained & (retained + 1)  # not {0..r-1}
