@@ -25,7 +25,9 @@ additive functions; when it is also monotone it is subadditive, which
 ``check_monotone`` decides in O(n 2^n), so only the tables that fail
 monotonicity, or were built any other way, take the walk. The walk's lowest
 eight levels run as one vectorized block per node, in bounded chunks, so at
-n = 16 the walk makes 256 Python-level visits, not 65536. A failure's
+n = 16 the walk makes 256 Python-level visits, not 65536; a block expands
+both the minima and the table values it compares them with one bit at a
+time, by slicing halves, so it gathers at no index array. A failure's
 witness is still the pair scans': the submodular route hands a failure to
 the scan, and the subadditive walk, blocks included, tests the rows in
 ascending order, so it finds the scan's first failing row, whose first Y
@@ -253,17 +255,16 @@ _BLOCK_BUDGET = 1 << 15
 
 
 @cache  # built on first use: an import allocates no arrays
-def _digit_indices() -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each digit d < _LEAF, two arrays over the 3^d ternary indices t of
-    the digits below d (digit j of t is 0: j not in Z, 1: j in Z, 2: j in L):
-    the row {d} | L and the table column {d} | Z | L."""
-    rows = cols = np.zeros(1, dtype=np.intp)
+def _digit_indices() -> list[np.ndarray]:
+    """For each digit d < _LEAF, the row {d} | L at each of the 3^d ternary
+    indices t of the digits below d (digit j of t is 0: j not in Z, 1: j in
+    Z, 2: j in L)."""
+    rows = np.zeros(1, dtype=np.intp)
     out = []
     for d in range(_LEAF):
         bit = 1 << d
-        out.append((bit | rows, bit | cols))
+        out.append(bit | rows)
         rows = np.concatenate([rows, rows, rows | bit])
-        cols = np.concatenate([cols, cols | bit, cols | bit])
     return out
 
 
@@ -272,35 +273,45 @@ def _first_block_row(m: np.ndarray, g: np.ndarray, leaf: int) -> int | None:
     node x's m and g, or None.
 
     Each of the R = len(m) / 2^leaf leading rows of m and g holds the subsets
-    of [0, leaf) in its low bits. Those bits of m are expanded into ternary
-    digits one at a time, from bit 0 up: digit 2 (j in L) is the min of the
-    two halves, so m becomes the min over W inside x | L. Row x | L fails at
-    an entry iff f(x | L) + m < g, with g read at the column where every bit
-    of Z | L is set. After digit d only the new entries, the rows whose L has
-    top bit d, are tested, so the first failing row is found in ascending
-    order. The R rows go in chunks of at most _BLOCK_BUDGET expanded entries;
-    once one chunk finds a failing row, later ones test only smaller rows.
+    of [0, leaf) in its low bits. Those bits of both are expanded into
+    ternary digits one at a time, from bit 0 up: digit 2 (j in L) of m is the
+    min of the two halves, so m becomes the min over W inside x | L, and
+    digits 1 and 2 of g are both its half with bit j set, so g is read where
+    every bit of Z | L is set. Row x | L fails at an entry iff
+    f(x | L) + m < g. After digit d only the new entries, the rows whose L
+    has top bit d, are tested, so the first failing row is found in
+    ascending order. The R rows go in chunks of at most _BLOCK_BUDGET
+    expanded entries; once one chunk finds a failing row, later ones test
+    only smaller rows. Each digit writes its expansions into one of two
+    buffers that every chunk reuses: expansions allocated afresh per digit
+    can make the C allocator hand their pages back to the system and fault
+    them in again at every chunk. Only the minima and gaps, a third of an
+    expansion each, are allocated per digit.
     """
     size = 1 << leaf
     m, g = m.reshape(-1, size), g.reshape(-1, size)
     f_rows = g[0]  # f(x | L) at column L
     step = _BLOCK_BUDGET // 3**leaf
+    # digit leaf - 2 writes the largest expansions, 2 * 3^(leaf - 1) per row
+    buffers = np.empty((2, 2, 2 * min(len(m), step) * 3**(leaf - 1)), dtype=m.dtype)
     best = size
     for start in range(0, len(m), step):
         mc, gc = m[start:start + step], g[start:start + step]
-        for d, (rows, cols) in enumerate(_digit_indices()[:leaf]):
+        for d, rows in enumerate(_digit_indices()[:leaf]):
             if 1 << d >= best:
                 break
-            halves = mc.reshape(len(mc), size >> d + 1, 2, 3**d)
-            low = np.minimum(halves[:, :, 0], halves[:, :, 1])
-            gap = gc.reshape(len(gc), size >> d + 1, 2 << d)[..., cols]
-            gap -= low  # exact: |values| < 2^62, or Python ints
-            bad = gap.max(axis=(0, 1)) > f_rows[rows]
+            halves = mc.reshape(-1, 2, 3**d)
+            ghalves = gc.reshape(-1, 2, 3**d)
+            low = np.minimum(halves[:, 0], halves[:, 1])
+            gap = ghalves[:, 1] - low  # exact: |values| < 2^62, or Python ints
+            bad = gap.max(axis=0) > f_rows[rows]
             if bad.any():
                 best = min(best, int(rows[bad].min()))
                 break
             if d + 1 < leaf:
-                mc = np.concatenate([halves, low[:, :, None]], axis=2)
+                out_m, out_g = buffers[d & 1, :, :3 * low.size].reshape(2, -1, 3, 3**d)
+                mc = np.concatenate([halves, low[:, None]], axis=1, out=out_m)
+                gc = np.concatenate([ghalves, ghalves[:, 1:]], axis=1, out=out_g)
         if best == 1:  # row x itself passed, so no smaller row is left
             break
     return None if best == size else best

@@ -91,8 +91,13 @@ MAX_QUERIES = 1 << 21
 _U_ONE = np.uint64(1)
 _U56 = np.uint64(56)
 _U_BYTE_SUM = np.uint64(0x0101010101010101)
-# Set bits of each byte value, for ``bit_counts``.
-_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+# The SWAR masks of ``bit_counts``: every other bit, every other bit pair,
+# and the low nibble of each byte.
+_U_ODD = np.uint64(0x5555555555555555)
+_U_PAIRS = np.uint64(0x3333333333333333)
+_U_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_U_TWO = np.uint64(2)
+_U_FOUR = np.uint64(4)
 
 
 class ValueOverflowError(OverflowError):
@@ -148,12 +153,17 @@ def mask_of(elements: Iterable[int]) -> int:
 def bit_counts(masks: np.ndarray) -> np.ndarray:
     """The number of set bits of each mask of a uint64 array, as int64.
 
-    One lookup per byte in a 256-entry table, since numpy 1.24 has no
-    ``bitwise_count``; multiplying a word's eight byte counts by
-    0x0101010101010101 sums them into its top byte.
+    The 64-bit SWAR popcount, since numpy 1.24 has no ``bitwise_count``:
+    each bit pair, then each nibble, then each byte holds its own count, and
+    multiplying by 0x0101010101010101 sums the eight byte counts into the
+    top byte. Every operand is uint64, so no step is promoted on any numpy
+    version; the input is read in place, whatever its strides.
     """
-    per_byte = _BYTE_BITS[np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)]
-    return ((per_byte.view("<u8") * _U_BYTE_SUM) >> _U56).astype(np.int64)
+    x = np.asarray(masks, dtype=np.uint64)
+    x = x - ((x >> _U_ONE) & _U_ODD)
+    x = (x & _U_PAIRS) + ((x >> _U_TWO) & _U_PAIRS)
+    x = (x + (x >> _U_FOUR)) & _U_NIBBLES
+    return ((x * _U_BYTE_SUM) >> _U56).astype(np.int64)
 
 
 def _elements(universe: int) -> Sequence[int]:

@@ -617,10 +617,30 @@ def test_subadditive_blocks_match_pair_scan(n):
         assert check_subadditive(_scale_to_edge(f)) == got, (label, n, "scaled")
 
 
-@pytest.mark.parametrize("n", [13, 14])
+def test_subadditive_walk_matches_pair_scan_on_hidden_tables():
+    # The hidden families' tables are the walk's slowest passing inputs.
+    # Copies built from values make no max-of-additive claim, so each takes
+    # the walk. A positive factor keeps every pair inequality, so the object
+    # twins near 2^62 (n <= 9) must give the same verdict and witness.
+    families = [HardKxosInstance(3, 2, 1, 4), HardKxosInstance(3, 3, 1, 5)]
+    for n in (8, 10, 12):
+        families += [HardGeneralInstance(n, 2, n), HardGeneralInstance(n, 2, n, remark=True)]
+    for fam in families:
+        label = f"{fam.kind}{fam.n}"
+        f = DenseFunction(fam.n, materialize(fam).values.tolist())
+        got = check_subadditive(f)
+        assert got == _pair_scan(f, submodular=False), label
+        if f.n <= 9:
+            edge = _scale_to_edge(f)
+            assert edge.values.dtype == object
+            assert check_subadditive(edge) == _pair_scan(edge, submodular=False) == got, label
+
+
+@pytest.mark.parametrize("n", [13, 14, 16])
 def test_subadditive_route_memory_is_bounded(n):
     # The block route holds one bounded chunk at a time, so its transient
-    # memory does not grow with the block (2^5 and 2^6 rows at the root here).
+    # memory does not grow with the block (2^5, 2^6 and 2^8 rows at the root
+    # here; n = 16 is the table cap).
     # The table is built from values, so the walk runs, not the monotone route.
     rep = XosRepresentation.from_weights([[v % 7 + 1 for v in range(n)]])
     f = DenseFunction(n, materialize(rep).values.tolist())

@@ -1079,9 +1079,15 @@ def test_popcount_matches_int_bit_count():
     g = SplitMix64(12)
     words += [g.next_u64() for _ in range(3000)]
     words += [w >> (w % 64) for w in words[66:]]  # sparse high bytes too
-    got = bit_counts(np.array(words, dtype=np.uint64))
+    words += [0x5555555555555555, 0xAAAAAAAAAAAAAAAA]  # every other bit
+    arr = np.array(words, dtype=np.uint64)
+    got = bit_counts(arr)
     assert got.dtype == np.int64
     assert got.tolist() == [w.bit_count() for w in words]
+    # a strided view is read in place, and an empty array gives an empty count
+    assert bit_counts(arr[::3]).tolist() == [w.bit_count() for w in words[::3]]
+    empty = bit_counts(arr[:0])
+    assert empty.dtype == np.int64 and empty.size == 0
 
 
 def _hidden_families() -> list:
