@@ -6,7 +6,8 @@ stdout and of its stderr and its exit code. The runs cover the solvers whose
 masks do not depend on earlier answers (``enum``, ``sample`` with and
 without its options, ``brute``, ``probe``) and the adaptive ones (``star``,
 ``exact2``, ``kminus1``), on explicit grounds of 16, 30, 64 and 70 elements
-that drop singletons, on ``hard_general`` at 22 and 66 elements and its
+that drop singletons, on a 130-element explicit ground of tied small
+weights, on ``hard_general`` at 22 and 66 elements and its
 remark variant, on needles of 24 and 70 elements and on ``hard_kxos``, in
 CSV and NDJSON, plus refused runs (exit 4). The ``verify`` runs cover explicit tables at n = 12
 and 13, monotone and mixed-sign, monotone and non-monotone tables whose
@@ -54,6 +55,19 @@ def _explicit(n: int, tag: str) -> dict:
     return {"type": "explicit", "n": n, "weights": rows}
 
 
+def _tied(n: int, tag: str) -> dict:
+    """Width-3 weights in [-3, 3], so many components tie on a set and many
+    improving thresholds tie; every fifth element (2, 7, 12, ...) has no
+    positive weight and the last element has a positive one."""
+    rng = random.Random(f"cli-golden/{tag}")
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+    for v in range(2, n, 5):
+        for row in rows:
+            row[v] = -rng.randint(0, 3)
+    rows[0][n - 1] = 3
+    return {"type": "explicit", "n": n, "weights": rows}
+
+
 def _hidden(kind: str, params: dict, seed: int) -> dict:
     return {"type": kind, "params": params, "seed": seed}
 
@@ -85,6 +99,7 @@ INSTANCES = {
     "hard_kxos341": _hidden("hard_kxos", {"k": 3, "n_tilde": 4, "a": 1}, 8),
     "needle70": _hidden("needle", {"n_hat": 70, "s": 35, "t": 3}, 14),
     "hard_general66": _hidden("hard_general", {"n": 66, "tau": 4}, 15),
+    "tied130": _tied(130, "tied130"),
 }
 
 VERIFY_INSTANCES = {
@@ -152,6 +167,9 @@ PLAN = [
     ("hard_general66", "enum", ("--epsilon", "1/2")),
     ("hard_general66", "sample", _HALF_40),
     ("explicit70", "star", ()),
+    # Past 64 elements with tied weights: the improving sets of exact2's and
+    # kminus1's expansions, where many elements meet a threshold exactly.
+    *(("tied130", algo, ()) for algo in ("exact2", "kminus1")),
 ]
 
 
