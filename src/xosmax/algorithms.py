@@ -37,13 +37,16 @@ All solvers except brute force start by querying the n singleton values and
 retaining only elements with strictly positive value; dropped elements can
 never help a maximizer because removing one never lowers the max-of-sums.
 The retained singleton values are cached, so additivity tests of the form
-f(X + u) = f(X) + f(u) cost one query each. Closure growth is one
-``CountingOracle.grow`` call per closure, which counts one query per
-scanned element; on an explicit representation it decides each test from
-the components attaining f(X) and f({u}), with no value computed. Every
-other set-plus-one query (the singleton scan, improving expansions and
-bridges) is one ``CountingOracle.evaluate_plus`` call. An empty retained
-set yields (empty set, 0).
+f(X + u) = f(X) + f(u) cost one query each. The singleton scan is one
+``CountingOracle.singletons`` call (n queries), closure growth one
+``CountingOracle.grow`` call per closure and each improving expansion
+one ``CountingOracle.improving`` call, each counting one query per scanned
+element. On an explicit representation none of them computes a value:
+the singletons are cached, growth decides each test from the components
+attaining f(X) and f({u}), and expansion finds the elements some component
+weighs above f(X) minus its sum by bisection. ``kminus1``'s bridges are
+one ``CountingOracle.evaluate_plus`` call each. An empty retained set
+yields (empty set, 0).
 
 Determinism: every tie is broken by keeping the first maximizer in a fixed
 scan order (canonical subset order for enumeration; ascending element index
@@ -68,6 +71,7 @@ from .core import (
     best_of,
     first_max,
     iter_bits,
+    mask_of,
     subset_blocks,
 )
 # sample_positions stays a name of this module: perfbench --trace 1 wraps it here.
@@ -147,16 +151,10 @@ class SamplingParams:
 
 
 def _scan_singletons(oracle: CountingOracle) -> tuple[int, list[int]]:
-    """Query all n singletons (exactly n calls); keep strictly positive ones."""
-    n = oracle.n
-    singles = [0] * n
-    retained = 0
-    for v in range(n):
-        val = oracle.evaluate_plus(0, v)
-        singles[v] = val
-        if val > 0:
-            retained |= 1 << v
-    return retained, singles
+    """Query all n singletons in one ``CountingOracle.singletons`` call
+    (exactly n queries); keep the strictly positive ones."""
+    singles = oracle.singletons()
+    return mask_of(v for v, val in enumerate(singles) if val > 0), singles
 
 
 def preprocess(oracle: CountingOracle) -> int:
@@ -173,13 +171,13 @@ def preprocess(oracle: CountingOracle) -> int:
 def _expand_improving(
     oracle: CountingOracle, base: int, base_val: int, universe: int
 ) -> tuple[int, int]:
-    """Adjoin every v outside ``base`` with f(base + v) > f(base), then evaluate."""
-    out = base
-    for v in iter_bits(universe & ~base):
-        if oracle.evaluate_plus(base, v) > base_val:
-            out |= 1 << v
-    if out == base:
+    """Adjoin every v of ``universe`` outside ``base`` with f(base + v) >
+    f(base), found by one ``CountingOracle.improving`` call (one query per
+    scanned element), then evaluate the union."""
+    gain = oracle.improving(base, base_val, universe)
+    if not gain:
         return base, base_val
+    out = base | gain
     return out, oracle.evaluate(out)
 
 

@@ -25,9 +25,10 @@ Conventions used throughout the package:
   ``validate_block`` one list or array at a time.
 * A value source (``XosRepresentation``, a hidden family) exposes only
   ``evaluate(mask)``, plus ``_values`` on a uint64 array when n <= 64,
-  plus per-element ``columns``, their ``_peaks`` and, when n <= 64,
-  ``_byte_rows`` when it has cached sums. A :class:`CountingOracle` picks
-  which of them answers its queries once, when it is built, and
+  plus per-element ``columns``, their ``_peaks`` and ``_ladders`` and,
+  when n <= 64, ``_byte_rows`` when it has cached sums. A
+  :class:`CountingOracle` picks which of them answers its queries once,
+  when it is built, and
   ``CountingOracle.evaluate_many`` is the one route that answers a block.
 * An adaptive query for a set plus one element is
   ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
@@ -39,10 +40,14 @@ Conventions used throughout the package:
   the ground's ceil(n/8) bytes, one row of sums per nonzero byte of the
   set (``_byte_rows``). Other value functions get the mask
   ``base | 1 << u``.
-  A greedy additive closure is one ``CountingOracle.grow`` call, counted
-  as one query per scanned element; on an explicit representation it
-  decides every step from argmax sets of components, with no value
-  computed, and elsewhere asks ``evaluate_plus`` element by element.
+  A greedy additive closure is one ``CountingOracle.grow`` call, the
+  elements that improve a set one ``CountingOracle.improving`` call and
+  the n singleton values one ``CountingOracle.singletons`` call, each
+  counted as one query per scanned element. On an explicit representation
+  they compute no value: ``grow`` decides every step from argmax sets of
+  components, ``improving`` bisects per-component weight ladders
+  (``_ladders``) and ``singletons`` copies the cached singleton values;
+  elsewhere each asks ``evaluate_plus`` element by element.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
@@ -61,9 +66,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add, sub
+from itertools import accumulate
+from operator import add, or_, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -469,13 +476,28 @@ class XosRepresentation:
     def _peaks(self) -> tuple[list[int], tuple[int, ...]]:
         """(f({v}) for each v, as a list; for each v, the bitmask of the
         components whose weight attains f({v})), built on the first
-        ``CountingOracle.grow``."""
+        ``CountingOracle.singletons`` or ``grow``."""
         singles = list(map(max, self.columns))
         peaks = tuple(
             sum(1 << i for i, w in enumerate(col) if w == top)
             for col, top in zip(self.columns, singles)
         )
         return singles, peaks
+
+    @cached_property
+    def _ladders(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per component, (its weights sorted descending, ties by ascending
+        element, each negated so the list ascends; the prefix-OR masks of
+        those elements, 0 first), built on the first
+        ``CountingOracle.improving``. The elements of component i weighing
+        at least t are the mask at ``bisect_right(keys, -t)``."""
+        ladders = []
+        for comp in self.components:
+            w = comp.weights
+            order = sorted(range(self.n), key=w.__getitem__, reverse=True)
+            keys = [-w[v] for v in order]
+            ladders.append((keys, list(accumulate((1 << v for v in order), or_, initial=0))))
+        return tuple(ladders)
 
     @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
@@ -537,8 +559,9 @@ class XosRepresentation:
 
 class CountingOracle:
     """Value oracle wrapper that counts every query: each ``evaluate`` and
-    ``evaluate_plus`` call, each mask of an ``evaluate_many`` block, and
-    each element a ``grow`` call scans.
+    ``evaluate_plus`` call, each mask of an ``evaluate_many`` block, each
+    element a ``grow`` or ``improving`` call scans, and n per
+    ``singletons`` call.
 
     The counter is the query-complexity measure reported by all solvers.
     ``peek`` evaluates without counting and exists for verification and
@@ -550,9 +573,9 @@ class CountingOracle:
     ``evaluate``, the owner is on the same ground set, and this class does
     not override ``evaluate``. An owner is a value source: ``evaluate(mask)``,
     plus ``_values`` (a checked uint64 array to an int64 array of values)
-    when n <= 64, plus per-element ``columns``, ``_peaks`` and
-    ``_byte_rows`` (an ``XosRepresentation``) when it has cached sums. With
-    ``columns`` the oracle keeps the k component sums of the last set it
+    when n <= 64, plus per-element ``columns``, ``_peaks``, ``_ladders``
+    and ``_byte_rows`` (an ``XosRepresentation``) when it has cached sums.
+    With ``columns`` the oracle keeps the k component sums of the last set it
     answered: ``evaluate`` and ``evaluate_plus`` move them to the asked set
     (``_rebase``): one added element in one step, otherwise element by
     element in O(k) each over min(|diff|, |set|) elements, or, when n <= 64
@@ -561,9 +584,12 @@ class CountingOracle:
     the argmax sets of those sums and of the singletons
     (``_peaks``) when its ``base_val`` is f(base) and its ``singles`` is the
     list of the owner's singleton values; otherwise ``grow`` asks
-    ``evaluate_plus`` once per scanned element. With no owner (a closure,
-    another bound method, an overriding class such as a tracing one) every
-    query goes through ``self.evaluate``.
+    ``evaluate_plus`` once per scanned element. ``improving`` moves the
+    sums to its base once and bisects the owner's ``_ladders``, and
+    ``singletons`` copies the owner's singleton values; without cached
+    sums both ask ``evaluate_plus`` once per element. With no owner (a
+    closure, another bound method, an overriding class such as a tracing
+    one) every query goes through ``self.evaluate``.
     """
 
     __slots__ = ("ground", "calls", "_func", "_owner", "_values", "_columns", "_far", "_base",
@@ -713,6 +739,53 @@ class CountingOracle:
                 base |= 1 << u
                 base_val = t
         return base, base_val
+
+    def singletons(self) -> list[int]:
+        """[f({v}) for v in 0..n-1] as n counted queries, in a new list.
+
+        With cached component sums (see the class) it is a copy of the
+        owner's singleton values (``_peaks``); otherwise it asks
+        ``evaluate_plus(0, v)`` for each v in ascending order.
+        """
+        if self._columns is None:
+            return [self.evaluate_plus(0, v) for v in range(self.ground.n)]
+        self.calls += self.ground.n
+        return self._owner._peaks[0].copy()
+
+    def improving(self, base: int, base_val: int, universe: int) -> int:
+        """The mask of the elements u of ``universe`` outside ``base`` with
+        f(base + u) > ``base_val``.
+
+        Each element of ``universe`` outside ``base`` is one counted query,
+        so ``calls`` grows by their number. ``base`` and ``universe`` must
+        pass ``GroundSet.validate_subset``; either error is raised before
+        anything is counted.
+
+        With cached component sums s_i at ``base`` (see the class) no value
+        is computed: for u outside ``base``, f(base + u) = max_i (s_i +
+        w_i(u)), which exceeds ``base_val`` exactly when some component
+        weighs u at least ``base_val`` - s_i + 1. Those elements are one
+        ``bisect_right`` per component into the owner's ``_ladders``, so
+        the answer is O(k log n) operations on ints at any n. Any other
+        oracle asks ``evaluate_plus(base, u)`` for each u in ascending order.
+        """
+        ground = self.ground
+        ground.validate_subset(base)
+        ground.validate_subset(universe)
+        scan = universe & ~base
+        if self._columns is None:
+            gain = 0
+            for u in iter_bits(scan):
+                if self.evaluate_plus(base, u) > base_val:
+                    gain |= 1 << u
+            return gain
+        self.calls += scan.bit_count()
+        if base != self._base:
+            self._rebase(base)
+        gain = 0
+        for s, (keys, masks) in zip(self._sums, self._owner._ladders):
+            gain |= masks[bisect_right(keys, s - base_val - 1)]
+        return gain & scan
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:
         """``[self.evaluate(m) for m in masks]``: same values, same count.

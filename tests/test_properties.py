@@ -5,7 +5,9 @@ seven) are refused at construction and the rest reach close to the edges;
 every accepted representation must give the same values on each of its
 query routes. Closure growth draws small weights instead, so that many
 components tie, and its argmax route must grow what the query loop grows.
-The subadditivity check's monotone route must agree with the row walk and
+The improving elements of a set and the singleton values must be what
+the query loop finds, at thresholds that tie and at weights near the int64
+edges. The subadditivity check's monotone route must agree with the row walk and
 the pair scan on small tables of weights of both signs. In the value oracle
 model a solver sees only f's values, so a solver's report must not depend
 on which representation of f the oracle answers from.
@@ -44,10 +46,10 @@ _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database
 
 
 @st.composite
-def _weight_rows(draw):
+def _weight_rows(draw, widths=4):
     n = draw(st.integers(1, 70))
     rows = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, widths))):
         row = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         for _ in range(draw(st.integers(0, 2))):
             edge = draw(st.sampled_from(_EDGES))
@@ -137,6 +139,43 @@ def test_grow_argmax_route_equals_the_loop(case, delta):
         assert got == loop.grow(base, base_val, universe, values)
         assert cached.calls == loop.calls == 1 + scanned
         assert got[0] & ~(base | universe) == 0
+
+
+@st.composite
+def _improving_cases(draw):
+    """``_weight_rows`` of widths 1-5 (weights -3..3, so thresholds tie
+    often, with up to two per row near an int64 edge; n 1-70), without the
+    rows whose sums leave int64. A base, a universe and a set the cache
+    starts on."""
+    rows = draw(_weight_rows(5))
+    n = len(rows[0])
+    rows = [row for row in rows if _fits(row)] or [[0] * n]
+    full = (1 << n) - 1
+    return rows, *(draw(st.integers(0, full)) for _ in range(3))
+
+
+@_SETTINGS
+@given(case=_improving_cases())
+def test_improving_and_singletons_equal_the_loop(case):
+    # improving and singletons on the representation's own oracle (ladders
+    # and cached singletons) against an oracle with no owner (one
+    # evaluate_plus per element): the same mask, values and calls, also
+    # when base_val is off by one and when the universe holds all of base.
+    rows, base, universe, start = case
+    rep = XosRepresentation.from_weights(rows)
+    singles = [rep.evaluate(1 << v) for v in range(rep.n)]
+    f_base = rep.evaluate(base)
+    for base_val in (f_base - 1, f_base, f_base + 1):
+        for scope in (universe, universe | base):
+            cached = CountingOracle.for_representation(rep)
+            loop = CountingOracle(rep.ground, lambda m: rep.evaluate(m))
+            assert cached.evaluate(start) == loop.evaluate(start)
+            want = sum(1 << u for u in range(rep.n) if (scope & ~base) >> u & 1
+                       and rep.evaluate(base | 1 << u) > base_val)
+            assert cached.improving(base, base_val, scope) == loop.improving(base, base_val, scope) == want
+            assert cached.calls == loop.calls == 1 + (scope & ~base).bit_count()
+            assert cached.singletons() == loop.singletons() == singles
+            assert cached.calls == loop.calls == 1 + (scope & ~base).bit_count() + rep.n
 
 
 @st.composite

@@ -667,6 +667,74 @@ def test_grow_checks_base_and_universe_before_counting(n):
                 assert oracle.calls == 1, (mask, oracle)
 
 
+def test_improving_and_singletons_read_cached_sums_only_on_the_explicit_route(monkeypatch):
+    # With cached sums, improving and singletons ask no evaluate_plus at
+    # all. A closure, a class overriding evaluate and a hidden family ask
+    # one per scanned element, in ascending order, with the same base. Every
+    # route counts the same calls, and on one function gives the same answer.
+    n = 70
+    rep = random_explicit(n, 4, -2, 3, seed=5)
+    needle = NeedleInstance(n, 5, 2, 3)
+    singles = [rep.singleton_value(v) for v in range(n)]
+    base, universe = 0b1001 | 1 << 66, (1 << n) - 1 - (1 << 20)
+    scan = [v for v in range(n) if (universe & ~base) >> v & 1]
+    asked = []
+    plus = CountingOracle.evaluate_plus
+    monkeypatch.setattr(CountingOracle, "evaluate_plus",
+                        lambda self, b, u: asked.append((b, u)) or plus(self, b, u))
+
+    def answers(oracle, source, base_val):
+        asked.clear()
+        gain = oracle.improving(base, base_val, universe)
+        assert oracle.calls == len(scan)
+        improving_asked = asked.copy()
+        asked.clear()
+        assert oracle.singletons() == [source.evaluate(1 << v) for v in range(n)]
+        assert oracle.calls == len(scan) + n
+        return gain, improving_asked, asked.copy()
+
+    f_base = rep.evaluate(base)
+    want = sum(1 << u for u in scan if rep.evaluate(base | 1 << u) > f_base)
+    assert want and want != universe & ~base
+    loop_asks = [(base, u) for u in scan], [(0, v) for v in range(n)]
+    assert answers(CountingOracle.for_representation(rep), rep, f_base) == (want, [], [])
+    for oracle in (CountingOracle(rep.ground, lambda m: rep.evaluate(m)),
+                   _Watched(rep.ground, rep.evaluate)):
+        assert answers(oracle, rep, f_base) == (want, *loop_asks)
+    f_needle = needle.evaluate(base)
+    got = answers(needle.oracle(), needle, f_needle)
+    assert got[0] == sum(1 << u for u in scan if needle.evaluate(base | 1 << u) > f_needle)
+    assert got[1:] == loop_asks
+    # The returned singleton values are the caller's own list.
+    oracle = CountingOracle.for_representation(rep)
+    got = oracle.singletons()
+    got[0] += 1
+    got.append(7)
+    assert rep._peaks[0] == singles
+    assert oracle.singletons() == singles
+
+
+@pytest.mark.parametrize("n", [13, 64, 65])
+def test_improving_checks_base_and_universe_before_counting(n):
+    # A base or universe that validate_subset refuses raises its error, type
+    # and message, with calls unchanged, on the cached-sum, hidden, closure
+    # and overriding routes, even when the stray bit lies above elements
+    # that would be scanned.
+    rep = random_explicit(n, 3, -9, 9, seed=n)
+    bad = (True, 1.5, np.int64(3), -1, 1 << n, (1 << n) | 1, (1 << 70) | 1)
+    for oracle in (CountingOracle.for_representation(rep), NeedleInstance(n, 5, 2, n).oracle(),
+                   CountingOracle(rep.ground, lambda m: rep.evaluate(m)),
+                   _Watched(rep.ground, rep.evaluate)):
+        oracle.evaluate(0)
+        for mask in bad:
+            with pytest.raises((TypeError, ValueError)) as want:
+                rep.ground.validate_subset(mask)
+            for args in ((mask, 0, 1), (1, 0, mask)):
+                with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                    oracle.improving(*args)
+                assert oracle.calls == 1, (mask, oracle)
+
+
 @pytest.mark.parametrize("n", [13, 64, 65, 200])
 def test_one_mask_rule_on_every_route(n):
     # Single on the representation, single and batched through owner and
