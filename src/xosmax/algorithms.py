@@ -44,7 +44,7 @@ one ``CountingOracle.improving`` call, each counting one query per scanned
 element. On an explicit representation none of them computes a value:
 the singletons are cached, growth decides each test from the components
 attaining f(X) and f({u}), and expansion finds the elements some component
-weighs above f(X) minus its sum by bisection. ``kminus1``'s bridges are
+weighs above f(X) minus its sum. ``kminus1``'s bridges are
 one ``CountingOracle.evaluate_plus`` call each. An empty retained set
 yields (empty set, 0).
 

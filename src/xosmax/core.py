@@ -25,10 +25,10 @@ Conventions used throughout the package:
   ``validate_block`` one list or array at a time.
 * A value source (``XosRepresentation``, a hidden family) exposes only
   ``evaluate(mask)``, plus ``_values`` on a uint64 array when n <= 64,
-  plus per-element ``columns``, their ``_peaks`` and ``_ladders`` and,
-  when n <= 64, ``_byte_rows`` when it has cached sums. A
-  :class:`CountingOracle` picks which of them answers its queries once,
-  when it is built, and
+  plus per-element ``columns``, their ``_peaks``, the per-component
+  weights of its ``components`` and, when n <= 64, ``_byte_rows`` when it
+  has cached sums. A :class:`CountingOracle` picks which of them answers
+  its queries once, when it is built, and
   ``CountingOracle.evaluate_many`` is the one route that answers a block.
 * An adaptive query for a set plus one element is
   ``CountingOracle.evaluate_plus(base, u)``, one counted query. On an
@@ -45,9 +45,10 @@ Conventions used throughout the package:
   the n singleton values one ``CountingOracle.singletons`` call, each
   counted as one query per scanned element. On an explicit representation
   they compute no value: ``grow`` decides every step from argmax sets of
-  components, ``improving`` bisects per-component weight ladders
-  (``_ladders``) and ``singletons`` copies the cached singleton values;
-  elsewhere each asks ``evaluate_plus`` element by element.
+  components, ``improving`` compares each weight with the gap between
+  f(X) and its component's sum, and ``singletons`` copies the cached
+  singleton values; elsewhere each asks ``evaluate_plus`` element by
+  element.
 * A solver run makes fewer than MAX_QUERIES oracle queries. Each solver
   call keeps one :class:`Run`, whose ``phase`` alone checks that bound.
 * Function values are exact integers constrained to the signed 64-bit range.
@@ -66,11 +67,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import add, or_, sub
+from itertools import repeat
+from operator import add, gt, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,6 +105,8 @@ _U_PAIRS = np.uint64(0x3333333333333333)
 _U_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
 _U_TWO = np.uint64(2)
 _U_FOUR = np.uint64(4)
+# Turns bytes of 0s and 1s into the ASCII digits that ``int(..., 2)`` reads.
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 class ValueOverflowError(OverflowError):
@@ -485,21 +487,6 @@ class XosRepresentation:
         return singles, peaks
 
     @cached_property
-    def _ladders(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """Per component, (its weights sorted descending, ties by ascending
-        element, each negated so the list ascends; the prefix-OR masks of
-        those elements, 0 first), built on the first
-        ``CountingOracle.improving``. The elements of component i weighing
-        at least t are the mask at ``bisect_right(keys, -t)``."""
-        ladders = []
-        for comp in self.components:
-            w = comp.weights
-            order = sorted(range(self.n), key=w.__getitem__, reverse=True)
-            keys = [-w[v] for v in order]
-            ladders.append((keys, list(accumulate((1 << v for v in order), or_, initial=0))))
-        return tuple(ladders)
-
-    @cached_property
     def _byte_tables(self) -> list[np.ndarray] | None:
         """Per-byte subset-sum tables for ``_values``, ``_byte_rows`` and
         ``classify.materialize``, built once.
@@ -573,8 +560,9 @@ class CountingOracle:
     ``evaluate``, the owner is on the same ground set, and this class does
     not override ``evaluate``. An owner is a value source: ``evaluate(mask)``,
     plus ``_values`` (a checked uint64 array to an int64 array of values)
-    when n <= 64, plus per-element ``columns``, ``_peaks``, ``_ladders``
-    and ``_byte_rows`` (an ``XosRepresentation``) when it has cached sums.
+    when n <= 64, plus per-element ``columns``, ``_peaks``, the weights of
+    its ``components`` and ``_byte_rows`` (an ``XosRepresentation``) when
+    it has cached sums.
     With ``columns`` the oracle keeps the k component sums of the last set it
     answered: ``evaluate`` and ``evaluate_plus`` move them to the asked set
     (``_rebase``): one added element in one step, otherwise element by
@@ -585,7 +573,7 @@ class CountingOracle:
     (``_peaks``) when its ``base_val`` is f(base) and its ``singles`` is the
     list of the owner's singleton values; otherwise ``grow`` asks
     ``evaluate_plus`` once per scanned element. ``improving`` moves the
-    sums to its base once and bisects the owner's ``_ladders``, and
+    sums to its base once and compares weights with gaps, and
     ``singletons`` copies the owner's singleton values; without cached
     sums both ask ``evaluate_plus`` once per element. With no owner (a
     closure, another bound method, an overriding class such as a tracing
@@ -764,10 +752,14 @@ class CountingOracle:
         With cached component sums s_i at ``base`` (see the class) no value
         is computed: for u outside ``base``, f(base + u) = max_i (s_i +
         w_i(u)), which exceeds ``base_val`` exactly when some component
-        weighs u at least ``base_val`` - s_i + 1. Those elements are one
-        ``bisect_right`` per component into the owner's ``_ladders``, so
-        the answer is O(k log n) operations on ints at any n. Any other
-        oracle asks ``evaluate_plus(base, u)`` for each u in ascending order.
+        weighs u more than the gap ``base_val`` - s_i. When fewer than
+        k n / 16 elements are scanned, each is tested against the k gaps;
+        otherwise each component compares all n of its weights with its gap
+        in one pass (``bytes(map(gt, ...))``, read back as a bitmask). A
+        weight there costs about a sixteenth of one scanned element's test,
+        hence the bound. Either way nothing is kept between calls. Any
+        other oracle asks ``evaluate_plus(base, u)`` for each u in
+        ascending order.
         """
         ground = self.ground
         ground.validate_subset(base)
@@ -782,9 +774,14 @@ class CountingOracle:
         self.calls += scan.bit_count()
         if base != self._base:
             self._rebase(base)
+        gaps = [base_val - s for s in self._sums]
+        if scan.bit_count() * 16 < ground.n * len(gaps):
+            columns = self._columns
+            return mask_of(u for u in iter_bits(scan) if any(map(gt, columns[u], gaps)))
         gain = 0
-        for s, (keys, masks) in zip(self._sums, self._owner._ladders):
-            gain |= masks[bisect_right(keys, s - base_val - 1)]
+        for gap, comp in zip(gaps, self._owner.components):
+            bits = bytes(map(gt, comp.weights, repeat(gap))).translate(_BIT_CHARS)
+            gain |= int(bits[::-1], 2)
         return gain & scan
 
     def evaluate_many(self, masks: list[int] | np.ndarray) -> list[int] | np.ndarray:

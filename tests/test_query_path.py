@@ -667,16 +667,21 @@ def test_grow_checks_base_and_universe_before_counting(n):
                 assert oracle.calls == 1, (mask, oracle)
 
 
-def test_improving_and_singletons_read_cached_sums_only_on_the_explicit_route(monkeypatch):
+@pytest.mark.parametrize("universe", [(1 << 70) - 1 - (1 << 20), sum(1 << v for v in range(0, 70, 9))],
+                         ids=["rows", "elements"])
+def test_improving_and_singletons_read_cached_sums_only_on_the_explicit_route(monkeypatch, universe):
     # With cached sums, improving and singletons ask no evaluate_plus at
     # all. A closure, a class overriding evaluate and a hidden family ask
     # one per scanned element, in ascending order, with the same base. Every
     # route counts the same calls, and on one function gives the same answer.
+    # The first universe scans 67 elements, so the explicit route compares
+    # whole weight rows; the second meets the base and scans 7 of 70 (fewer
+    # than k n / 16 at k = 4), so each scanned element is tested alone.
     n = 70
     rep = random_explicit(n, 4, -2, 3, seed=5)
     needle = NeedleInstance(n, 5, 2, 3)
     singles = [rep.singleton_value(v) for v in range(n)]
-    base, universe = 0b1001 | 1 << 66, (1 << n) - 1 - (1 << 20)
+    base = 0b1001 | 1 << 66
     scan = [v for v in range(n) if (universe & ~base) >> v & 1]
     asked = []
     plus = CountingOracle.evaluate_plus
