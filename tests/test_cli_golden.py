@@ -11,8 +11,9 @@ weights, on ``hard_general`` at 22 and 66 elements and its
 remark variant, on needles of 24 and 70 elements and on ``hard_kxos``, in
 CSV and NDJSON, plus refused runs (exit 4). The ``verify`` runs cover explicit tables at n = 12
 and 13, monotone and mixed-sign, monotone and non-monotone tables whose
-values pass 2^62 (held as Python ints), each hidden family at n = 12 and a
-hidden family above the materialize cap (exit 4). A change that keeps every
+values pass 2^62 (held as Python ints), each hidden family at n = 12,
+``hard_kxos`` at 6 and 12 elements with other parameters, ``hard_general``
+at the materialize cap of 16 elements and a hidden family above it (exit 4). A change that keeps every
 call count, seeded draw, verdict, witness and output byte keeps every hash.
 
 Runs are made in-process through ``cli.main`` with the solver clock frozen at
@@ -113,6 +114,10 @@ VERIFY_INSTANCES = {
     "hard_general12": _hidden("hard_general", {"n": 12, "tau": 2}, 10),
     "hard_general_remark12": _hidden("hard_general_remark", {"n": 12, "tau": 2}, 11),
     "hard_kxos331": _hidden("hard_kxos", {"k": 3, "n_tilde": 3, "a": 1}, 12),
+    "hard_kxos332": _hidden("hard_kxos", {"k": 3, "n_tilde": 3, "a": 2}, 16),
+    "hard_kxos321": _hidden("hard_kxos", {"k": 3, "n_tilde": 2, "a": 1}, 17),
+    # at the materialize cap, where the subadditive walk is the slowest
+    "hard_general16": _hidden("hard_general", {"n": 16, "tau": 2}, 18),
     # above the materialize cap: refused with exit 4
     "needle17": _hidden("needle", {"n_hat": 17, "s": 6, "t": 3}, 13),
 }
