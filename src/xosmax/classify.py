@@ -20,10 +20,17 @@ every mask, one numpy pass. Every check has one vectorized implementation,
 exact on either dtype. Fast routes decide the two pair classes:
 submodularity through diminishing marginals in O(n^2 2^n), subadditivity
 through a walk over the rows X in O(3^n) that stops at the first failing
-row. A table built from a representation records that it is a max of
-additive functions; when it is also monotone it is subadditive, which
-``check_monotone`` decides in O(n 2^n), so only the tables that fail
-monotonicity, or were built any other way, take the walk. The walk's lowest
+row. A table built from a representation f = max_i a_i, each a_i additive
+with a_i(empty) = 0 and weights of any sign, may carry a certificate of
+subadditivity, decided in O(k 2^n) while the table is built: every set U
+has a component a_j that attains f(U) and has no negative weight on U. Then
+
+    f(X | Y) = a_j(X) + a_j(Y) - a_j(X & Y) <= a_j(X) + a_j(Y) <= f(X) + f(Y)
+
+with a_j the certified component of X | Y. Every monotone such table holds
+it: were a_j(v) < 0 for an attaining a_j and some v in U, then
+f(U - v) >= a_j(U) - a_j(v) > f(U). A certified table passes at once; every
+other table, and every failure, takes the walk. The walk's lowest
 eight levels run as one vectorized block per node, in bounded chunks, so at
 n = 16 the walk makes 256 Python-level visits, not 65536; a block expands
 both the minima and the table values it compares them with one bit at a
@@ -57,15 +64,14 @@ Witness = Union[tuple[int, ...], None]
 class DenseFunction:
     """Value table over all subsets of {0..n-1}, indexed by bitmask.
 
-    ``_max_of_additive`` is True only on a table built from a representation,
-    a max of additive functions that are 0 at the empty set, which
-    ``check_subadditive`` may then decide by monotonicity. Tables built from
-    values, a callable or a hidden family never set it. A table is not
-    changed once built, so ``check_monotone`` keeps its verdict in
-    ``_monotone`` and ``verify`` decides monotonicity once per table.
+    ``_certified`` is True only on a table built from a representation
+    max_i a_i in which every set U has a component that attains f(U) and
+    has no negative weight on U; such a table is subadditive (see the
+    module docstring), so ``check_subadditive`` passes it at once. Tables
+    built from values, a callable or a hidden family never set it.
     """
 
-    __slots__ = ("n", "values", "_max_of_additive", "_monotone")
+    __slots__ = ("n", "values", "_certified")
 
     def __init__(self, n: int, values) -> None:
         _check_size(n, "dense tables support")
@@ -81,8 +87,7 @@ class DenseFunction:
                 check_value(v)  # raises at the first such int
         self.n = n
         self.values = _exact_table(table)
-        self._max_of_additive = False
-        self._monotone = None
+        self._certified = False
 
     def __getitem__(self, mask: int) -> int:
         return int(self.values[mask])
@@ -138,28 +143,37 @@ def materialize(
     return DenseFunction(n, [source(mask) for mask in range(1 << n)])
 
 
-def _dense(n: int, table: np.ndarray, max_of_additive: bool = False) -> DenseFunction:
+def _dense(n: int, table: np.ndarray, certified: bool = False) -> DenseFunction:
     """A DenseFunction over an int64 ``table`` of 2^n values, which need no
     per-value check."""
     out = DenseFunction.__new__(DenseFunction)
     out.n = n
     out.values = _exact_table(table)
-    out._max_of_additive = max_of_additive
-    out._monotone = None
+    out._certified = certified
     return out
 
 
 def _dense_from_representation(rep: XosRepresentation) -> DenseFunction:
     """Max of the per-component subset sums, read from ``rep._byte_tables``
-    (n <= MATERIALIZE_CAP, so the tables exist and every sum is an int64)."""
+    (n <= MATERIALIZE_CAP, so the tables exist and every sum is an int64).
+    It is certified iff at every mask a component with no negative weight
+    there (``free``) exists (``held``) and the best of their sums (``best``,
+    defined where ``held``) is the table's value."""
     tables = rep._byte_tables
-    table = None
-    for i in range(rep.width):
+    masks = np.arange(1 << rep.n)
+    table = best = held = None
+    for i, comp in enumerate(rep.components):
         sums = tables[0][:, i]
         for byte in tables[1:]:  # each byte's bits lie above all bits in sums
             sums = (byte[:, i, None] + sums).ravel()
-        table = sums if table is None else np.maximum(table, sums)
-    return _dense(rep.n, table, max_of_additive=True)
+        free = (masks & sum(1 << v for v, w in enumerate(comp.weights) if w < 0)) == 0
+        if table is None:
+            table, best, held = sums, sums, free
+        else:
+            table = np.maximum(table, sums)
+            best = np.where(free & (~held | (sums > best)), sums, best)
+            held = held | free
+    return _dense(rep.n, table, certified=bool(held.all() and np.array_equal(best, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +187,7 @@ def check_normalized(f: DenseFunction) -> tuple[bool, Witness]:
 
 
 def check_monotone(f: DenseFunction) -> tuple[bool, Witness]:
-    """f(X) <= f(X + v) for every X and v outside X (equivalent by chaining).
-
-    Decided once per table: the verdict is kept in ``f._monotone``, which
-    ``check_subadditive``'s monotone route reads again.
-    """
-    if f._monotone is None:
-        f._monotone = _monotone_verdict(f)
-    return f._monotone
-
-
-def _monotone_verdict(f: DenseFunction) -> tuple[bool, Witness]:
+    """f(X) <= f(X + v) for every X and v outside X (equivalent by chaining)."""
     vals = f.values
     idx = np.arange(len(vals))
     for v in range(f.n):
@@ -372,18 +376,18 @@ def check_submodular(f: DenseFunction) -> tuple[bool, Witness]:
 def check_subadditive(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) + f(Y) >= f(X | Y), all 4^n pairs.
 
-    A monotone max of additive functions a_i, each 0 at the empty set, is
-    subadditive: with a_j a component that attains f(X | Y),
+    A table built from a representation max_i a_i in which every set U has
+    a component a_j that attains f(U) and has no negative weight on U passes
+    at once: with a_j that component of X | Y,
 
-        f(X | Y) = a_j(X) + a_j(Y - X) <= f(X) + f(Y - X) <= f(X) + f(Y),
+        f(X | Y) = a_j(X) + a_j(Y) - a_j(X & Y) <= a_j(X) + a_j(Y) <= f(X) + f(Y).
 
-    the last step by monotonicity, whatever the weights' signs. So a table
-    built from a representation passes once ``check_monotone`` does, in
-    O(n 2^n), or at once when the table already keeps that verdict. Every
-    other table, and every failure, takes the O(3^n) row walk, which finds
-    the pair scan's first failing row; one vectorized row gives its first Y.
+    Every monotone such table holds this certificate, since an attaining a_j
+    with a_j(v) < 0 on some v in U would give f(U - v) > f(U). Every other
+    table, and every failure, takes the O(3^n) row walk, which finds the
+    pair scan's first failing row; one vectorized row gives its first Y.
     """
-    if f._max_of_additive and check_monotone(f)[0]:
+    if f._certified:
         return True, None
     x = _first_subadditive_row(f)
     if x is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 import tracemalloc
 
@@ -28,7 +29,9 @@ from xosmax import (
     check_submodular,
     materialize,
 )
+from xosmax import classify
 from xosmax.classify import _BLOCK_BUDGET, _LEAF, _SAFE_SUM_BOUND, _pair_scan
+from xosmax.cli import main
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
@@ -253,7 +256,7 @@ def test_nonnegative_xos_is_monotone_and_subadditive():
     # with negative weights subadditivity can fail on overlapping pairs
     # (f(X) + f(X) < f(X) whenever f(X) < 0), so the hierarchy claim is
     # asserted for nonnegative weights only. The table built from values
-    # makes no max-of-additive claim, so its subadditive check takes the walk.
+    # carries no certificate, so its subadditive check takes the walk.
     for seed in range(20):
         rep_table = materialize(random_rep(n=6, k=3, seed=seed, low=0, high=8))
         for f in (rep_table, DenseFunction(6, rep_table.values.tolist())):
@@ -263,9 +266,9 @@ def test_nonnegative_xos_is_monotone_and_subadditive():
 
 def test_monotone_table_from_values_that_is_not_subadditive_fails():
     # f = 0 on sets of at most one element and 1 above is monotone, yet
-    # f({0}) + f({1}) = 0 < 1 = f({0,1}). Only a max of additive functions
-    # passes by monotonicity, so a table built from values or from a
-    # callable must still fail, with the pair scan's witness.
+    # f({0}) + f({1}) = 0 < 1 = f({0,1}). Only a representation's table
+    # can be certified, so a table built from values or from a callable
+    # must still fail, with the pair scan's witness.
     n = 4
     for f in (DenseFunction(n, [int(m.bit_count() > 1) for m in range(1 << n)]),
               materialize(lambda m: int(m.bit_count() > 1), n)):
@@ -275,8 +278,9 @@ def test_monotone_table_from_values_that_is_not_subadditive_fails():
 
 def test_monotone_object_table_at_the_cap_passes_quickly():
     # Width 1 at n = 16 with values up to 30 * 2^58, held as Python ints:
-    # the monotone route decides it in O(n 2^n), where the row walk over the
-    # object table took seconds.
+    # the certificate, decided on the int64 sums while the table is built,
+    # passes it at once, where the row walk over the object table took
+    # seconds.
     n = 16
     f = materialize(XosRepresentation.from_weights([[(v % 5) << 58 for v in range(n)]]))
     assert f.values.dtype == object
@@ -286,6 +290,39 @@ def test_monotone_object_table_at_the_cap_passes_quickly():
         assert check_subadditive(f) == (True, None)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.5, elapsed
+
+
+def test_uncertified_subadditive_table_takes_the_walk(monkeypatch):
+    # max([2, -1], [0, 0]) is subadditive, but on {0, 1} only the first
+    # component attains f = 1 and it weighs -1 there, so the table carries
+    # no certificate and the row walk decides the pass.
+    f = materialize(XosRepresentation.from_weights([[2, -1], [0, 0]]))
+    walked = []
+    walk = classify._first_subadditive_row
+    monkeypatch.setattr(classify, "_first_subadditive_row", lambda g: walked.append(g) or walk(g))
+    assert not f._certified
+    assert check_subadditive(f) == (True, None)
+    assert walked == [f]
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "hard_kxos", "params": {"k": 3, "n_tilde": 3, "a": 1}, "seed": 4},
+    {"type": "hard_general", "params": {"n": 12, "tau": 2}, "seed": 5},
+    {"type": "hard_general", "params": {"n": 16, "tau": 2}, "seed": 6},
+], ids=["hard_kxos331", "hard_general12", "hard_general16"])
+def test_verify_certifies_hidden_tables_without_the_walk(tmp_path, monkeypatch, capsys, doc):
+    # Neither family is monotone, yet verify builds each table from its
+    # representation, whose certificate holds, so the walk never runs.
+    def walk(f):
+        raise AssertionError("the subadditive row walk ran")
+
+    monkeypatch.setattr(classify, "_first_subadditive_row", walk)
+    p = tmp_path / "hidden.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", str(p)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["monotone"]["ok"] is False
+    assert result["subadditive"] == {"ok": True, "witness": None}
 
 
 def _hidden_families():
@@ -312,9 +349,9 @@ def test_hidden_family_tables_match_the_per_mask_tables():
         per_mask = materialize(family.evaluate, family.n)
         assert one_pass.values.dtype == per_mask.values.dtype == np.int64
         assert np.array_equal(one_pass.values, per_mask.values), family
-        # neither is built from a representation, so neither claims to be
-        # a max of additive functions
-        assert not one_pass._max_of_additive and not per_mask._max_of_additive
+        # neither is built from a representation, so neither carries the
+        # subadditivity certificate
+        assert not one_pass._certified and not per_mask._certified
 
 
 def test_hidden_family_over_the_cap_is_refused_before_any_array(monkeypatch):

@@ -243,18 +243,20 @@ def test_verify_over_cap_builds_no_representation(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("low", [0, -3], ids=["monotone", "mixed"])
 def test_verify_decides_monotonicity_once_per_table(tmp_path, monkeypatch, capsys, low):
-    # The monotone class check keeps its verdict on the table, and the
-    # subadditive check of a representation's table reads it back, whether
-    # the table is monotone (passes at once) or not (walks the rows).
+    # Only the monotone class check decides monotonicity: the subadditive
+    # check of a representation's table reads its certificate instead, so a
+    # monotone table (certified) passes without the row walk and a
+    # non-subadditive one (never certified) walks the rows once.
     rows = [[low + (v * 7 + i) % 5 for v in range(9)] for i in range(3)]
     p = tmp_path / "rep.json"
     p.write_text(json.dumps({"type": "explicit", "n": 9, "weights": rows}))
-    decided = []
-    verdict = classify._monotone_verdict
-    monkeypatch.setattr(classify, "_monotone_verdict", lambda f: decided.append(f) or verdict(f))
+    decided, walked = [], []
+    verdict, walk = classify.check_monotone, classify._first_subadditive_row
+    monkeypatch.setitem(classify._CHECKS, "monotone", lambda f: decided.append(f) or verdict(f))
+    monkeypatch.setattr(classify, "_first_subadditive_row", lambda f: walked.append(f) or walk(f))
     assert main(["verify", "--instance", str(p)]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert len(decided) == 1
+    assert len(decided) == 1 and len(walked) == (low != 0)
     assert result["monotone"]["ok"] == (low == 0) and result["subadditive"]["ok"] == (low == 0)
 
 

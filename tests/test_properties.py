@@ -7,8 +7,9 @@ query routes. Closure growth draws small weights instead, so that many
 components tie, and its argmax route must grow what the query loop grows.
 The improving elements of a set and the singleton values must be what
 the query loop finds, at thresholds that tie and at weights near the int64
-edges. The subadditivity check's monotone route must agree with the row walk and
-the pair scan on small tables of weights of both signs. In the value oracle
+edges. The subadditivity check of a representation's table, certified or
+walked, must agree with the row walk and the pair scan on small tables of
+weights of both signs, and every monotone one must be certified. In the value oracle
 model a solver sees only f's values, so a solver's report must not depend
 on which representation of f the oracle answers from.
 """
@@ -27,6 +28,7 @@ from xosmax import (
     DenseFunction,
     ValueOverflowError,
     XosRepresentation,
+    check_monotone,
     check_subadditive,
     materialize,
 )
@@ -190,13 +192,15 @@ def _small_tables(draw):
 
 @_SETTINGS
 @given(rows=_small_tables())
-def test_monotone_route_agrees_with_the_walk_and_the_scan(rows):
-    # The representation's table may pass by monotonicity; its copy built
+def test_certificate_route_agrees_with_the_walk_and_the_scan(rows):
+    # The representation's table may pass by its certificate; its copy built
     # from values takes the row walk, and the pair scan is the reference.
+    # Monotone implies the certificate, so no monotone table walks.
     rep_table = materialize(XosRepresentation.from_weights(rows))
     values = DenseFunction(rep_table.n, rep_table.values.tolist())
     got = check_subadditive(rep_table)
     assert got == check_subadditive(values) == _pair_scan(values, submodular=False)
+    assert rep_table._certified or not check_monotone(rep_table)[0]
 
 
 @st.composite
