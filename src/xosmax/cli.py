@@ -396,7 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # so their tables come from _values in one numpy pass. A representation's
     # table is certified subadditive when every U has an attaining a_j with no
     # negative weight on U: f(X|Y) = a_j(X) + a_j(Y) - a_j(X&Y) <= f(X) + f(Y).
-    # Every monotone table is certified; a certified one skips the O(3^n) walk.
+    # Every monotone one is certified; a certified table skips the O(3^n) walk.
     source = handle.explicit or handle.hidden
     rep = handle.representation() if source.n <= MATERIALIZE_CAP else None
     dense = materialize(rep or source)

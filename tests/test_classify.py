@@ -633,8 +633,8 @@ def test_subadditive_blocks_match_pair_scan(n):
     tables = [(plant, *_planted(n, rng, plant)) for plant in _block_plants(n, rng)]
     for k in (1, 3):
         rep = random_rep(n=n, k=k, seed=n * 10 + k, low=0, high=8)
-        # the representation's table passes by monotonicity; its copy built
-        # from values makes no max-of-additive claim, so the walk decides it
+        # the representation's table passes by its certificate; its copy
+        # built from values carries none, so the walk decides it
         rep_table = materialize(rep)
         tables.append(("xos", rep_table, None))
         tables.append(("xos", DenseFunction(n, rep_table.values.tolist()), None))
@@ -656,8 +656,8 @@ def test_subadditive_blocks_match_pair_scan(n):
 
 def test_subadditive_walk_matches_pair_scan_on_hidden_tables():
     # The hidden families' tables are the walk's slowest passing inputs.
-    # Copies built from values make no max-of-additive claim, so each takes
-    # the walk. A positive factor keeps every pair inequality, so the object
+    # Copies built from values carry no certificate, so each takes the
+    # walk. A positive factor keeps every pair inequality, so the object
     # twins near 2^62 (n <= 9) must give the same verdict and witness.
     families = [HardKxosInstance(3, 2, 1, 4), HardKxosInstance(3, 3, 1, 5)]
     for n in (8, 10, 12):
@@ -678,7 +678,7 @@ def test_subadditive_route_memory_is_bounded(n):
     # The block route holds one bounded chunk at a time, so its transient
     # memory does not grow with the block (2^5, 2^6 and 2^8 rows at the root
     # here; n = 16 is the table cap).
-    # The table is built from values, so the walk runs, not the monotone route.
+    # The table is built from values, so it carries no certificate and walks.
     rep = XosRepresentation.from_weights([[v % 7 + 1 for v in range(n)]])
     f = DenseFunction(n, materialize(rep).values.tolist())
     tracemalloc.start()
