@@ -17,11 +17,24 @@ object array of Python ints. A representation's table is combined from its
 per-byte subset-sum tables, one component at a time, so it holds O(2^n)
 values whatever the width; a hidden family's table is its ``_values`` on
 every mask, one numpy pass. Every check has one vectorized implementation,
-exact on either dtype. Fast routes decide the two pair classes:
-submodularity through diminishing marginals in O(n^2 2^n), subadditivity
-through a walk over the rows X in O(3^n) that stops at the first failing
-row. A table built from a representation f = max_i a_i, each a_i additive
-with a_i(empty) = 0 and weights of any sign, may carry a certificate of
+exact on either dtype. A failing pair class returns the first pair (X, Y)
+of the 4^n scan over X, then Y, ascending: its route finds the scan's
+first failing row X*, and one vectorized row gives X*'s first Y.
+
+Submodularity is diminishing marginals: with d_a(T) = f(T + a) - f(T),
+d_u(S + v) <= d_u(S) for all u < v and S without both, in O(n^2 2^n) on
+slices of the table. X* is the least L + a (a not in L) with
+d_a(T) > d_a(L) for some T containing L but not a: that fails at
+(L + a, T), and if X* fails at Y, a step B -> B + a of the chain from
+X* & Y up to X* has d_a(B | Y - X*) > d_a(B), so row B + a, inside X*,
+fails and is X*. The first marginal violation fails at row S + u, so
+X* < 2^c with c its bit length, and only a < c and L inside [0, c) count:
+per a one max over T's bits from c up, then one superset max over the
+c - 1 low bits, find X* in O(c 2^n + c^2 2^c).
+
+Subadditivity takes a walk over the rows X in O(3^n) that stops at X*. A
+table built from a representation f = max_i a_i, each a_i additive with
+a_i(empty) = 0 and weights of any sign, may carry a certificate of
 subadditivity, decided in O(k 2^n) while the table is built: every set U
 has a component a_j that attains f(U) and has no negative weight on U. Then
 
@@ -34,12 +47,9 @@ other table, and every failure, takes the walk. The walk's lowest
 eight levels run as one vectorized block per node, in bounded chunks, so at
 n = 16 the walk makes 256 Python-level visits, not 65536; a block expands
 both the minima and the table values it compares them with one bit at a
-time, by slicing halves, so it gathers at no index array. A failure's
-witness is still the pair scans': the submodular route hands a failure to
-the scan, and the subadditive walk, blocks included, tests the rows in
-ascending order, so it finds the scan's first failing row, whose first Y
-one vectorized row gives. The 4^n pair scans (vectorized per row) remain the
-reference the routes are tested against.
+time, by slicing halves, so it gathers at no index array. The walk,
+blocks included, tests the rows in ascending order, so it finds X*. The
+tests check every route against the 4^n pair scans.
 """
 
 from __future__ import annotations
@@ -189,14 +199,12 @@ def check_normalized(f: DenseFunction) -> tuple[bool, Witness]:
 def check_monotone(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) <= f(X + v) for every X and v outside X (equivalent by chaining)."""
     vals = f.values
-    idx = np.arange(len(vals))
     for v in range(f.n):
-        bit = 1 << v
-        without = idx[(idx & bit) == 0]
-        bad = np.nonzero(vals[without] > vals[without | bit])[0]
-        if bad.size:
-            x = int(without[bad[0]])
-            return False, (x, x | bit)
+        halves = vals.reshape(-1, 2, 1 << v)
+        bad = halves[:, 0] > halves[:, 1]
+        if bad.any():
+            x = _with_bit(int(bad.argmax()), v)
+            return False, (x, x | 1 << v)
     return True, None
 
 
@@ -215,17 +223,6 @@ def check_additive(f: DenseFunction) -> tuple[bool, Witness]:
     return True, None
 
 
-def _pair_scan(f: DenseFunction, submodular: bool) -> tuple[bool, Witness]:
-    """First (X, Y) violating the pair inequality, scanning X then Y ascending."""
-    size = len(f)
-    ys = np.arange(size)
-    for x in range(size):
-        bad = _row_violations(f.values, x, ys, submodular)
-        if bad.size:
-            return False, (x, int(bad[0]))
-    return True, None
-
-
 def _row_violations(vals: np.ndarray, x: int, ys: np.ndarray, submodular: bool) -> np.ndarray:
     """Ascending Y with f(x) + f(Y) < f(x | Y) (+ f(x & Y) if submodular)."""
     rhs = vals[x | ys]
@@ -234,21 +231,30 @@ def _row_violations(vals: np.ndarray, x: int, ys: np.ndarray, submodular: bool) 
     return np.nonzero(vals[x] + vals < rhs)[0]
 
 
-def _marginals_diminish(f: DenseFunction) -> bool:
-    """f(X+u+v) - f(X+v) <= f(X+u) - f(X) for all X and u < v: O(n^2 2^n).
+def _marginals(vals: np.ndarray, a: int) -> np.ndarray:
+    """d_a(T) = f(T + a) - f(T) at the T without a, ascending, from slices:
+    index k is T with bit a dropped, T = _with_bit(k, a)."""
+    halves = vals.reshape(-1, 2, 1 << a)
+    return (halves[:, 1] - halves[:, 0]).ravel()
 
-    d_u = f(X+u) - f(X) is 0 wherever X holds u, so only X without u and v
-    constrain it. This is equivalent to submodularity.
-    """
-    vals = f.values
-    idx = np.arange(len(vals))
-    for u in range(f.n):
-        d_u = vals[idx | (1 << u)] - vals
-        for v in range(u + 1, f.n):
-            halves = d_u.reshape(-1, 2, 1 << v)
-            if (halves[:, 1] > halves[:, 0]).any():
-                return False
-    return True
+
+def _with_bit(k, a):
+    """k (an int or an int array) with a 0 inserted at bit a."""
+    low = (1 << a) - 1
+    return (k & ~low) << 1 | k & low
+
+
+def _marginal_failure(f: DenseFunction) -> int | None:
+    """Row S + u for the first u < v, and least S, with d_u(S + v) > d_u(S),
+    or None if every marginal diminishes: O(n^2 2^n)."""
+    for u in range(f.n - 1):
+        d = _marginals(f.values, u)
+        for v in range(u + 1, f.n):  # bit v of T is bit v - 1 of d's index
+            halves = d.reshape(-1, 2, 1 << v - 1)
+            bad = halves[:, 1] > halves[:, 0]
+            if bad.any():
+                return _with_bit(_with_bit(int(bad.argmax()), v - 1), u) | 1 << u
+    return None
 
 
 # The walk's lowest _LEAF levels run as one vectorized block per node. A
@@ -365,12 +371,31 @@ def _first_subadditive_row(f: DenseFunction) -> int | None:
 def check_submodular(f: DenseFunction) -> tuple[bool, Witness]:
     """f(X) + f(Y) >= f(X | Y) + f(X & Y), all 4^n pairs.
 
-    The diminishing-marginals route decides a pass; a failure is handed to
-    the pair scan for its witness.
+    Diminishing marginals decide the verdict. A failure's first row X* is
+    the least L + a (a not in L) with ``top[a, L]``, the max of d_a(T) over
+    T containing L but not a, above ``own[a, L]`` = d_a(L), and lies below
+    2^c, c the bit length of the marginal route's failing row; the module
+    docstring proves both. Only a < c and L below 2^c are kept, so X* takes
+    O(c 2^n + c^2 2^c); one vectorized row gives its first Y.
     """
-    if _marginals_diminish(f):
+    vals = f.values
+    bound = _marginal_failure(f)
+    if bound is None:
         return True, None
-    return _pair_scan(f, submodular=True)
+    c = bound.bit_length()
+    width = 1 << c - 1
+    top = np.empty((c, width), dtype=vals.dtype)
+    own = np.empty_like(top)
+    for a in range(c):
+        d = _marginals(vals, a).reshape(-1, width)  # a row per T's bits from c up
+        top[a], own[a] = d.max(axis=0), d[0]
+    for j in range(c - 1):  # superset max over L's bits
+        halves = top.reshape(c, -1, 2, 1 << j)
+        np.maximum(halves[:, :, 0], halves[:, :, 1], out=halves[:, :, 0])
+    a, k = np.nonzero(top > own)
+    x = int((_with_bit(k, a) | 1 << a).min())
+    bad = _row_violations(vals, x, np.arange(len(f)), submodular=True)
+    return False, (x, int(bad[0]))
 
 
 def check_subadditive(f: DenseFunction) -> tuple[bool, Witness]:

@@ -5,20 +5,23 @@ enumeration and evaluation helpers (itertools.combinations instead of bit
 tricks, direct row sums instead of AdditiveFunction) so that agreement
 between a solver and a reference is evidence, not tautology.
 
-Six white-box routes only tests use live here too and do read the
+Seven white-box routes only tests use live here too and do read the
 package's values: ``maximizer_indices`` and ``clique_of`` on a
-representation, ``check_submodular_marginal`` on a dense table, the
-pure-Python second route to the submodular verdict,
-``iter_masks_by_card``, the scalar canonical enumeration by Gosper's hack
-(``masks_of_card``), ``grow_loop``, closure growth one ``evaluate_plus``
-at a time, and ``recording_oracle``, an ownerless oracle that keeps the
-transcript of its queries.
+representation, ``_pair_scan`` on a dense table, the 4^n scan whose first
+failing pair is the classifier's reference witness,
+``check_submodular_marginal``, the pure-Python second route to the
+submodular verdict, ``iter_masks_by_card``, the scalar canonical
+enumeration by Gosper's hack (``masks_of_card``), ``grow_loop``, closure
+growth one ``evaluate_plus`` at a time, and ``recording_oracle``, an
+ownerless oracle that keeps the transcript of its queries.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterator
+
+import numpy as np
 
 from xosmax import CountingOracle, XosRepresentation, random_explicit
 from xosmax.classify import DenseFunction, Witness
@@ -190,6 +193,31 @@ def inclusion_maximal(masks) -> set[int]:
         if not any(m != other and (m & other) == m for other in unique):
             out.add(m)
     return out
+
+
+def _pair_scan(f: DenseFunction, submodular: bool) -> tuple[bool, Witness]:
+    """First (X, Y) with f(X) + f(Y) < f(X | Y) (+ f(X & Y) if submodular),
+    scanning X then Y ascending, one vectorized row per X: the reference
+    witness of ``check_submodular`` and ``check_subadditive``."""
+    vals = f.values
+    ys = np.arange(len(vals))
+    for x in range(len(vals)):
+        rhs = vals[x | ys]
+        if submodular:
+            rhs = rhs + vals[x & ys]
+        bad = np.nonzero(vals[x] + vals < rhs)[0]
+        if bad.size:
+            return False, (x, int(bad[0]))
+    return True, None
+
+
+def scale_to_edge(f: DenseFunction) -> DenseFunction:
+    """f times the positive factor that puts its max |value| in [2^62, 2^63),
+    an object table; f must not be 0. The factor keeps every pair inequality
+    and its direction, so the classifier must give the same witnesses."""
+    values = [int(v) for v in f.values]
+    top = max(abs(v) for v in values)
+    return DenseFunction(f.n, [v * -(-(1 << 62) // top) for v in values])
 
 
 def check_submodular_marginal(f: DenseFunction) -> tuple[bool, Witness]:

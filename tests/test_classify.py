@@ -30,18 +30,20 @@ from xosmax import (
     materialize,
 )
 from xosmax import classify
-from xosmax.classify import _BLOCK_BUDGET, _LEAF, _SAFE_SUM_BOUND, _pair_scan
+from xosmax.classify import _BLOCK_BUDGET, _LEAF, _SAFE_SUM_BOUND
 from xosmax.cli import main
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.rng import SplitMix64
 
 from helpers import (
+    _pair_scan,
     bits_of,
     check_submodular_marginal,
     random_rep,
     random_star_representation,
     ref_rep_value,
     rep_as_lists,
+    scale_to_edge,
 )
 
 EXAMPLE = XosRepresentation.from_weights([[3, -1, 2], [1, 2, -5]])
@@ -406,6 +408,28 @@ def test_marginal_route_agrees_with_pairwise():
         assert check_submodular_marginal(f) == (True, None)
 
 
+def _late_failure(n):
+    """Budget-additive min(n // 2, |X|), then 0 at V minus its top element."""
+    values = [min(n // 2, m.bit_count()) for m in range(1 << n)]
+    values[(1 << n - 1) - 1] = 0
+    return DenseFunction(n, values)
+
+
+def test_late_submodular_failure_is_found_quickly():
+    # Lowering f(V - top) breaks only pairs from row V - top on, since each
+    # earlier row is a subset of it; with f(V) > f({top}) (n >= 4) that row
+    # fails first, at Y = {top}. The pair scan reaches it after 4^n / 2
+    # pairs; the marginal route bounds the first row below 2^(n-1) instead.
+    for n in range(4, 11):
+        witness = ((1 << n - 1) - 1, 1 << n - 1)
+        assert _pair_scan(_late_failure(n), submodular=True) == (False, witness), n
+    for n in (14, 16):
+        f = _late_failure(n)
+        start = time.perf_counter()
+        assert check_submodular(f) == (False, ((1 << n - 1) - 1, 1 << n - 1)), n
+        assert time.perf_counter() - start < 1, n
+
+
 def test_huge_values_use_exact_arithmetic():
     # beyond the int64-safe range the table holds plain integers
     big = 1 << 62
@@ -514,19 +538,11 @@ def test_dense_dtype_rule():
         assert (g.values.dtype == object) == wide, values
 
 
-def _scale_to_edge(f):
-    """f times the positive factor that puts its max |value| in [2^62, 2^63)."""
-    values = [int(v) for v in f.values]
-    top = max(abs(v) for v in values)
-    factor = -(-_SAFE_SUM_BOUND // top)
-    return dense_from([v * factor for v in values])
-
-
 def test_routes_match_pair_scans():
     seen = set()
     for kind, f in _cross_validation_tables():
         assert f.values.dtype != object
-        edge = _scale_to_edge(f) if f.values.any() else None
+        edge = scale_to_edge(f) if f.values.any() else None
         if edge is not None:
             assert edge.values.dtype == object
             assert _SAFE_SUM_BOUND <= max(abs(v) for v in edge.values) < 1 << 63
@@ -651,7 +667,7 @@ def test_subadditive_blocks_match_pair_scan(n):
             assert got == (False, planted), (label, n)
         elif label == "xos":
             assert got == (True, None)
-        assert check_subadditive(_scale_to_edge(f)) == got, (label, n, "scaled")
+        assert check_subadditive(scale_to_edge(f)) == got, (label, n, "scaled")
 
 
 def test_subadditive_walk_matches_pair_scan_on_hidden_tables():
@@ -668,7 +684,7 @@ def test_subadditive_walk_matches_pair_scan_on_hidden_tables():
         got = check_subadditive(f)
         assert got == _pair_scan(f, submodular=False), label
         if f.n <= 9:
-            edge = _scale_to_edge(f)
+            edge = scale_to_edge(f)
             assert edge.values.dtype == object
             assert check_subadditive(edge) == _pair_scan(edge, submodular=False) == got, label
 

@@ -9,9 +9,12 @@ The improving elements of a set and the singleton values must be what
 the query loop finds, at thresholds that tie and at weights near the int64
 edges. The subadditivity check of a representation's table, certified or
 walked, must agree with the row walk and the pair scan on small tables of
-weights of both signs, and every monotone one must be certified. In the value oracle
-model a solver sees only f's values, so a solver's report must not depend
-on which representation of f the oracle answers from.
+weights of both signs, and every monotone one must be certified. The
+submodularity check must give the pair scan's witness on those tables, on
+raw and perturbed budget-additive value tables, and on their object twins
+near 2^62. In the value oracle model a solver sees only f's values, so a
+solver's report must not depend on which representation of f the oracle
+answers from.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ from xosmax import (
     XosRepresentation,
     check_monotone,
     check_subadditive,
+    check_submodular,
     materialize,
 )
-from xosmax.classify import _pair_scan
 from xosmax.cli import SOLVERS, UsageError, _solver
 from xosmax.core import INT64_MAX, INT64_MIN
 from xosmax.instances import InstanceHandle
 
-from helpers import recording_oracle
+from helpers import _pair_scan, recording_oracle, scale_to_edge
 
 # Each weight near an edge lands at most 3n from it, toward zero, so a
 # handful of small weights beside it decides whether its row's sum fits.
@@ -201,6 +204,38 @@ def test_certificate_route_agrees_with_the_walk_and_the_scan(rows):
     got = check_subadditive(rep_table)
     assert got == check_subadditive(values) == _pair_scan(values, submodular=False)
     assert rep_table._certified or not check_monotone(rep_table)[0]
+
+
+@st.composite
+def _value_tables(draw):
+    """Raw values in -4..4, or a budget-additive (so submodular) table with
+    up to three values moved by -3..3, so that the first failing row falls
+    early, late or nowhere; n <= 8."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-4, 4), min_size=1 << n, max_size=1 << n))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    budget = draw(st.integers(0, 4 * n))
+    values = [min(budget, sum(w for v, w in enumerate(weights) if m >> v & 1))
+              for m in range(1 << n)]
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, (1 << n) - 1))] += draw(st.integers(-3, 3))
+    return values
+
+
+@_SETTINGS
+@given(rows=_small_tables(), values=_value_tables())
+def test_submodular_route_gives_the_pair_scans_witness(rows, values):
+    # A positive factor keeps every pair inequality, so the object twin near
+    # 2^62 must give the same verdict and witness.
+    rep_table = materialize(XosRepresentation.from_weights(rows))
+    for f in (rep_table, DenseFunction(len(values).bit_length() - 1, values)):
+        got = check_submodular(f)
+        assert got == _pair_scan(f, submodular=True)
+        if f.values.any():
+            edge = scale_to_edge(f)
+            assert edge.values.dtype == object
+            assert check_submodular(edge) == _pair_scan(edge, submodular=True) == got
 
 
 @st.composite
